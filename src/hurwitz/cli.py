@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import stablemap
 from .character import branch_count
-from .intersection import DegenerateCaseError
 from .oracle import OracleBoundError
 from .recursion import (
     Method,
@@ -74,8 +73,7 @@ def _cmd_compute(args) -> int:
     method = _METHOD_FLAGS[args.method]
     try:
         value = hurwitz_value(g, d, method)
-    except (MethodNotApplicableError, OracleBoundError,
-            DegenerateCaseError) as exc:
+    except (MethodNotApplicableError, OracleBoundError) as exc:
         return _fail_invalid({"error": str(exc)})
     _print_json({
         "status": "ok",
@@ -119,8 +117,7 @@ def _cmd_table(args) -> int:
     method = _METHOD_FLAGS[args.method]
     try:
         cells = list(_table_cells(g_max, d_max, method))
-    except (MethodNotApplicableError, OracleBoundError,
-            DegenerateCaseError) as exc:
+    except (MethodNotApplicableError, OracleBoundError) as exc:
         return _fail_invalid({"error": str(exc)})
     rows = [
         (g, d, branch_count(g, d), format_rational(value))

@@ -481,10 +481,21 @@ def graph_to_dict(graph: StableMapGraph) -> dict:
 
 
 def load_graph(path) -> StableMapGraph:
-    """Read a graph document from a JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
+    """Read a graph document from a JSON file.
+
+    A missing file raises FileNotFoundError; any other unreadable input
+    (a directory, a permission error, bytes that are not UTF-8) raises
+    GraphFormatError.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read input: {exc}") from exc
     return graph_from_dict(data)

@@ -92,9 +92,9 @@ def test_criterion_3_genus0_intersection_route():
 def test_criterion_4_oracle_grid():
     started = time.monotonic_ns()
     failures = []
-    for d in range(1, 5):
+    for d in range(1, 6):
         g = 0
-        while branch_count(g, d) <= 8:
+        while branch_count(g, d) <= 10:
             expected = connected_hurwitz(g, d)
             counted = oracle_connected(g, d)
             if counted != expected:
@@ -102,7 +102,7 @@ def test_criterion_4_oracle_grid():
                     f"(g={g}, d={d}): oracle {counted} != {expected}"
                 )
             g += 1
-    _report(4, "brute-force oracle grid, d <= 4 and r <= 8", failures,
+    _report(4, "brute-force oracle grid, d <= 5 and r <= 10", failures,
             started)
 
 

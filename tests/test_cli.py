@@ -199,6 +199,24 @@ class TestBranchDivisor:
         assert code == EXIT_INVALID
         assert "JSON" in payload["error"]
 
+    def test_directory_is_invalid_input(self, capsys, tmp_path):
+        code, payload = run_json(
+            capsys, "branch-divisor", "--input", str(tmp_path),
+        )
+        assert code == EXIT_INVALID
+        assert payload["status"] == "invalid-input"
+        assert "cannot read input" in payload["error"]
+
+    def test_binary_file_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "noise.bin"
+        path.write_bytes(bytes([0xff, 0xfe, 0x00, 0x9c, 0x80]) * 64)
+        code, payload = run_json(
+            capsys, "branch-divisor", "--input", str(path),
+        )
+        assert code == EXIT_INVALID
+        assert payload["status"] == "invalid-input"
+        assert "UTF-8" in payload["error"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

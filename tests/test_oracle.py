@@ -1,4 +1,5 @@
-"""Brute-force oracle: kernel agreement, known values, and the bound.
+"""Brute-force oracle: the state count against a tuple walk, known
+values, and the bound.
 
 The oracle exists to check the character route, so this file mostly
 pins its standalone behavior; the systematic comparison runs in the
@@ -6,24 +7,32 @@ acceptance suite.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from hurwitz import _oracle_py
 from hurwitz import character, oracle
 from hurwitz.oracle import OracleBoundError, oracle_connected
 
-try:
-    from hurwitz import _speedups
-except ImportError:
-    _speedups = None
 
-kernels = [pytest.param(_oracle_py, id="python")]
-if _speedups is not None:
-    kernels.append(pytest.param(_speedups, id="cython"))
+def walk_all_tuples(d, r):
+    """(identity, transitive) by visiting every r-tuple of transpositions."""
+    identity = transitive = 0
+    for path in product(combinations(range(d), 2), repeat=r):
+        perm = list(range(d))
+        blocks = list(range(d))
+        for i, j in path:
+            perm[i], perm[j] = perm[j], perm[i]
+            a, b = blocks[i], blocks[j]
+            blocks = [a if x == b else x for x in blocks]
+        if perm == list(range(d)):
+            identity += 1
+            transitive += len(set(blocks)) == 1
+    return identity, transitive
 
 
-@pytest.mark.parametrize("kernel", kernels)
+# one kernel, named by the backend string the package reports
+@pytest.mark.parametrize("kernel", [pytest.param(oracle, id=oracle.BACKEND)])
 class TestKernels:
     def test_degree_one(self, kernel):
         assert kernel.count_factorizations(1, 0) == (1, 1)
@@ -46,16 +55,23 @@ class TestKernels:
             kernel.count_factorizations(2, -1)
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_kernels_agree_on_a_grid():
+def test_state_count_matches_tuple_walk():
     for d in range(1, 5):
         for r in range(0, 7):
-            assert _speedups.count_factorizations(d, r) == \
-                _oracle_py.count_factorizations(d, r), (d, r)
+            assert oracle.count_factorizations(d, r) == \
+                walk_all_tuples(d, r), (d, r)
+
+
+def test_identity_count_matches_character_route():
+    # every cell of the bound, d <= 5 and r <= 10
+    for d in range(1, 6):
+        for r in range(0, 11):
+            identity, _ = oracle.count_factorizations(d, r)
+            assert identity == character.factorization_count(d, r), (d, r)
 
 
 def test_selected_backend_is_reported():
-    assert oracle.BACKEND in ("python", "cython")
+    assert oracle.BACKEND == "python"
 
 
 class TestOracleConnected:
