@@ -38,7 +38,6 @@ from .recursion import (
     h2_recursion,
     hurwitz_value,
 )
-from .series import TruncatedSeries
 from .stablemap import (
     ContractedComponent,
     DominantComponent,
@@ -74,7 +73,6 @@ __all__ = [
     "ORACLE_BACKEND",
     "OracleBoundError",
     "StableMapGraph",
-    "TruncatedSeries",
     "applicable_methods",
     "arithmetic_genus",
     "branch_count",

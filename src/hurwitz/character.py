@@ -3,17 +3,27 @@
 The disconnected count of degree-d covers with r simple branch points
 is a transposition-factorization count in the symmetric group, computed
 exactly as a sum over partitions of d of (dimension)^2 (content sum)^r
-divided by d!. Connected counts are extracted with the exponential
-formula: take the formal log of the bivariate generating series of
-disconnected counts.
+divided by d!. It depends on r only through the content sums, so each
+degree is summarized once by an integer content polynomial
+
+    z_n(q) = sum over partitions of n of dim^2 q^(content sum).
+
+Connected counts come from the exponential formula: the generating
+series sum z_n(q) x^n / (n!)^2 has logarithm sum f_n(q) x^n / (n!)^2,
+and the integer polynomials f_n follow from the division-free
+recurrence
+
+    f_n = z_n - sum over 1 <= k < n of C(n-1, k-1) C(n, k) f_k z_{n-k}.
+
+Then H_{g,d} = sum over c of [q^c] f_d * c^r / (d!)^2 with r = 2g-2+2d,
+for every genus from the same f_d.
 """
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 from .partitions import content_sum, enumerate_partitions, irrep_dimension
-from .series import TruncatedSeries
 
 
 def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
@@ -23,6 +33,49 @@ def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
     if genus < 0 or degree < 1 or target_genus < 0:
         raise ValueError("genus and target_genus must be >= 0, degree >= 1")
     return 2 * genus - 2 - degree * (2 * target_genus - 2)
+
+
+@cache
+def content_polynomial(n: int) -> dict[int, int]:
+    """z_n as {content sum: sum of dim^2 over partitions of n with that
+    content sum}; z_0 = {0: 1}. The returned dict is shared; do not
+    mutate it.
+    """
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    z: dict[int, int] = {}
+    for lam in enumerate_partitions(n):
+        c = content_sum(lam)
+        z[c] = z.get(c, 0) + irrep_dimension(lam) ** 2
+    return z
+
+
+def content_log(z: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Connected parts f_0, ..., f_N of integer Laurent polynomials
+    z_0 = 1, z_1, ..., z_N, given as {exponent: coefficient} dicts.
+
+    f_0 is zero ({}); for n >= 1, f_n = z_n minus the sum over k < n of
+    C(n-1, k-1) C(n, k) f_k z_{n-k}, which is the logarithm of
+    sum z_n x^n / (n!)^2 scaled by (n!)^2. Zero coefficients are dropped.
+    """
+    if not z or z[0] != {0: 1}:
+        raise ValueError("z_0 must be the constant polynomial 1")
+    f: list[dict[int, int]] = [{}]
+    for n in range(1, len(z)):
+        fn = dict(z[n])
+        for k in range(1, n):
+            weight = comb(n - 1, k - 1) * comb(n, k)
+            for a, x in f[k].items():
+                x *= weight
+                for b, y in z[n - k].items():
+                    fn[a + b] = fn.get(a + b, 0) - x * y
+        f.append({c: m for c, m in fn.items() if m})
+    return f
+
+
+@cache
+def _connected_polynomial(d: int) -> dict[int, int]:
+    return content_log([content_polynomial(n) for n in range(d + 1)])[d]
 
 
 @cache
@@ -38,10 +91,7 @@ def factorization_count(d: int, r: int) -> int:
         raise ValueError("d must be a positive integer")
     if r < 0:
         raise ValueError("r must be a nonnegative integer")
-    total = 0
-    for lam in enumerate_partitions(d):
-        dim = irrep_dimension(lam)
-        total += dim * dim * content_sum(lam) ** r
+    total = sum(m * c ** r for c, m in content_polynomial(d).items())
     count, rem = divmod(total, factorial(d))
     if rem:
         raise ArithmeticError(
@@ -60,31 +110,17 @@ def disconnected_hurwitz(d: int, r: int) -> Fraction:
 
 
 @cache
-def _disconnected_series(a_max: int, r_max: int) -> TruncatedSeries:
-    # generating series of disconnected counts, with the 1/r! branch-point
-    # weight folded in so that products are plain convolutions
-    coeffs = {(0, 0): Fraction(1)}
-    for a in range(1, a_max + 1):
-        for r in range(r_max + 1):
-            c = Fraction(factorization_count(a, r),
-                         factorial(a) * factorial(r))
-            if c:
-                coeffs[(a, r)] = c
-    return TruncatedSeries(a_max, r_max, coeffs)
-
-
-@cache
 def connected_hurwitz(g: int, d: int) -> Fraction:
     """Hurwitz number H_{g,d}: connected genus-g degree-d covers of the
     projective line with r = 2g - 2 + 2d simple branch points, each
     cover weighted by 1/|Aut|.
 
-    Extracted from the log of the disconnected generating series.
+    Read off the connected content polynomial f_d.
     """
     if g < 0:
         raise ValueError("g must be a nonnegative integer")
     if d < 1:
         raise ValueError("d must be a positive integer")
     r = branch_count(g, d)
-    connected = _disconnected_series(d, r).log()
-    return connected.coefficient(d, r) * factorial(r)
+    total = sum(m * c ** r for c, m in _connected_polynomial(d).items())
+    return Fraction(total, factorial(d) ** 2)

@@ -4,9 +4,12 @@ On the moduli space of stable genus-0 curves with n marked points, the
 top intersection of psi-power classes is a multinomial coefficient.
 Summing them with the right combinatorial prefactor reproduces the
 genus-0 Hurwitz numbers, giving a route independent of both the
-character sum and the recursions.
+character sum and the recursions. The integrals are symmetric in the
+marked points, so the sum is taken once per exponent multiset and
+weighted by its number of arrangements.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -40,23 +43,30 @@ def psi_integral_genus0(exponents: tuple[int, ...]) -> int:
     return value
 
 
-def compositions(total: int, slots: int):
-    """All tuples of `slots` nonnegative ints summing to `total`."""
-    if slots < 0 or total < 0:
-        raise ValueError("total and slots must be nonnegative")
-    if slots == 0:
-        if total == 0:
-            yield ()
+def _exponent_multisets(total: int, slots: int, largest: int | None = None):
+    # non-increasing tuples of `slots` nonnegative ints summing to `total`,
+    # each entry at most `largest`
+    if largest is None:
+        largest = total
+    if total == 0:
+        yield (0,) * slots
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, slots - 1):
+    for first in range(min(total, largest), 0, -1):
+        if first * slots < total:
+            return
+        for rest in _exponent_multisets(total - first, slots - 1, first):
             yield (first, *rest)
 
 
 def elsv_genus0(d: int) -> Fraction:
     """Genus-0 Hurwitz number H_{0,d} from psi-integrals:
     (2d-2)!/d! times the sum of psi_integral_genus0 over all exponent
-    vectors of length d, computed term by term.
+    vectors of length d.
+
+    The integral is symmetric in the marked points, so the sum runs over
+    exponent multisets (non-increasing vectors), each weighted by its
+    d!/(m_1! m_2! ...) arrangements, where the m_i are the multiplicities
+    of the distinct exponents.
 
     Only d >= 3 is meaningful; degrees 1 and 2 raise DegenerateCaseError
     (their pinned values live in DEGENERATE_DEGREES).
@@ -68,6 +78,9 @@ def elsv_genus0(d: int) -> Fraction:
             f"degenerate case: d={d} has no genus-0 intersection formula"
         )
     total = 0
-    for exponents in compositions(d - 3, d):
-        total += psi_integral_genus0(exponents)
+    for exponents in _exponent_multisets(d - 3, d):
+        arrangements = factorial(d)
+        for multiplicity in Counter(exponents).values():
+            arrangements //= factorial(multiplicity)
+        total += arrangements * psi_integral_genus0(exponents)
     return Fraction(factorial(2 * d - 2), factorial(d)) * total

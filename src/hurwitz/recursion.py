@@ -4,8 +4,10 @@ method dispatch and cross-check table.
 Each computation route is kept self-contained (the genus-1 and genus-2
 recursions consume only recursion-route genus-0 values, never the
 closed form), so that agreement between routes is a real check and not
-a tautology. No simple recursion of this shape is known beyond genus 2;
-requesting one is an error, not a silent fallback.
+a tautology. The memoised recursions fill their caches bottom-up, so
+the stack depth does not grow with the degree. No simple recursion of
+this shape is known beyond genus 2; requesting one is an error, not a
+silent fallback.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def _check_degree(d: int) -> None:
         raise ValueError("d must be a positive integer")
 
 
+def _fill_below(recursion, d: int) -> None:
+    # evaluate the cached recursion on 1..d-1 in increasing order, so
+    # the split sums below only hit the cache and the stack depth stays
+    # bounded instead of growing with d
+    for i in range(1, d):
+        recursion(i)
+
+
 @cache
 def h0_closed(d: int) -> Fraction:
     """H_{0,d} in closed form: (2d-2)!/d! * d^(d-3).
@@ -71,6 +81,7 @@ def h0_recursion(d: int) -> Fraction:
     _check_degree(d)
     if d == 1:
         return Fraction(1)
+    _fill_below(h0_recursion, d)
     total = Fraction(0)
     for i in range(1, d):
         total += (
@@ -95,6 +106,8 @@ def h1_recursion(d: int) -> Fraction:
     computation independent of the closed form.
     """
     _check_degree(d)
+    _fill_below(h0_recursion, d + 1)
+    _fill_below(h1_recursion, d)
     value = Fraction(d, 6) * comb(d, 2) * (2 * d - 1) * h0_recursion(d)
     for i in range(1, d):
         value += (
@@ -129,6 +142,8 @@ def h2_recursion(d: int) -> Fraction:
     All inputs come from the recursion route.
     """
     _check_degree(d)
+    _fill_below(h1_recursion, d + 1)
+    _fill_below(h2_recursion, d)
     value = d ** 2 * (_G2_CUBIC * d - _G2_LINEAR) * h1_recursion(d)
     for i in range(1, d):
         value += (

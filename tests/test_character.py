@@ -8,12 +8,15 @@ produced by that scan.
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hurwitz.character import (
     branch_count,
     connected_hurwitz,
+    content_log,
+    content_polynomial,
     disconnected_hurwitz,
     factorization_count,
 )
@@ -31,6 +34,38 @@ def products_scan(d, r):
         if perm == identity:
             count += 1
     return count
+
+
+class TestContentPolynomials:
+    def test_small_degrees(self):
+        assert content_polynomial(0) == {0: 1}
+        assert content_polynomial(1) == {0: 1}
+        assert content_polynomial(2) == {1: 1, -1: 1}
+        assert content_polynomial(3) == {3: 1, 0: 4, -3: 1}
+
+    def test_squared_dimensions_sum_to_the_group_order(self):
+        for n in range(0, 13):
+            assert sum(content_polynomial(n).values()) == factorial(n)
+
+    def test_symmetric_under_conjugation(self):
+        for n in range(0, 13):
+            z = content_polynomial(n)
+            assert all(z[-c] == m for c, m in z.items()), n
+
+    def test_log_of_small_degrees(self):
+        # f_2 = z_2 - C(1,0) C(2,1) z_1^2 and f_1 = z_1
+        f = content_log([content_polynomial(n) for n in range(3)])
+        assert f == [{}, {0: 1}, {1: 1, 0: -2, -1: 1}]
+
+    def test_log_needs_unit_constant(self):
+        with pytest.raises(ValueError):
+            content_log([])
+        with pytest.raises(ValueError):
+            content_log([{0: 2}, {0: 1}])
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            content_polynomial(-1)
 
 
 class TestFactorizationCount:

@@ -1,12 +1,14 @@
 """Command-line interface: payloads, exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hurwitz
 from hurwitz.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -231,11 +233,16 @@ class TestDeterminism:
         assert first == second
 
     def test_console_script_smoke(self):
-        # the installed entry point must behave like main()
+        # the installed entry point must behave like main(); the child
+        # imports the same hurwitz package this test process imported
+        src = str(Path(hurwitz.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
         result = subprocess.run(
             [sys.executable, "-m", "hurwitz.cli", "crosscheck",
              "--gmax", "0", "--dmax", "2"],
-            capture_output=True, text=True, check=False,
+            capture_output=True, text=True, check=False, env=env,
         )
         assert result.returncode == EXIT_OK
         payload = json.loads(result.stdout)

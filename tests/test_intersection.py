@@ -1,6 +1,12 @@
-"""Genus-0 psi-integrals and the intersection route to Hurwitz numbers."""
+"""Genus-0 psi-integrals and the intersection route to Hurwitz numbers.
+
+The package sums psi-integrals grouped by exponent multiset; the
+term-by-term sum over every exponent vector lives here as its
+reference.
+"""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -9,11 +15,28 @@ import pytest
 from hurwitz.intersection import (
     DEGENERATE_DEGREES,
     DegenerateCaseError,
-    compositions,
+    _exponent_multisets,
     elsv_genus0,
     psi_integral_genus0,
 )
 from hurwitz.recursion import h0_closed
+
+
+def compositions(total, slots):
+    """All tuples of `slots` nonnegative ints summing to `total`."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first, *rest)
+
+
+def elsv_term_by_term(d):
+    # (2d-2)!/d! times psi_integral_genus0 summed over every exponent vector
+    total = sum(psi_integral_genus0(e) for e in compositions(d - 3, d))
+    return Fraction(factorial(2 * d - 2), factorial(d)) * total
 
 
 class TestPsiIntegral:
@@ -84,6 +107,30 @@ class TestMultinomialIdentity:
             assert total == n ** (n - 3)
 
 
+class TestExponentMultisets:
+    def test_small_enumerations(self):
+        assert list(_exponent_multisets(0, 0)) == [()]
+        assert list(_exponent_multisets(2, 0)) == []
+        assert list(_exponent_multisets(4, 3)) == [
+            (4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1),
+        ]
+
+    def test_multisets_with_arrangements_are_the_compositions(self):
+        for total in range(6):
+            for slots in range(1, 6):
+                expected = Counter(
+                    tuple(sorted(c, reverse=True))
+                    for c in compositions(total, slots)
+                )
+                got = {}
+                for exponents in _exponent_multisets(total, slots):
+                    arrangements = factorial(slots)
+                    for m in Counter(exponents).values():
+                        arrangements //= factorial(m)
+                    got[exponents] = arrangements
+                assert got == dict(expected), (total, slots)
+
+
 class TestIntersectionRoute:
     def test_known_values(self):
         assert elsv_genus0(3) == 4
@@ -92,6 +139,10 @@ class TestIntersectionRoute:
     def test_matches_closed_form_from_3_to_7(self):
         for d in range(3, 8):
             assert elsv_genus0(d) == h0_closed(d), d
+
+    def test_grouped_sum_matches_term_by_term_from_3_to_9(self):
+        for d in range(3, 10):
+            assert elsv_genus0(d) == elsv_term_by_term(d), d
 
     def test_degenerate_degrees_raise(self):
         for d in (1, 2):

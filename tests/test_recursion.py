@@ -9,6 +9,7 @@ H_{2,3} = 364 come with the recursions' source, and H_{1,4} = 5460 was
 frozen from the brute-force oracle (131040 transitive tuples / 4!).
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,14 @@ class TestGenusZero:
         for d in range(1, 7):
             assert h0_closed(d) == connected_hurwitz(0, d), d
 
+    def test_matches_character_route_from_7_to_14(self):
+        for d in range(7, 15):
+            assert h0_recursion(d) == connected_hurwitz(0, d), d
+
+    def test_character_route_matches_closed_form_up_to_20(self):
+        for d in range(1, 21):
+            assert connected_hurwitz(0, d) == h0_closed(d), d
+
     def test_bad_degree_rejected(self):
         for func in (h0_closed, h0_recursion):
             with pytest.raises(ValueError):
@@ -71,6 +80,10 @@ class TestGenusOne:
         for d in range(1, 7):
             assert h1_recursion(d) == connected_hurwitz(1, d), d
 
+    def test_matches_character_route_from_7_to_14(self):
+        for d in range(7, 15):
+            assert h1_recursion(d) == connected_hurwitz(1, d), d
+
 
 class TestGenusTwo:
     def test_known_values(self):
@@ -82,9 +95,35 @@ class TestGenusTwo:
         for d in range(1, 7):
             assert h2_recursion(d) == connected_hurwitz(2, d), d
 
+    def test_matches_character_route_from_7_to_14(self):
+        for d in range(7, 15):
+            assert h2_recursion(d) == connected_hurwitz(2, d), d
+
     def test_values_are_nonnegative(self):
         for d in range(1, 9):
             assert h2_recursion(d) >= 0
+
+
+class TestStackDepth:
+    def test_recursions_do_not_recurse_d_levels_deep(self):
+        # d is far above the lowered limit; a memoised top-down recursion
+        # needs about d nested calls and raises RecursionError here
+        d = 150
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        for func in (h0_recursion, h1_recursion, h2_recursion):
+            func.cache_clear()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            values = [func(d) for func in
+                      (h0_recursion, h1_recursion, h2_recursion)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert values[0] == h0_closed(d)
+        assert all(value > 0 for value in values)
 
 
 class TestDispatch:
