@@ -1,110 +1,76 @@
-"""Truncated bivariate series: ring behavior and exp/log inversion."""
+"""The degree generating series of content polynomials: the package's
+`content_log` against an exponential written out in the tests.
 
-from fractions import Fraction
+A family z_0 = 1, z_1, ..., z_N of integer Laurent polynomials stands
+for sum z_n x^n / (n!)^2; `content_log` returns the family f with
+f_0 = 0 whose series is its logarithm.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hurwitz.series import TruncatedSeries
+from contentseries import content_exp, series_product
+from hurwitz.character import content_log, content_polynomial
+from math import factorial
 
-small_fractions = st.fractions(
-    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
+laurent = st.dictionaries(
+    st.integers(-4, 4), st.integers(-9, 9).filter(bool), max_size=4
 )
 
 
-@st.composite
-def raw_series(draw, a_max=3, r_max=3):
-    coeffs = {}
-    for _ in range(draw(st.integers(0, 6))):
-        key = (draw(st.integers(0, a_max)), draw(st.integers(0, r_max)))
-        coeffs[key] = draw(small_fractions)
-    return TruncatedSeries(a_max, r_max, coeffs)
+def families(constant, length):
+    return st.lists(laurent, min_size=length, max_size=length).map(
+        lambda tail: [constant] + tail
+    )
 
 
-def with_constant(series, value):
-    coeffs = dict(series.items())
-    coeffs[(0, 0)] = Fraction(value)
-    return TruncatedSeries(series.a_max, series.r_max, coeffs)
+unit_families = st.integers(0, 6).flatmap(lambda n: families({0: 1}, n))
+zero_families = st.integers(0, 6).flatmap(lambda n: families({}, n))
+unit_family_pairs = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(families({0: 1}, n), families({0: 1}, n))
+)
 
 
 class TestConstruction:
     def test_zero_coefficients_are_dropped(self):
-        s = TruncatedSeries(2, 2, {(1, 1): 0, (2, 0): Fraction(3, 2)})
-        assert s.coefficient(1, 1) == 0
-        assert s.coefficient(2, 0) == Fraction(3, 2)
-        assert len(dict(s.items())) == 1
-
-    def test_out_of_box_index_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 2, {(3, 0): 1})
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 2, {(0, -1): 1})
-        s = TruncatedSeries(2, 2)
-        with pytest.raises(ValueError):
-            s.coefficient(0, 3)
+        # z = 1, 1, 2 is exp(x) up to x^2: f_2 = 2 - C(1,0) C(2,1) = 0
+        assert content_log([{0: 1}, {0: 1}, {0: 2}]) == [{}, {0: 1}, {}]
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
-            TruncatedSeries(-1, 0)
-
-
-class TestRingOperations:
-    def test_multiplication_truncates(self):
-        t = TruncatedSeries(2, 1, {(1, 1): 1, (2, 0): 1})
-        square = t * t
-        # every product lands outside the (2, 1) box
-        assert square == TruncatedSeries.zero(2, 1)
-
-    def test_scalar_and_series_arithmetic(self):
-        s = TruncatedSeries(2, 2, {(1, 0): Fraction(1, 2)})
-        assert 2 * s == s + s
-        assert s - s == TruncatedSeries.zero(2, 2)
-        assert (s + 1).coefficient(0, 0) == 1
-
-    def test_mismatched_boxes_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(1, 1) + TruncatedSeries(2, 1)
-        with pytest.raises(ValueError):
-            TruncatedSeries(1, 1) * TruncatedSeries(1, 2)
-
-    @given(raw_series(), raw_series(), raw_series())
-    def test_multiplication_commutes_and_distributes(self, a, b, c):
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+            content_polynomial(-1)
 
 
 class TestExpLog:
-    def test_exp_needs_vanishing_constant(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.one(2, 2).exp()
-
     def test_log_needs_unit_constant(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.zero(2, 2).log()
+            content_log([])
         with pytest.raises(ValueError):
-            TruncatedSeries(2, 2, {(0, 0): 2}).log()
+            content_log([{0: 2}, {0: 1}])
 
     def test_single_variable_exp(self):
-        # exp(t) truncated at r_max=4: coefficients 1/k!
-        t = TruncatedSeries(0, 4, {(0, 1): 1})
-        e = t.exp()
-        assert [e.coefficient(0, k) for k in range(5)] == [
-            Fraction(1), Fraction(1), Fraction(1, 2),
-            Fraction(1, 6), Fraction(1, 24),
-        ]
+        # z_n = n! q^(sn) is exp(q^s x), whose logarithm is q^s x
+        for s in (0, 1, -2):
+            z = [{s * n: factorial(n)} for n in range(7)]
+            assert content_log(z) == [{}, {s: 1}] + [{}] * 5
 
-    def test_exp_turns_sums_into_products(self):
-        a = TruncatedSeries(3, 3, {(1, 0): 1, (1, 1): Fraction(1, 3)})
-        b = TruncatedSeries(3, 3, {(0, 1): Fraction(-1, 2), (2, 1): 2})
-        assert (a + b).exp() == a.exp() * b.exp()
+    @given(unit_family_pairs)
+    def test_exp_turns_sums_into_products(self, pair):
+        a, b = pair
+        fa, fb = content_log(a), content_log(b)
+        sums = []
+        for x, y in zip(fa, fb):
+            total = dict(x)
+            for c, m in y.items():
+                total[c] = total.get(c, 0) + m
+            sums.append({c: m for c, m in total.items() if m})
+        assert content_log(series_product(a, b)) == sums
 
-    @given(raw_series())
-    def test_log_then_exp_round_trip(self, series):
-        s = with_constant(series, 1)
-        assert s.log().exp() == s
+    @given(unit_families)
+    def test_log_then_exp_round_trip(self, z):
+        assert content_exp(content_log(z)) == z
 
-    @given(raw_series())
-    def test_exp_then_log_round_trip(self, series):
-        t = with_constant(series, 0)
-        assert t.exp().log() == t
+    @given(zero_families)
+    def test_exp_then_log_round_trip(self, f):
+        assert content_log(content_exp(f)) == f
