@@ -14,6 +14,7 @@ from .character import (
 from .intersection import (
     DEGENERATE_DEGREES,
     DegenerateCaseError,
+    IntersectionBoundError,
     elsv_genus0,
     psi_integral_genus0,
 )
@@ -26,16 +27,13 @@ from .partitions import (
     irrep_dimension,
     partition_count,
 )
-from .recursion import (
+from .recursion import h0_closed, h0_recursion, h1_recursion, h2_recursion
+from .routes import (
     HurwitzTable,
     Method,
     MethodNotApplicableError,
     applicable_methods,
     build_table,
-    h0_closed,
-    h0_recursion,
-    h1_recursion,
-    h2_recursion,
     hurwitz_value,
 )
 from .stablemap import (
@@ -66,6 +64,7 @@ __all__ = [
     "FormalDivisor",
     "GraphFormatError",
     "HurwitzTable",
+    "IntersectionBoundError",
     "InvalidGraphError",
     "Method",
     "MethodNotApplicableError",

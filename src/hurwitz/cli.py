@@ -15,18 +15,13 @@ output. Exit codes: 0 for ok, 1 for a cross-check or degree mismatch,
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import stablemap
 from .character import branch_count
-from .oracle import OracleBoundError
-from .recursion import (
-    Method,
-    MethodNotApplicableError,
-    applicable_methods,
-    hurwitz_value,
-)
-from .stablemap import GraphFormatError
+from .routes import NOT_COVERED, Method, build_table, hurwitz_value
+from .stablemap import GraphFormatError, InvalidGraphError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -35,23 +30,20 @@ EXIT_INVALID = 2
 _STATUS_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH,
                 "invalid-input": EXIT_INVALID}
 
-# CLI spellings of the method names
-_METHOD_FLAGS = {
-    "character": Method.CHARACTER,
-    "recursion": Method.RECURSION,
-    "closed-form": Method.CLOSED_FORM,
-    "elsv-g0": Method.ELSV_G0,
-    "oracle": Method.ORACLE,
-}
-_FLAG_OF_METHOD = {m: flag for flag, m in _METHOD_FLAGS.items()}
+def _digits(n: int) -> str:
+    # str(n) refuses ints over sys.get_int_max_str_digits() digits, a
+    # limit kept because it guards JSON input; an integral Decimal is
+    # exact and prints in full
+    return str(Decimal(n))
 
 
 def format_rational(value) -> str:
-    """Lowest-terms 'a/b', or a bare integer when the denominator is 1."""
+    """Lowest-terms 'a/b', or a bare integer when the denominator is 1,
+    printed in full at any size."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def _print_json(payload) -> None:
@@ -70,10 +62,9 @@ def _cmd_compute(args) -> int:
         return _fail_invalid(
             {"error": "genus must be >= 0 and degree >= 1"}
         )
-    method = _METHOD_FLAGS[args.method]
     try:
-        value = hurwitz_value(g, d, method)
-    except (MethodNotApplicableError, OracleBoundError) as exc:
+        value = hurwitz_value(g, d, args.method)
+    except NOT_COVERED as exc:
         return _fail_invalid({"error": str(exc)})
     _print_json({
         "status": "ok",
@@ -84,12 +75,6 @@ def _cmd_compute(args) -> int:
         "value": format_rational(value),
     })
     return EXIT_OK
-
-
-def _table_cells(g_max, d_max, method):
-    for g in range(g_max + 1):
-        for d in range(1, d_max + 1):
-            yield g, d, hurwitz_value(g, d, method)
 
 
 def _render_table(rows, fmt):
@@ -114,14 +99,14 @@ def _cmd_table(args) -> int:
         return _fail_invalid(
             {"error": "gmax must be >= 0 and dmax >= 1"}
         )
-    method = _METHOD_FLAGS[args.method]
+    method = Method(args.method)
     try:
-        cells = list(_table_cells(g_max, d_max, method))
-    except (MethodNotApplicableError, OracleBoundError) as exc:
+        table = build_table(g_max, d_max, method)
+    except NOT_COVERED as exc:
         return _fail_invalid({"error": str(exc)})
     rows = [
-        (g, d, branch_count(g, d), format_rational(value))
-        for g, d, value in cells
+        (g, d, branch_count(g, d), format_rational(values[method]))
+        for (g, d), values in table.cells.items()
     ]
     if args.format == "json":
         _print_json({
@@ -143,26 +128,19 @@ def _cmd_crosscheck(args) -> int:
         return _fail_invalid(
             {"error": "gmax must be >= 0 and dmax >= 1"}
         )
-    cells = []
-    all_agree = True
-    for g in range(g_max + 1):
-        for d in range(1, d_max + 1):
-            values = {
-                _FLAG_OF_METHOD[m]: hurwitz_value(g, d, m)
-                for m in applicable_methods(g, d)
-            }
-            agree = len(set(values.values())) == 1
-            all_agree = all_agree and agree
-            cells.append({
-                "genus": g,
-                "degree": d,
-                "branch_points": branch_count(g, d),
-                "values": {
-                    flag: format_rational(v) for flag, v in values.items()
-                },
-                "agree": agree,
-            })
-    status = "ok" if all_agree else "mismatch"
+    table = build_table(g_max, d_max)
+    conflicts = {(g, d) for g, d, _values in table.conflicts()}
+    cells = [
+        {
+            "genus": g,
+            "degree": d,
+            "branch_points": branch_count(g, d),
+            "values": {m.value: format_rational(v) for m, v in values.items()},
+            "agree": (g, d) not in conflicts,
+        }
+        for (g, d), values in table.cells.items()
+    ]
+    status = "mismatch" if conflicts else "ok"
     _print_json({"status": status, "cells": cells})
     return _STATUS_EXIT[status]
 
@@ -174,10 +152,10 @@ def _cmd_branch_divisor(args) -> int:
         return _fail_invalid({"error": f"no such file: {args.input}"})
     except GraphFormatError as exc:
         return _fail_invalid({"error": str(exc)})
-    violations = stablemap.validate(graph)
-    if violations:
-        return _fail_invalid({"violations": violations})
-    divisor = stablemap.branch_divisor(graph)
+    try:
+        divisor = stablemap.branch_divisor(graph)
+    except InvalidGraphError as exc:
+        return _fail_invalid({"violations": exc.violations})
     expected = stablemap.riemann_hurwitz_degree(graph)
     degree_ok = divisor.degree == expected
     status = "ok" if degree_ok else "mismatch"
@@ -209,7 +187,8 @@ def _parser() -> argparse.ArgumentParser:
     compute.add_argument("--genus", "-g", type=int, required=True)
     compute.add_argument("--degree", "-d", type=int, required=True)
     compute.add_argument(
-        "--method", choices=sorted(_METHOD_FLAGS), default="character"
+        "--method", choices=sorted(m.value for m in Method),
+        default="character",
     )
     compute.set_defaults(handler=_cmd_compute)
 
@@ -219,7 +198,8 @@ def _parser() -> argparse.ArgumentParser:
     table.add_argument("--gmax", type=int, required=True)
     table.add_argument("--dmax", type=int, required=True)
     table.add_argument(
-        "--method", choices=sorted(_METHOD_FLAGS), default="character"
+        "--method", choices=sorted(m.value for m in Method),
+        default="character",
     )
     table.add_argument(
         "--format", choices=["aligned-text", "json", "csv"],

@@ -1,41 +1,21 @@
-"""Closed form and low-genus recursions for Hurwitz numbers, plus the
-method dispatch and cross-check table.
+"""Closed form and low-genus recursions for Hurwitz numbers.
 
 Each computation route is kept self-contained (the genus-1 and genus-2
 recursions consume only recursion-route genus-0 values, never the
 closed form), so that agreement between routes is a real check and not
 a tautology. The memoised recursions fill their caches bottom-up, so
 the stack depth does not grow with the degree. No simple recursion of
-this shape is known beyond genus 2; requesting one is an error, not a
-silent fallback.
+this shape is known beyond genus 2; the method dispatch treats a request
+for one as an error, not a silent fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from . import character, intersection, oracle
-
-
-class Method(str, Enum):
-    """Computation route for a Hurwitz number."""
-
-    CHARACTER = "character"
-    RECURSION = "recursion"
-    CLOSED_FORM = "closed_form"
-    ELSV_G0 = "elsv_g0"
-    ORACLE = "oracle"
-
-
 MAX_RECURSION_GENUS = 2
-
-
-class MethodNotApplicableError(ValueError):
-    """The requested method does not cover the requested (genus, degree)."""
 
 
 def _binomial(n: int, k: int) -> int:
@@ -165,125 +145,5 @@ def h2_recursion(d: int) -> Fraction:
     return value
 
 
-_RECURSIONS = {0: h0_recursion, 1: h1_recursion, 2: h2_recursion}
-
-
-def applicable_methods(g: int, d: int) -> list[Method]:
-    """Every method that covers (g, d), in enum order.
-
-    The character sum always applies; recursions stop at genus 2; the
-    closed form and the intersection formula are genus 0 only; the
-    brute-force oracle only within its enumeration bound.
-    """
-    if g < 0:
-        raise ValueError("g must be a nonnegative integer")
-    _check_degree(d)
-    methods = [Method.CHARACTER]
-    if g <= MAX_RECURSION_GENUS:
-        methods.append(Method.RECURSION)
-    if g == 0:
-        methods.append(Method.CLOSED_FORM)
-        methods.append(Method.ELSV_G0)
-    r = character.branch_count(g, d)
-    if d <= oracle.MAX_DEGREE and r <= oracle.MAX_BRANCH_POINTS:
-        methods.append(Method.ORACLE)
-    return methods
-
-
-def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
-    """H_{g,d} by the requested method.
-
-    Raises MethodNotApplicableError when the method does not cover the
-    cell, and lets the oracle's own bound error pass through.
-    """
-    if g < 0:
-        raise ValueError("g must be a nonnegative integer")
-    _check_degree(d)
-    method = Method(method)
-    if method is Method.CHARACTER:
-        return character.connected_hurwitz(g, d)
-    if method is Method.RECURSION:
-        if g > MAX_RECURSION_GENUS:
-            raise MethodNotApplicableError(
-                f"no recursion is available for genus {g} "
-                f"(recursions stop at genus {MAX_RECURSION_GENUS})"
-            )
-        return _RECURSIONS[g](d)
-    if method is Method.CLOSED_FORM:
-        if g != 0:
-            raise MethodNotApplicableError("closed form is genus 0 only")
-        return h0_closed(d)
-    if method is Method.ELSV_G0:
-        if g != 0:
-            raise MethodNotApplicableError(
-                "the intersection formula is genus 0 only"
-            )
-        if d in intersection.DEGENERATE_DEGREES:
-            return intersection.DEGENERATE_DEGREES[d]
-        return intersection.elsv_genus0(d)
-    if method is Method.ORACLE:
-        return oracle.oracle_connected(g, d)
-    raise MethodNotApplicableError(f"unknown method {method!r}")
-
-
-@dataclass
-class HurwitzTable:
-    """Values keyed by (genus, degree, method), all exact rationals.
-
-    Methods are kept separate so that a cross-check compares genuinely
-    independent computations instead of silently sharing a cache.
-    """
-
-    entries: dict[tuple[int, int, Method], Fraction] = field(
-        default_factory=dict
-    )
-
-    def set(self, g: int, d: int, method: Method, value: Fraction) -> None:
-        self.entries[(g, d, Method(method))] = Fraction(value)
-
-    def get(self, g: int, d: int, method: Method) -> Fraction:
-        return self.entries[(g, d, Method(method))]
-
-    def cell(self, g: int, d: int) -> dict[Method, Fraction]:
-        """All stored method values for one (genus, degree) cell."""
-        return {
-            m: v for (gg, dd, m), v in self.entries.items()
-            if (gg, dd) == (g, d)
-        }
-
-    def conflicts(self) -> list[tuple[int, int, dict[Method, Fraction]]]:
-        """Cells where stored methods disagree; empty means consistent."""
-        cells = sorted({(g, d) for (g, d, _m) in self.entries})
-        bad = []
-        for g, d in cells:
-            values = self.cell(g, d)
-            if len(set(values.values())) > 1:
-                bad.append((g, d, values))
-        return bad
-
-
-def build_table(g_max: int, d_max: int, method: Method) -> HurwitzTable:
-    """H_{g,d} for 0 <= g <= g_max, 1 <= d <= d_max by one method.
-
-    The method must cover the whole requested range: asking for the
-    recursion route beyond genus 2, or a genus-0-only route with
-    g_max > 0, is an error before any cell is computed.
-    """
-    if g_max < 0:
-        raise ValueError("g_max must be a nonnegative integer")
-    _check_degree(d_max)
-    method = Method(method)
-    if method is Method.RECURSION and g_max > MAX_RECURSION_GENUS:
-        raise MethodNotApplicableError(
-            f"no recursion is available for genus {g_max} "
-            f"(recursions stop at genus {MAX_RECURSION_GENUS})"
-        )
-    if method in (Method.CLOSED_FORM, Method.ELSV_G0) and g_max > 0:
-        raise MethodNotApplicableError(
-            f"{method.value} covers genus 0 only"
-        )
-    table = HurwitzTable()
-    for g in range(g_max + 1):
-        for d in range(1, d_max + 1):
-            table.set(g, d, method, hurwitz_value(g, d, method))
-    return table
+# indexed by genus, up to MAX_RECURSION_GENUS
+RECURSIONS = (h0_recursion, h1_recursion, h2_recursion)

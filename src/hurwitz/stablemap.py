@@ -484,8 +484,9 @@ def load_graph(path) -> StableMapGraph:
     """Read a graph document from a JSON file.
 
     A missing file raises FileNotFoundError; any other unreadable input
-    (a directory, a permission error, bytes that are not UTF-8) raises
-    GraphFormatError.
+    (a directory, a permission error, bytes that are not UTF-8, nesting
+    too deep for the parser, an integer literal over the interpreter's
+    digit limit) raises GraphFormatError.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -496,6 +497,11 @@ def load_graph(path) -> StableMapGraph:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError(f"JSON nested too deeply: {exc}") from exc
+    except ValueError as exc:
+        # int() refuses literals over sys.get_int_max_str_digits() digits
+        raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
     except OSError as exc:
         raise GraphFormatError(f"cannot read input: {exc}") from exc
     return graph_from_dict(data)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
+from hurwitz import recursion
 from hurwitz.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -76,6 +77,29 @@ class TestCompute:
     def test_negative_genus_is_invalid_input(self, capsys):
         code, payload = run_json(capsys, "compute", "-g", "-1", "-d", "2")
         assert code == EXIT_INVALID
+
+    def test_elsv_bound_is_invalid_input(self, capsys):
+        code, payload = run_json(
+            capsys, "compute", "-g", "0", "-d", "41", "--method", "elsv-g0",
+        )
+        assert code == EXIT_INVALID
+        assert payload["status"] == "invalid-input"
+        assert "d <= 40" in payload["error"]
+
+    def test_values_of_any_size_print(self, capsys):
+        # H_{0,740} has more digits than str(int) converts by default
+        code, payload = run_json(
+            capsys, "compute", "-g", "0", "-d", "740",
+            "--method", "closed-form",
+        )
+        assert code == EXIT_OK
+        limit = sys.get_int_max_str_digits()
+        assert len(payload["value"]) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(payload["value"]) == recursion.h0_closed(740)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestTable:
@@ -151,6 +175,19 @@ class TestCrosscheck:
         assert by_cell[(1, 4)]["values"]["character"] == "5460"
         assert by_cell[(0, 2)]["values"]["oracle"] == "1/2"
 
+    def test_disagreeing_route_is_a_mismatch(self, capsys, monkeypatch):
+        closed = recursion.h0_closed
+        monkeypatch.setattr(recursion, "h0_closed",
+                            lambda d: closed(d) + (d == 3))
+        code, payload = run_json(
+            capsys, "crosscheck", "--gmax", "1", "--dmax", "4",
+        )
+        assert code == EXIT_MISMATCH
+        assert payload["status"] == "mismatch"
+        disagreeing = [(c["genus"], c["degree"]) for c in payload["cells"]
+                       if not c["agree"]]
+        assert disagreeing == [(0, 3)]
+
 
 class TestBranchDivisor:
     def test_elliptic_tail_fixture(self, capsys):
@@ -218,6 +255,27 @@ class TestBranchDivisor:
         assert code == EXIT_INVALID
         assert payload["status"] == "invalid-input"
         assert "UTF-8" in payload["error"]
+
+    def test_deep_nesting_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, payload = run_json(
+            capsys, "branch-divisor", "--input", str(path),
+        )
+        assert code == EXIT_INVALID
+        assert payload["status"] == "invalid-input"
+        assert "nested" in payload["error"]
+
+    def test_oversized_integer_is_invalid_input(self, capsys, tmp_path):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "huge.json"
+        path.write_text('{"target_genus": ' + digits + "}", encoding="utf-8")
+        code, payload = run_json(
+            capsys, "branch-divisor", "--input", str(path),
+        )
+        assert code == EXIT_INVALID
+        assert payload["status"] == "invalid-input"
+        assert "digits" in payload["error"]
 
 
 class TestDeterminism:

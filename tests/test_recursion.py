@@ -16,16 +16,14 @@ import pytest
 
 from hurwitz.character import connected_hurwitz
 from hurwitz.oracle import OracleBoundError
-from hurwitz.recursion import (
+from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
+    h2_recursion
+from hurwitz.routes import (
     HurwitzTable,
     Method,
     MethodNotApplicableError,
     applicable_methods,
     build_table,
-    h0_closed,
-    h0_recursion,
-    h1_recursion,
-    h2_recursion,
     hurwitz_value,
 )
 
@@ -171,7 +169,7 @@ class TestTable:
         table = build_table(1, 4, Method.RECURSION)
         assert table.get(0, 4, Method.RECURSION) == 120
         assert table.get(1, 2, Method.RECURSION) == Fraction(1, 2)
-        assert len(table.entries) == 8
+        assert len(table.cells) == 8
 
     def test_methods_do_not_collide(self):
         table = HurwitzTable()
