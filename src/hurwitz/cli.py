@@ -9,7 +9,8 @@ Output is deterministic: JSON is printed with sorted keys, rationals
 are serialized as lowest-terms 'a/b' strings (bare integers when the
 denominator is 1), and identical invocations produce byte-identical
 output. Exit codes: 0 for ok, 1 for a cross-check or degree mismatch,
-2 for invalid input.
+2 for invalid input, 3 for an internal error (`"status": "error"`,
+with the exception's type and message; the traceback goes to stderr).
 """
 
 import argparse
@@ -18,14 +19,13 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import stablemap
 from .character import branch_count
 from .routes import NOT_COVERED, Method, build_table, hurwitz_value
-from .stablemap import GraphFormatError, InvalidGraphError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
+EXIT_ERROR = 3
 
 _STATUS_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH,
                 "invalid-input": EXIT_INVALID}
@@ -146,30 +146,39 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_branch_divisor(args) -> int:
+    from . import stablemap  # the only command that needs it
+
     try:
         graph = stablemap.load_graph(args.input)
     except FileNotFoundError:
         return _fail_invalid({"error": f"no such file: {args.input}"})
-    except GraphFormatError as exc:
+    except stablemap.GraphFormatError as exc:
         return _fail_invalid({"error": str(exc)})
+    # the digit limit guarded the JSON input; the genera it let through,
+    # and the values derived from them, print in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        divisor = stablemap.branch_divisor(graph)
-    except InvalidGraphError as exc:
-        return _fail_invalid({"violations": exc.violations})
-    expected = stablemap.riemann_hurwitz_degree(graph)
-    degree_ok = divisor.degree == expected
-    status = "ok" if degree_ok else "mismatch"
-    _print_json({
-        "status": status,
-        "target_genus": graph.target_genus,
-        "map_degree": stablemap.total_degree(graph),
-        "source_genus": stablemap.arithmetic_genus(graph),
-        "divisor": {p: divisor[p] for p in divisor.support()},
-        "divisor_degree": divisor.degree,
-        "expected_degree": expected,
-        "degree_check": "ok" if degree_ok else "mismatch",
-        "effective": divisor.is_effective,
-    })
+        try:
+            divisor = stablemap.branch_divisor(graph)
+        except stablemap.InvalidGraphError as exc:
+            return _fail_invalid({"violations": exc.violations})
+        expected = stablemap.riemann_hurwitz_degree(graph)
+        degree_ok = divisor.degree == expected
+        status = "ok" if degree_ok else "mismatch"
+        _print_json({
+            "status": status,
+            "target_genus": graph.target_genus,
+            "map_degree": stablemap.total_degree(graph),
+            "source_genus": stablemap.arithmetic_genus(graph),
+            "divisor": {p: divisor[p] for p in divisor.support()},
+            "divisor_degree": divisor.degree,
+            "expected_degree": expected,
+            "degree_check": "ok" if degree_ok else "mismatch",
+            "effective": divisor.is_effective,
+        })
+    finally:
+        sys.set_int_max_str_digits(limit)
     return _STATUS_EXIT[status]
 
 
@@ -229,7 +238,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except Exception as exc:  # any handler fault ends in documented JSON
+        import traceback
+        traceback.print_exc()
+        _print_json({"status": "error",
+                     "error": f"{type(exc).__name__}: {exc}"})
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -98,7 +97,6 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
     return oracle.oracle_connected(g, d)
 
 
-@dataclass
 class HurwitzTable:
     """Values keyed by (genus, degree) cell and then by method, all exact
     rationals.
@@ -108,9 +106,8 @@ class HurwitzTable:
     cache.
     """
 
-    cells: dict[tuple[int, int], dict[Method, Fraction]] = field(
-        default_factory=dict
-    )
+    def __init__(self) -> None:
+        self.cells: dict[tuple[int, int], dict[Method, Fraction]] = {}
 
     def set(self, g: int, d: int, method: Method, value: Fraction) -> None:
         self.cells.setdefault((g, d), {})[Method(method)] = Fraction(value)

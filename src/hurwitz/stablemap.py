@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import is_partition
 
@@ -37,8 +37,7 @@ class InvalidGraphError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class DominantComponent:
+class DominantComponent(NamedTuple):
     """Normalization component mapping onto the target curve.
 
     `ramification` pairs a target point label with the partition of the
@@ -52,8 +51,7 @@ class DominantComponent:
     ramification: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
-@dataclass(frozen=True)
-class ContractedComponent:
+class ContractedComponent(NamedTuple):
     """Normalization component mapped entirely to one target point."""
 
     id: str
@@ -64,8 +62,7 @@ class ContractedComponent:
 Component = DominantComponent | ContractedComponent
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Two component branches glued over a target point.
 
     The pair is unordered; both entries naming the same component is a
@@ -76,8 +73,7 @@ class Node:
     image: str
 
 
-@dataclass(frozen=True)
-class StableMapGraph:
+class StableMapGraph(NamedTuple):
     """Dual-graph description of a map from a nodal curve to a
     nonsingular curve of genus `target_genus`."""
 

@@ -1,16 +1,21 @@
 """Command-line interface: payloads, exit codes, and determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurwitz
 from hurwitz import recursion
-from hurwitz.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from hurwitz.cli import EXIT_ERROR, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from hurwitz.routes import Method
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
@@ -24,6 +29,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+@contextmanager
+def unlimited_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestCompute:
@@ -100,6 +115,21 @@ class TestCompute:
             assert int(payload["value"]) == recursion.h0_closed(740)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+    def test_internal_error_is_reported(self, capsys, monkeypatch):
+        def broken(d):
+            raise RuntimeError("broken route")
+
+        monkeypatch.setattr(recursion, "h0_closed", broken)
+        code = main(["compute", "-g", "0", "-d", "3",
+                     "--method", "closed-form"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert json.loads(captured.out) == {
+            "status": "error", "error": "RuntimeError: broken route",
+        }
+        assert "Traceback" in captured.err
 
 
 class TestTable:
@@ -278,6 +308,105 @@ class TestBranchDivisor:
         assert "digits" in payload["error"]
 
 
+    def test_huge_genus_violation_prints_in_full(self, capsys, tmp_path):
+        # the largest genus the JSON parser accepts; 2g-2 has one digit
+        # more than str(int) converts by default
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "huge.json"
+        with unlimited_digits():
+            path.write_text(json.dumps({
+                "target_genus": 0,
+                "components": [{"kind": "dominant", "id": "A",
+                                "genus": int("9" * limit), "degree": 1}],
+            }), encoding="utf-8")
+        code, payload = run_json(
+            capsys, "branch-divisor", "--input", str(path),
+        )
+        assert sys.get_int_max_str_digits() == limit
+        assert code == EXIT_INVALID
+        assert payload["status"] == "invalid-input"
+        two_g_minus_2 = "1" + "9" * (limit - 1) + "6"
+        assert payload["violations"] == [
+            f"component 'A': Riemann-Hurwitz fails (2g-2 = {two_g_minus_2}, "
+            "degree and profiles give -2)"
+        ]
+
+    def test_huge_genus_values_print_in_full(self, capsys, tmp_path):
+        # a valid graph: two contracted tails of the largest genus the
+        # JSON parser accepts, glued to one degree-1 component
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "huge.json"
+        with unlimited_digits():
+            genus = int("9" * limit)
+            path.write_text(json.dumps({
+                "target_genus": 0,
+                "components": [
+                    {"kind": "dominant", "id": "A", "genus": 0, "degree": 1},
+                    {"kind": "contracted", "id": "B", "genus": genus,
+                     "image": "p"},
+                    {"kind": "contracted", "id": "C", "genus": genus,
+                     "image": "p"},
+                ],
+                "nodes": [{"branches": ["A", "B"], "image": "p"},
+                          {"branches": ["A", "C"], "image": "p"}],
+            }), encoding="utf-8")
+        code, out = run_cli(capsys, "branch-divisor", "--input", str(path))
+        assert sys.get_int_max_str_digits() == limit
+        assert code == EXIT_OK
+        with unlimited_digits():
+            payload = json.loads(out)
+        assert payload["status"] == "ok"
+        assert payload["source_genus"] == 2 * genus
+        assert payload["divisor"] == {"p": 4 * genus}
+        assert payload["divisor_degree"] == 4 * genus
+        assert payload["expected_degree"] == 4 * genus
+        assert payload["effective"] is True
+
+
+def _compute_argv():
+    return st.builds(
+        lambda g, d, m: ["compute", "-g", str(g), "-d", str(d),
+                         "--method", m],
+        st.integers(-2, 4), st.integers(-1, 9),
+        st.sampled_from([m.value for m in Method]),
+    )
+
+
+def _table_argv():
+    return st.builds(
+        lambda g, d, m, f: ["table", "--gmax", str(g), "--dmax", str(d),
+                            "--method", m, "--format", f],
+        st.integers(-1, 3), st.integers(-1, 6),
+        st.sampled_from([m.value for m in Method]),
+        st.sampled_from(["aligned-text", "json", "csv"]),
+    )
+
+
+def _crosscheck_argv():
+    return st.builds(
+        lambda g, d: ["crosscheck", "--gmax", str(g), "--dmax", str(d)],
+        st.integers(-1, 3), st.integers(-1, 5),
+    )
+
+
+class TestArgumentSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_compute_argv(), _table_argv(), _crosscheck_argv()))
+    def test_every_run_ends_in_a_documented_exit(self, argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID)
+        text = out.getvalue()
+        if argv[-1] in ("aligned-text", "csv") and code == EXIT_OK:
+            assert text.startswith("g")
+            return
+        payload = json.loads(text)
+        assert isinstance(payload, dict)
+        assert payload["status"] == {EXIT_OK: "ok",
+                                     EXIT_INVALID: "invalid-input"}[code]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("crosscheck", "--gmax", "1", "--dmax", "3"),
@@ -311,3 +440,5 @@ class TestDeterminism:
         assert EXIT_MISMATCH == 1
         assert EXIT_INVALID == 2
         assert len({EXIT_OK, EXIT_MISMATCH, EXIT_INVALID}) == 3
+        assert EXIT_ERROR == 3
+        assert len({EXIT_OK, EXIT_MISMATCH, EXIT_INVALID, EXIT_ERROR}) == 4

@@ -1,12 +1,18 @@
 """The method dispatch: route independence and the coverage it states.
 
 The cross-check means something only while the routes share no code,
-so the import structure is pinned here. `applicable_methods` decides
+so the import structure is pinned here, together with what each command
+loads at start-up. `applicable_methods` decides
 which routes a cross-check runs and which cells a table may ask of one
 route, so it must say exactly where `hurwitz_value` succeeds.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hurwitz
@@ -20,6 +26,7 @@ from hurwitz.routes import (
 )
 
 PACKAGE = Path(hurwitz.__file__).resolve().parent
+FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 # the hurwitz modules each route may import; routes.py alone combines them
 ROUTE_IMPORTS = {
@@ -59,6 +66,77 @@ def package_imports(module: str) -> set[str]:
 def test_routes_import_no_other_route():
     for module, allowed in ROUTE_IMPORTS.items():
         assert package_imports(module) <= allowed, module
+
+
+# run in a fresh interpreter: with arguments, cli.main(arguments) with
+# stdout captured; without, `import hurwitz`. Prints the modules the run
+# added to those the probe itself needs.
+PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+if sys.argv[1:]:
+    from hurwitz import cli
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+else:
+    import hurwitz
+    code = 0
+print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)
+           + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    report = json.loads(result.stdout)
+    assert report["exit"] == 0
+    return set(report["loaded"])
+
+
+def test_import_loads_no_submodule():
+    loaded = loaded_modules()
+    assert "hurwitz" in loaded
+    assert not {m for m in loaded if m.startswith("hurwitz.")}
+
+
+def test_compute_loads_neither_stablemap_nor_dataclasses():
+    loaded = loaded_modules("compute", "-g", "1", "-d", "3")
+    assert "hurwitz.routes" in loaded
+    assert "hurwitz.stablemap" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_branch_divisor_loads_no_dataclasses():
+    loaded = loaded_modules(
+        "branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json"),
+    )
+    assert "hurwitz.stablemap" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_exports_are_their_modules_objects():
+    modules = [
+        importlib.import_module(f"hurwitz.{name}")
+        for name in ("character", "intersection", "oracle", "partitions",
+                     "recursion", "routes", "stablemap")
+    ]
+    assert len(hurwitz.__all__) == 42
+    for name in hurwitz.__all__:
+        if name == "ORACLE_BACKEND":
+            continue
+        value = getattr(hurwitz, name)
+        assert any(getattr(m, name, None) is value for m in modules), name
+    assert hurwitz.ORACLE_BACKEND == "python"
+    namespace = {}
+    exec("from hurwitz import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hurwitz.__all__)
+    assert set(hurwitz.__all__) <= set(dir(hurwitz))
 
 
 def test_applicable_methods_are_exactly_where_values_exist():
