@@ -26,14 +26,13 @@ _MODULE_EXPORTS = {
                    "partition_count"),
     "recursion": ("h0_closed", "h0_recursion", "h1_recursion",
                   "h2_recursion"),
-    "routes": ("HurwitzTable", "Method", "MethodNotApplicableError",
-               "applicable_methods", "build_table", "hurwitz_value"),
+    "routes": ("Method", "MethodNotApplicableError", "applicable_methods",
+               "build_table", "hurwitz_value"),
     "stablemap": ("ContractedComponent", "DominantComponent",
-                  "FormalDivisor", "GraphFormatError", "InvalidGraphError",
-                  "Node", "StableMapGraph", "arithmetic_genus",
-                  "branch_divisor", "graph_from_dict", "graph_to_dict",
-                  "load_graph", "riemann_hurwitz_degree", "total_degree",
-                  "validate"),
+                  "GraphFormatError", "InvalidGraphError", "Node",
+                  "StableMapGraph", "arithmetic_genus", "branch_divisor",
+                  "graph_from_dict", "graph_to_dict", "load_graph",
+                  "riemann_hurwitz_degree", "total_degree", "validate"),
 }
 
 # public name -> (module, attribute)

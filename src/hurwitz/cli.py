@@ -106,7 +106,7 @@ def _cmd_table(args) -> int:
         return _fail_invalid({"error": str(exc)})
     rows = [
         (g, d, branch_count(g, d), format_rational(values[method]))
-        for (g, d), values in table.cells.items()
+        for (g, d), values in table.items()
     ]
     if args.format == "json":
         _print_json({
@@ -128,19 +128,17 @@ def _cmd_crosscheck(args) -> int:
         return _fail_invalid(
             {"error": "gmax must be >= 0 and dmax >= 1"}
         )
-    table = build_table(g_max, d_max)
-    conflicts = {(g, d) for g, d, _values in table.conflicts()}
     cells = [
         {
             "genus": g,
             "degree": d,
             "branch_points": branch_count(g, d),
             "values": {m.value: format_rational(v) for m, v in values.items()},
-            "agree": (g, d) not in conflicts,
+            "agree": len(set(values.values())) == 1,
         }
-        for (g, d), values in table.cells.items()
+        for (g, d), values in build_table(g_max, d_max).items()
     ]
-    status = "mismatch" if conflicts else "ok"
+    status = "ok" if all(cell["agree"] for cell in cells) else "mismatch"
     _print_json({"status": status, "cells": cells})
     return _STATUS_EXIT[status]
 
@@ -164,18 +162,19 @@ def _cmd_branch_divisor(args) -> int:
         except stablemap.InvalidGraphError as exc:
             return _fail_invalid({"violations": exc.violations})
         expected = stablemap.riemann_hurwitz_degree(graph)
-        degree_ok = divisor.degree == expected
+        degree = sum(divisor.values())
+        degree_ok = degree == expected
         status = "ok" if degree_ok else "mismatch"
         _print_json({
             "status": status,
             "target_genus": graph.target_genus,
             "map_degree": stablemap.total_degree(graph),
             "source_genus": stablemap.arithmetic_genus(graph),
-            "divisor": {p: divisor[p] for p in divisor.support()},
-            "divisor_degree": divisor.degree,
+            "divisor": divisor,
+            "divisor_degree": degree,
             "expected_degree": expected,
             "degree_check": "ok" if degree_ok else "mismatch",
-            "effective": divisor.is_effective,
+            "effective": all(c >= 0 for c in divisor.values()),
         })
     finally:
         sys.set_int_max_str_digits(limit)

@@ -18,13 +18,6 @@ from math import comb, factorial
 MAX_RECURSION_GENUS = 2
 
 
-def _binomial(n: int, k: int) -> int:
-    # table convention: zero outside 0 <= k <= n, never an error
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def _check_degree(d: int) -> None:
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -65,7 +58,7 @@ def h0_recursion(d: int) -> Fraction:
     total = Fraction(0)
     for i in range(1, d):
         total += (
-            _binomial(2 * d - 4, 2 * i - 2)
+            comb(2 * d - 4, 2 * i - 2)
             * i ** 2
             * (d - i) ** 2
             * h0_recursion(i)
@@ -91,7 +84,7 @@ def h1_recursion(d: int) -> Fraction:
     value = Fraction(d, 6) * comb(d, 2) * (2 * d - 1) * h0_recursion(d)
     for i in range(1, d):
         value += (
-            _binomial(2 * d - 2, 2 * i - 2)
+            comb(2 * d - 2, 2 * i - 2)
             * (4 * d - 2)
             * i ** 2
             * (d - i)
@@ -127,7 +120,7 @@ def h2_recursion(d: int) -> Fraction:
     value = d ** 2 * (_G2_CUBIC * d - _G2_LINEAR) * h1_recursion(d)
     for i in range(1, d):
         value += (
-            _binomial(2 * d, 2 * i - 2)
+            comb(2 * d, 2 * i - 2)
             * (8 * d - _G2_SPLIT02_SLOPE * i)
             * i
             * (d - i)
@@ -135,7 +128,7 @@ def h2_recursion(d: int) -> Fraction:
             * h2_recursion(d - i)
         )
         value += (
-            _binomial(2 * d, 2 * i)
+            comb(2 * d, 2 * i)
             * (_G2_SPLIT11_CROSS * i * (d - i) - _G2_SPLIT11_SQUARE * d ** 2)
             * i
             * (d - i)

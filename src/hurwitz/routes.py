@@ -97,46 +97,18 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
     return oracle.oracle_connected(g, d)
 
 
-class HurwitzTable:
-    """Values keyed by (genus, degree) cell and then by method, all exact
-    rationals.
-
-    Methods stay separate within a cell so that a cross-check compares
-    genuinely independent computations instead of silently sharing a
-    cache.
-    """
-
-    def __init__(self) -> None:
-        self.cells: dict[tuple[int, int], dict[Method, Fraction]] = {}
-
-    def set(self, g: int, d: int, method: Method, value: Fraction) -> None:
-        self.cells.setdefault((g, d), {})[Method(method)] = Fraction(value)
-
-    def get(self, g: int, d: int, method: Method) -> Fraction:
-        return self.cells[(g, d)][Method(method)]
-
-    def cell(self, g: int, d: int) -> dict[Method, Fraction]:
-        """All stored method values for one (genus, degree) cell."""
-        return dict(self.cells.get((g, d), {}))
-
-    def conflicts(self) -> list[tuple[int, int, dict[Method, Fraction]]]:
-        """Cells where stored methods disagree, in the order the cells
-        were first set; empty means consistent."""
-        return [
-            (g, d, values) for (g, d), values in self.cells.items()
-            if len(set(values.values())) > 1
-        ]
-
-
 def build_table(
     g_max: int, d_max: int, method: Method | None = None
-) -> HurwitzTable:
+) -> dict[tuple[int, int], dict[Method, Fraction]]:
     """H_{g,d} for 0 <= g <= g_max, 1 <= d <= d_max, by one method, or
-    by every applicable method when method is None.
+    by every applicable method when method is None, as
+    {(g, d): {method: value}} with cells in (g, d) order and methods in
+    applicable_methods order.
 
-    One method must cover the whole range: the first cell in (g, d)
-    order that it does not cover raises that method's error before any
-    value is computed.
+    Methods stay separate within a cell, so a cross-check compares
+    independent computations. One method must cover the whole range:
+    the first cell in (g, d) order that it does not cover raises that
+    method's error before any value is computed.
     """
     _check_cell(g_max, d_max)
     cells = [(g, d) for g in range(g_max + 1) for d in range(1, d_max + 1)]
@@ -145,8 +117,8 @@ def build_table(
         for g, d in cells:
             if method not in applicable_methods(g, d):
                 hurwitz_value(g, d, method)  # raises before computing
-    table = HurwitzTable()
-    for g, d in cells:
-        for m in [method] if method else applicable_methods(g, d):
-            table.set(g, d, m, hurwitz_value(g, d, m))
-    return table
+    return {
+        (g, d): {m: hurwitz_value(g, d, m)
+                 for m in ([method] if method else applicable_methods(g, d))}
+        for g, d in cells
+    }

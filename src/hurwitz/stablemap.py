@@ -19,7 +19,8 @@ graph the divisor is effective of degree
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
+from decimal import Decimal
 from typing import NamedTuple
 
 from .partitions import is_partition
@@ -80,53 +81,6 @@ class StableMapGraph(NamedTuple):
     target_genus: int
     components: tuple[Component, ...]
     nodes: tuple[Node, ...]
-
-
-class FormalDivisor:
-    """Finitely supported integer divisor on the target curve, indexed
-    by point label. Zero coefficients are dropped on construction."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients=None):
-        self._coeffs: dict[str, int] = {}
-        for point, c in dict(coefficients or {}).items():
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient of {point!r} is not an int")
-            if c:
-                self._coeffs[point] = c
-
-    @property
-    def coefficients(self) -> dict[str, int]:
-        return dict(self._coeffs)
-
-    def __getitem__(self, point: str) -> int:
-        return self._coeffs.get(point, 0)
-
-    @property
-    def degree(self) -> int:
-        return sum(self._coeffs.values())
-
-    @property
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self._coeffs.values())
-
-    def support(self) -> list[str]:
-        return sorted(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalDivisor):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        inside = ", ".join(
-            f"{p!r}: {c}" for p, c in sorted(self._coeffs.items())
-        )
-        return f"FormalDivisor({{{inside}}})"
 
 
 def total_degree(graph: StableMapGraph) -> int:
@@ -246,9 +200,13 @@ def validate(graph: StableMapGraph) -> list[str]:
                 lhs = 2 * comp.genus - 2
                 rhs = comp.degree * (two_h - 2) + extra
                 if lhs != rhs:
+                    # 2g-2 may have a digit more than str(int) prints
+                    # (sys.get_int_max_str_digits()); a Decimal prints
+                    # in full
                     violations.append(
-                        f"{tag}: Riemann-Hurwitz fails "
-                        f"(2g-2 = {lhs}, degree and profiles give {rhs})"
+                        f"{tag}: Riemann-Hurwitz fails (2g-2 = "
+                        f"{Decimal(lhs)}, degree and profiles give "
+                        f"{Decimal(rhs)})"
                     )
         else:
             branches = branch_counts[comp.id]
@@ -303,8 +261,9 @@ def riemann_hurwitz_degree(graph: StableMapGraph) -> int:
     )
 
 
-def branch_divisor(graph: StableMapGraph) -> FormalDivisor:
-    """Branch divisor of a valid stable map.
+def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
+    """Branch divisor of a valid stable map, as {point: coefficient}
+    with zero coefficients omitted.
 
     Sum of three contributions: the classical ramification
     sum(e - 1) over each dominant component's profiles, the weight
@@ -315,20 +274,16 @@ def branch_divisor(graph: StableMapGraph) -> FormalDivisor:
     violations = validate(graph)
     if violations:
         raise InvalidGraphError(violations)
-    coeffs: dict[str, int] = {}
-
-    def add(point: str, amount: int) -> None:
-        coeffs[point] = coeffs.get(point, 0) + amount
-
+    coeffs: defaultdict[str, int] = defaultdict(int)
     for comp in graph.components:
         if isinstance(comp, DominantComponent):
             for point, profile in comp.ramification:
-                add(point, sum(e - 1 for e in profile))
+                coeffs[point] += sum(e - 1 for e in profile)
         else:
-            add(comp.image, 2 * comp.genus - 2)
+            coeffs[comp.image] += 2 * comp.genus - 2
     for node in graph.nodes:
-        add(node.image, 2)
-    return FormalDivisor(coeffs)
+        coeffs[node.image] += 2
+    return {point: c for point, c in coeffs.items() if c}
 
 
 def _require(condition: bool, message: str) -> None:

@@ -141,12 +141,10 @@ def test_criterion_7_branch_degree_law():
     started = time.monotonic_ns()
     failures = []
     for index, graph in enumerate(_random_graphs()):
-        divisor = branch_divisor(graph)
+        degree = sum(branch_divisor(graph).values())
         expected = riemann_hurwitz_degree(graph)
-        if divisor.degree != expected:
-            failures.append(
-                f"graph {index}: degree {divisor.degree} != {expected}"
-            )
+        if degree != expected:
+            failures.append(f"graph {index}: degree {degree} != {expected}")
     _report(7, f"branch divisor degree law on {GRAPH_COUNT} random graphs",
             failures, started)
 
@@ -156,10 +154,9 @@ def test_criterion_8_effectivity_and_rejection():
     failures = []
     for index, graph in enumerate(_random_graphs()):
         divisor = branch_divisor(graph)
-        if not divisor.is_effective:
+        if any(c < 0 for c in divisor.values()):
             failures.append(
-                f"graph {index}: negative coefficient in "
-                f"{divisor.coefficients}"
+                f"graph {index}: negative coefficient in {divisor}"
             )
     unstable = load_graph(FIXTURES / "unstable_tail.json")
     if not validate(unstable):

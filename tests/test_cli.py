@@ -218,6 +218,66 @@ class TestCrosscheck:
                        if not c["agree"]]
         assert disagreeing == [(0, 3)]
 
+    def test_golden_output(self, capsys):
+        code, out = run_cli(capsys, "crosscheck", "--gmax", "1",
+                            "--dmax", "2")
+        assert code == EXIT_OK
+        assert out == """\
+{
+  "cells": [
+    {
+      "agree": true,
+      "branch_points": 0,
+      "degree": 1,
+      "genus": 0,
+      "values": {
+        "character": "1",
+        "closed-form": "1",
+        "elsv-g0": "1",
+        "oracle": "1",
+        "recursion": "1"
+      }
+    },
+    {
+      "agree": true,
+      "branch_points": 2,
+      "degree": 2,
+      "genus": 0,
+      "values": {
+        "character": "1/2",
+        "closed-form": "1/2",
+        "elsv-g0": "1/2",
+        "oracle": "1/2",
+        "recursion": "1/2"
+      }
+    },
+    {
+      "agree": true,
+      "branch_points": 2,
+      "degree": 1,
+      "genus": 1,
+      "values": {
+        "character": "0",
+        "oracle": "0",
+        "recursion": "0"
+      }
+    },
+    {
+      "agree": true,
+      "branch_points": 4,
+      "degree": 2,
+      "genus": 1,
+      "values": {
+        "character": "1/2",
+        "oracle": "1/2",
+        "recursion": "1/2"
+      }
+    }
+  ],
+  "status": "ok"
+}
+"""
+
 
 class TestBranchDivisor:
     def test_elliptic_tail_fixture(self, capsys):
@@ -233,6 +293,30 @@ class TestBranchDivisor:
         assert payload["degree_check"] == "ok"
         assert payload["source_genus"] == 1
         assert payload["effective"] is True
+
+    def test_golden_output(self, capsys):
+        code, out = run_cli(
+            capsys, "branch-divisor", "--input",
+            str(FIXTURES / "elliptic_tail.json"),
+        )
+        assert code == EXIT_OK
+        assert out == """\
+{
+  "degree_check": "ok",
+  "divisor": {
+    "p": 2,
+    "q1": 1,
+    "q2": 1
+  },
+  "divisor_degree": 4,
+  "effective": true,
+  "expected_degree": 4,
+  "map_degree": 2,
+  "source_genus": 1,
+  "status": "ok",
+  "target_genus": 0
+}
+"""
 
     def test_identity_fixture(self, capsys):
         code, payload = run_json(

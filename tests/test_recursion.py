@@ -19,7 +19,6 @@ from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
     h2_recursion
 from hurwitz.routes import (
-    HurwitzTable,
     Method,
     MethodNotApplicableError,
     applicable_methods,
@@ -167,26 +166,14 @@ class TestDispatch:
 class TestTable:
     def test_build_and_read_back(self):
         table = build_table(1, 4, Method.RECURSION)
-        assert table.get(0, 4, Method.RECURSION) == 120
-        assert table.get(1, 2, Method.RECURSION) == Fraction(1, 2)
-        assert len(table.cells) == 8
+        assert table[(0, 4)][Method.RECURSION] == 120
+        assert table[(1, 2)][Method.RECURSION] == Fraction(1, 2)
+        assert len(table) == 8
 
     def test_methods_do_not_collide(self):
-        table = HurwitzTable()
-        table.set(0, 3, Method.CHARACTER, Fraction(4))
-        table.set(0, 3, Method.CLOSED_FORM, Fraction(4))
-        assert table.cell(0, 3) == {
-            Method.CHARACTER: Fraction(4), Method.CLOSED_FORM: Fraction(4),
-        }
-        assert table.conflicts() == []
-
-    def test_conflicts_are_reported(self):
-        table = HurwitzTable()
-        table.set(1, 3, Method.CHARACTER, Fraction(40))
-        table.set(1, 3, Method.RECURSION, Fraction(41))
-        conflicts = table.conflicts()
-        assert len(conflicts) == 1
-        assert conflicts[0][:2] == (1, 3)
+        cell = build_table(0, 3)[(0, 3)]
+        assert list(cell) == applicable_methods(0, 3)
+        assert set(cell.values()) == {Fraction(4)}
 
     def test_range_errors(self):
         with pytest.raises(MethodNotApplicableError):
