@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines under the same name
 _MODULE_EXPORTS = {
-    "character": ("branch_count", "connected_hurwitz",
-                  "disconnected_hurwitz", "factorization_count"),
+    "character": ("connected_hurwitz", "disconnected_hurwitz",
+                  "factorization_count"),
     "intersection": ("DEGENERATE_DEGREES", "DegenerateCaseError",
                      "IntersectionBoundError", "elsv_genus0",
                      "psi_integral_genus0"),
@@ -27,7 +27,7 @@ _MODULE_EXPORTS = {
     "recursion": ("h0_closed", "h0_recursion", "h1_recursion",
                   "h2_recursion"),
     "routes": ("Method", "MethodNotApplicableError", "applicable_methods",
-               "build_table", "hurwitz_value"),
+               "branch_count", "build_table", "hurwitz_value"),
     "stablemap": ("ContractedComponent", "DominantComponent",
                   "GraphFormatError", "InvalidGraphError", "Node",
                   "StableMapGraph", "arithmetic_genus", "branch_divisor",

@@ -26,15 +26,6 @@ from math import comb, factorial
 from .partitions import content_sum, enumerate_partitions, irrep_dimension
 
 
-def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
-    """Number of simple branch points forced on a connected cover:
-    2*genus - 2 - degree*(2*target_genus - 2).
-    """
-    if genus < 0 or degree < 1 or target_genus < 0:
-        raise ValueError("genus and target_genus must be >= 0, degree >= 1")
-    return 2 * genus - 2 - degree * (2 * target_genus - 2)
-
-
 @cache
 def content_polynomial(n: int) -> dict[int, int]:
     """z_n as {content sum: sum of dim^2 over partitions of n with that
@@ -121,6 +112,6 @@ def connected_hurwitz(g: int, d: int) -> Fraction:
         raise ValueError("g must be a nonnegative integer")
     if d < 1:
         raise ValueError("d must be a positive integer")
-    r = branch_count(g, d)
+    r = 2 * g - 2 + 2 * d
     total = sum(m * c ** r for c, m in _connected_polynomial(d).items())
     return Fraction(total, factorial(d) ** 2)

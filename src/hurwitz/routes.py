@@ -4,15 +4,14 @@ called, and tables of values by one route or by all of them.
 This is the only module that imports more than one route. The routes
 (character, recursion, intersection, oracle) import none of each other,
 so agreement between them in a cross-check is a real check and not a
-tautology.
+tautology. Each route is imported where it runs, so a command loads
+only the routes it asks for.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-
-from . import character, intersection, oracle, recursion
 
 
 class Method(str, Enum):
@@ -30,9 +29,26 @@ class MethodNotApplicableError(ValueError):
     """The requested method does not cover the requested (genus, degree)."""
 
 
-# what hurwitz_value raises for a cell its method does not cover
-NOT_COVERED = (MethodNotApplicableError, oracle.OracleBoundError,
-               intersection.IntersectionBoundError)
+def __getattr__(name):
+    # NOT_COVERED, what hurwitz_value raises for a cell its method does
+    # not cover, names two routes' bound errors; it is built on first use
+    # so that importing this module imports no route. An `except
+    # routes.NOT_COVERED` clause reads it only when an error is raised.
+    if name == "NOT_COVERED":
+        from .intersection import IntersectionBoundError
+        from .oracle import OracleBoundError
+        return (MethodNotApplicableError, OracleBoundError,
+                IntersectionBoundError)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
+    """Number of simple branch points forced on a connected cover:
+    2*genus - 2 - degree*(2*target_genus - 2).
+    """
+    if genus < 0 or degree < 1 or target_genus < 0:
+        raise ValueError("genus and target_genus must be >= 0, degree >= 1")
+    return 2 * genus - 2 - degree * (2 * target_genus - 2)
 
 
 def _check_cell(g: int, d: int) -> None:
@@ -50,6 +66,8 @@ def applicable_methods(g: int, d: int) -> list[Method]:
     latter within its degree bound; the brute-force oracle only within
     its enumeration bound.
     """
+    from . import intersection, oracle, recursion  # for their bounds
+
     _check_cell(g, d)
     methods = [Method.CHARACTER]
     if g <= recursion.MAX_RECURSION_GENUS:
@@ -58,7 +76,7 @@ def applicable_methods(g: int, d: int) -> list[Method]:
         methods.append(Method.CLOSED_FORM)
         if d <= intersection.MAX_DEGREE:
             methods.append(Method.ELSV_G0)
-    r = character.branch_count(g, d)
+    r = branch_count(g, d)
     if d <= oracle.MAX_DEGREE and r <= oracle.MAX_BRANCH_POINTS:
         methods.append(Method.ORACLE)
     return methods
@@ -74,8 +92,10 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
     _check_cell(g, d)
     method = Method(method)
     if method is Method.CHARACTER:
-        return character.connected_hurwitz(g, d)
+        from .character import connected_hurwitz
+        return connected_hurwitz(g, d)
     if method is Method.RECURSION:
+        from . import recursion
         if g > recursion.MAX_RECURSION_GENUS:
             raise MethodNotApplicableError(
                 f"no recursion is available for genus {g} "
@@ -85,8 +105,10 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
     if method is Method.CLOSED_FORM:
         if g != 0:
             raise MethodNotApplicableError("closed form is genus 0 only")
-        return recursion.h0_closed(d)
+        from .recursion import h0_closed
+        return h0_closed(d)
     if method is Method.ELSV_G0:
+        from . import intersection
         if g != 0:
             raise MethodNotApplicableError(
                 "the intersection formula is genus 0 only"
@@ -94,7 +116,8 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
         if d in intersection.DEGENERATE_DEGREES:
             return intersection.DEGENERATE_DEGREES[d]
         return intersection.elsv_genus0(d)
-    return oracle.oracle_connected(g, d)
+    from .oracle import oracle_connected
+    return oracle_connected(g, d)
 
 
 def build_table(

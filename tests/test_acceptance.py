@@ -12,7 +12,6 @@ from fractions import Fraction
 from contentseries import content_exp
 from graphgen import random_valid_graph
 from hurwitz.character import (
-    branch_count,
     connected_hurwitz,
     content_log,
     content_polynomial,
@@ -28,6 +27,7 @@ from hurwitz.partitions import (
 )
 from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
     h2_recursion
+from hurwitz.routes import branch_count
 from hurwitz.stablemap import (
     InvalidGraphError,
     branch_divisor,

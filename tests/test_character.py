@@ -13,13 +13,13 @@ from math import factorial
 import pytest
 
 from hurwitz.character import (
-    branch_count,
     connected_hurwitz,
     content_log,
     content_polynomial,
     disconnected_hurwitz,
     factorization_count,
 )
+from hurwitz.routes import branch_count
 
 
 def products_scan(d, r):

@@ -69,8 +69,9 @@ def test_routes_import_no_other_route():
 
 
 # run in a fresh interpreter: with arguments, cli.main(arguments) with
-# stdout captured; without, `import hurwitz`. Prints the modules the run
-# added to those the probe itself needs.
+# stdout captured (`--help` ends in SystemExit); without, `import
+# hurwitz`. Prints the modules the run added to those the probe itself
+# needs.
 PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -78,7 +79,10 @@ before = set(sys.modules)
 if sys.argv[1:]:
     from hurwitz import cli
     with redirect_stdout(io.StringIO()):
-        code = cli.main(sys.argv[1:])
+        try:
+            code = cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
 else:
     import hurwitz
     code = 0
@@ -118,6 +122,28 @@ def test_branch_divisor_loads_no_dataclasses():
     )
     assert "hurwitz.stablemap" in loaded
     assert "dataclasses" not in loaded
+
+
+ROUTE_MODULES = {f"hurwitz.{route}" for route in ROUTE_IMPORTS}
+
+
+def test_branch_divisor_loads_no_route():
+    loaded = loaded_modules(
+        "branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json"),
+    )
+    assert not loaded & ROUTE_MODULES
+
+
+def test_help_loads_no_route():
+    assert not loaded_modules("--help") & ROUTE_MODULES
+
+
+def test_compute_loads_only_the_route_it_runs():
+    loaded = loaded_modules("compute", "-g", "1", "-d", "3",
+                            "--method", "recursion")
+    assert loaded & ROUTE_MODULES == {"hurwitz.recursion"}
+    loaded = loaded_modules("compute", "-g", "1", "-d", "3")
+    assert loaded & ROUTE_MODULES == {"hurwitz.character"}
 
 
 def test_exports_are_their_modules_objects():

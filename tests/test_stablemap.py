@@ -6,6 +6,7 @@ suite reruns them at full volume.
 import json
 import random
 import sys
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,156 @@ class TestValidation:
         )
         assert any("genus-0" in p for p in validate(smaller))
 
+    def test_profile_failure_prints_in_full(self):
+        # entries and degrees past the digit limit str(int) converts; a
+        # graph built in Python can carry them
+        huge = 10 ** (sys.get_int_max_str_digits() + 100)
+        wide = "1" + "0" * (sys.get_int_max_str_digits() + 100)
+        big_degree = StableMapGraph(0, (
+            DominantComponent("A", 0, huge, (("q", (3,)),)),), ())
+        assert validate(big_degree) == [
+            f"component 'A': profile [3] over point 'q' is not a "
+            f"partition of {wide}"
+        ]
+        big_entry = StableMapGraph(0, (
+            DominantComponent("A", 0, 3, (("q", (huge, 1)),)),), ())
+        assert validate(big_entry) == [
+            f"component 'A': profile [{wide}, 1] over point 'q' is not a "
+            "partition of 3"
+        ]
+
+    @pytest.mark.parametrize("graph, expected", [
+        (StableMapGraph(0, (), ()), ["graph has no components"]),
+        (StableMapGraph(0, (ContractedComponent("B", 2, "p"),), ()),
+         ["total degree is 0: at least one dominant component is "
+          "required"]),
+        (StableMapGraph(0, (
+            DominantComponent("A", 0, 2, (("q1", (2,)), ("q2", (2,)))),
+            ContractedComponent("B", 0, "p"),
+        ), (Node(("A", "B"), "p"), Node(("A", "B"), "p"))),
+         ["component 'B': contracted genus-0 component has 2 node "
+          "branches, needs at least 3"]),
+        (StableMapGraph(0, (DominantComponent("A", 0, 1),
+                            ContractedComponent("B", 0, "p"),
+                            DominantComponent("C", 0, 1)),
+                        (Node(("A", "C"), "p"),)),
+         ["dual graph is disconnected",
+          "component 'B': contracted genus-0 component has 0 node "
+          "branches, needs at least 3"]),
+        (StableMapGraph(1, (DominantComponent("A", 0, 1),), ()),
+         ["component 'A': Riemann-Hurwitz fails (2g-2 = -2, degree and "
+          "profiles give 0)"]),
+        # a repeated id takes the kind of its last component, so a node
+        # on it is checked against no contracted image
+        (StableMapGraph(0, (ContractedComponent("A", 1, "p"),
+                            DominantComponent("A", 0, 1)),
+                        (Node(("A", "A"), "q"),)),
+         ["duplicate component id 'A'", "dual graph is disconnected"]),
+    ])
+    def test_single_violations_are_worded_exactly(self, graph, expected):
+        assert validate(graph) == expected
+
+    def test_violations_come_in_rule_order(self):
+        graph = StableMapGraph(
+            target_genus=-1,
+            components=(
+                DominantComponent("A", -1, 2, (
+                    ("q", (2,)), ("q", (1, 1)), ("r", (3,)))),
+                ContractedComponent("B", 0, "p"),
+                ContractedComponent("C", 1, "p"),
+                DominantComponent("D", 0, 0),
+                DominantComponent("E", 1, 1),
+                ContractedComponent("B", 2, "s"),
+            ),
+            nodes=(
+                Node(("A", "B"), "elsewhere"),
+                Node(("X", "E"), "t"),
+            ),
+        )
+        assert validate(graph) == [
+            "target genus must be nonnegative",
+            "duplicate component id 'B'",
+            "node 1 references unknown component 'X'",
+            "dual graph is disconnected",
+            "component 'A': genus must be nonnegative",
+            "component 'A': point 'q' listed more than once",
+            "component 'A': profile [3] over point 'r' is not a "
+            "partition of 2",
+            "component 'B': contracted genus-0 component has 1 node "
+            "branch, needs at least 3",
+            "component 'C': contracted genus-1 component has no node "
+            "branches, needs at least 1",
+            "component 'D': degree must be at least 1",
+            "component 'E': Riemann-Hurwitz fails (2g-2 = 0, degree and "
+            "profiles give -4)",
+            # the last component with an id decides its image
+            "node 0 lies over 'elsewhere' but its branch on 'B' is "
+            "contracted to 's'",
+        ]
+
+
+def connected_by_search(graph):
+    """Reference: breadth-first search from the first component over the
+    nodes whose branches both name components; duplicate ids never
+    count as connected."""
+    ids = [c.id for c in graph.components]
+    if not ids or len(set(ids)) != len(ids):
+        return False
+    neighbours = {cid: [] for cid in ids}
+    for a, b in (node.branches for node in graph.nodes):
+        if a in neighbours and b in neighbours:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    seen, queue = {ids[0]}, deque([ids[0]])
+    while queue:
+        for other in neighbours[queue.popleft()]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return len(seen) == len(ids)
+
+
+class TestConnectivity:
+    def perturbed(self, rng, graph):
+        components = list(graph.components)
+        nodes = list(graph.nodes)
+        for _ in range(rng.randint(1, 4)):
+            move = rng.randrange(5)
+            ids = [c.id for c in components]
+            if move == 0 and nodes:  # cut a node, maybe a bridge
+                nodes.pop(rng.randrange(len(nodes)))
+            elif move == 1:  # an isolated component
+                components.append(DominantComponent(
+                    f"Z{len(components)}", 0, 1))
+            elif move == 2:  # a node naming an unknown id
+                nodes.append(Node((rng.choice(ids), "ghost"), "p"))
+            elif move == 3:  # a self-node
+                cid = rng.choice(ids)
+                nodes.append(Node((cid, cid), "p"))
+            elif rng.randrange(4) == 0:  # a repeated id
+                components.append(rng.choice(components))
+            else:  # a node joining two known components
+                nodes.append(Node((rng.choice(ids), rng.choice(ids)), "p"))
+        rng.shuffle(nodes)
+        return graph._replace(components=tuple(components),
+                              nodes=tuple(nodes))
+
+    def test_matches_breadth_first_reference(self):
+        rng = random.Random(4242)
+        verdicts = Counter()
+        for _ in range(300):
+            graph = self.perturbed(rng, random_valid_graph(rng))
+            connected = connected_by_search(graph)
+            verdicts[connected] += 1
+            assert ("dual graph is disconnected" not in validate(graph)) \
+                == connected
+            if connected:
+                arithmetic_genus(graph)
+            else:
+                with pytest.raises(ValueError, match="disconnected"):
+                    arithmetic_genus(graph)
+        assert min(verdicts.values()) > 50
+
 
 class TestGenusAndDegree:
     def test_single_component_genus(self):
@@ -350,6 +501,168 @@ class TestJsonFormat:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(GraphFormatError, match="not valid JSON"):
             load_graph(path)
+
+
+def edited(change):
+    """The elliptic-tail document (dominant A with points q1 and q2,
+    contracted B, one node) after change(document)."""
+    data = graph_to_dict(two_sheets(tail_genus=1))
+    change(data)
+    return data
+
+
+def dominant(data):
+    return data["components"][0]
+
+
+def contracted(data):
+    return data["components"][1]
+
+
+def entry(data):
+    return data["components"][0]["ramification"][1]
+
+
+def node(data):
+    return data["nodes"][0]
+
+
+PROFILE = "field 'profile' must be a nonempty list of integers"
+PAIR = "field 'branches' must be a pair of component ids"
+
+FORMAT_ERRORS = [
+    ([], "top level: expected an object"),
+    (edited(lambda d: d.update(extra=1)), "top level: unknown field 'extra'"),
+    (edited(lambda d: d.pop("target_genus")),
+     "top level: missing field 'target_genus'"),
+    (edited(lambda d: d.update(target_genus=True)),
+     "top level: field 'target_genus' must be an integer"),
+    (edited(lambda d: d.pop("components")),
+     "top level: missing field 'components'"),
+    (edited(lambda d: d.update(components={})),
+     "top level: field 'components' must be a list"),
+    (edited(lambda d: d.update(nodes=None)),
+     "top level: field 'nodes' must be a list"),
+    (edited(lambda d: d["components"].append("C")),
+     "components[2]: expected an object"),
+    (edited(lambda d: dominant(d).pop("kind")),
+     "components[0]: missing field 'kind'"),
+    (edited(lambda d: dominant(d).update(kind="")),
+     "components[0]: field 'kind' must be a nonempty string"),
+    (edited(lambda d: contracted(d).pop("id")),
+     "components[1]: missing field 'id'"),
+    (edited(lambda d: contracted(d).update(id=7)),
+     "components[1]: field 'id' must be a nonempty string"),
+    (edited(lambda d: dominant(d).pop("genus")),
+     "components[0]: missing field 'genus'"),
+    (edited(lambda d: contracted(d).update(genus=1.0)),
+     "components[1]: field 'genus' must be an integer"),
+    (edited(lambda d: dominant(d).update(kind="smooth")),
+     "components[0]: kind must be 'dominant' or 'contracted', not 'smooth'"),
+    (edited(lambda d: dominant(d).update(image="p")),
+     "components[0]: unknown field 'image'"),
+    (edited(lambda d: dominant(d).pop("degree")),
+     "components[0]: missing field 'degree'"),
+    (edited(lambda d: dominant(d).update(degree="2")),
+     "components[0]: field 'degree' must be an integer"),
+    (edited(lambda d: dominant(d).update(ramification={})),
+     "components[0]: field 'ramification' must be a list"),
+    (edited(lambda d: contracted(d).update(degree=1)),
+     "components[1]: unknown field 'degree'"),
+    (edited(lambda d: contracted(d).pop("image")),
+     "components[1]: missing field 'image'"),
+    (edited(lambda d: contracted(d).update(image=["p"])),
+     "components[1]: field 'image' must be a nonempty string"),
+    (edited(lambda d: dominant(d)["ramification"].append(None)),
+     "components[0].ramification[2]: expected an object"),
+    (edited(lambda d: entry(d).update(sheets=2)),
+     "components[0].ramification[1]: unknown field 'sheets'"),
+    (edited(lambda d: entry(d).pop("point")),
+     "components[0].ramification[1]: missing field 'point'"),
+    (edited(lambda d: entry(d).update(point=None)),
+     "components[0].ramification[1]: field 'point' must be a nonempty "
+     "string"),
+    (edited(lambda d: entry(d).pop("profile")),
+     f"components[0].ramification[1]: {PROFILE}"),
+    (edited(lambda d: entry(d).update(profile=[])),
+     f"components[0].ramification[1]: {PROFILE}"),
+    (edited(lambda d: entry(d).update(profile=[True])),
+     f"components[0].ramification[1]: {PROFILE}"),
+    (edited(lambda d: entry(d).update(profile=(2,))),
+     f"components[0].ramification[1]: {PROFILE}"),
+    (edited(lambda d: d["nodes"].append([])), "nodes[1]: expected an object"),
+    (edited(lambda d: node(d).update(weight=1)),
+     "nodes[0]: unknown field 'weight'"),
+    (edited(lambda d: node(d).pop("branches")),
+     "nodes[0]: missing field 'branches'"),
+    (edited(lambda d: node(d).update(branches=["A", "B", "A"])),
+     f"nodes[0]: {PAIR}"),
+    (edited(lambda d: node(d).update(branches=["A", ""])),
+     f"nodes[0]: {PAIR}"),
+    (edited(lambda d: node(d).update(branches=("A", "B"))),
+     f"nodes[0]: {PAIR}"),
+    (edited(lambda d: node(d).pop("image")),
+     "nodes[0]: missing field 'image'"),
+    (edited(lambda d: node(d).update(image=0)),
+     "nodes[0]: field 'image' must be a nonempty string"),
+]
+
+# documents with several faults: the first in document order is named,
+# and within one object the checks run in a fixed order
+FIRST_FAULTS = [
+    # top-level keys before any field
+    (edited(lambda d: d.update(components=3, zz=1)),
+     "top level: unknown field 'zz'"),
+    # the first unknown key in document order, not in sorted order
+    ({"target_genus": 0, "b": 1, "a": 2, "components": []},
+     "top level: unknown field 'b'"),
+    (edited(lambda d: d.update(target_genus=None) or d.pop("components")),
+     "top level: field 'target_genus' must be an integer"),
+    (edited(lambda d: d.update(components={}, nodes={})),
+     "top level: field 'components' must be a list"),
+    # components before nodes, even when "nodes" comes first
+    ({"target_genus": 0, "nodes": [{}], "components": [{}]},
+     "components[0]: missing field 'kind'"),
+    (edited(lambda d: d["components"].extend([{"kind": 1}, 2])),
+     "components[2]: field 'kind' must be a nonempty string"),
+    # kind, id and genus before the kind's verdict and its key check
+    (edited(lambda d: dominant(d).update(kind="mystery", extra=1,
+                                         genus="0")),
+     "components[0]: field 'genus' must be an integer"),
+    (edited(lambda d: dominant(d).update(kind="mystery", extra=1)),
+     "components[0]: kind must be 'dominant' or 'contracted', not "
+     "'mystery'"),
+    # keys before degree, degree before ramification
+    (edited(lambda d: dominant(d).update(extra=1, degree=None)),
+     "components[0]: unknown field 'extra'"),
+    (edited(lambda d: dominant(d).update(degree=None, ramification=1)),
+     "components[0]: field 'degree' must be an integer"),
+    (edited(lambda d: contracted(d).update(extra=1, image=None)),
+     "components[1]: unknown field 'extra'"),
+    # the first bad entry, and keys before point before profile
+    (edited(lambda d: dominant(d).update(ramification=[
+        {"point": "q"}, {"point": ""}])),
+     f"components[0].ramification[0]: {PROFILE}"),
+    (edited(lambda d: entry(d).update(extra=1) or entry(d).pop("point")),
+     "components[0].ramification[1]: unknown field 'extra'"),
+    (edited(lambda d: entry(d).update(point="", profile=None)),
+     "components[0].ramification[1]: field 'point' must be a nonempty "
+     "string"),
+    # the first bad node; keys before branches before image
+    (edited(lambda d: d["nodes"].extend([{"image": "p"}, 3])),
+     "nodes[1]: missing field 'branches'"),
+    (edited(lambda d: node(d).update(extra=1) or node(d).pop("branches")),
+     "nodes[0]: unknown field 'extra'"),
+    (edited(lambda d: node(d).update(branches=["A"], image=None)),
+     f"nodes[0]: {PAIR}"),
+]
+
+
+@pytest.mark.parametrize("data, message", FORMAT_ERRORS + FIRST_FAULTS)
+def test_format_errors_are_worded_exactly(data, message):
+    with pytest.raises(GraphFormatError) as info:
+        graph_from_dict(data)
+    assert str(info.value) == message
 
 
 class TestRandomizedStructure:
