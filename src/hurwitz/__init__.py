@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "character": ("connected_hurwitz", "disconnected_hurwitz",
                   "factorization_count"),
-    "intersection": ("DEGENERATE_DEGREES", "DegenerateCaseError",
-                     "IntersectionBoundError", "elsv_genus0",
-                     "psi_integral_genus0"),
+    "intersection": ("DEGENERATE_DEGREES", "IntersectionBoundError",
+                     "elsv_genus0", "psi_integral_genus0"),
     "oracle": ("OracleBoundError", "oracle_connected"),
     "partitions": ("conjugate_partition", "content_sum",
                    "enumerate_partitions", "irrep_dimension",

@@ -20,8 +20,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import routes
-from .routes import Method, branch_count, build_table, hurwitz_value
+from .routes import (Method, MethodNotApplicableError, branch_count,
+                     build_table, hurwitz_value)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -63,12 +63,7 @@ def _cmd_compute(args) -> int:
         return _fail_invalid(
             {"error": "genus must be >= 0 and degree >= 1"}
         )
-    # routes.NOT_COVERED is read only when an error is raised, so a run
-    # that succeeds imports no route it did not ask for
-    try:
-        value = hurwitz_value(g, d, args.method)
-    except routes.NOT_COVERED as exc:
-        return _fail_invalid({"error": str(exc)})
+    value = hurwitz_value(g, d, args.method)
     _print_json({
         "status": "ok",
         "genus": g,
@@ -103,10 +98,7 @@ def _cmd_table(args) -> int:
             {"error": "gmax must be >= 0 and dmax >= 1"}
         )
     method = Method(args.method)
-    try:
-        table = build_table(g_max, d_max, method)
-    except routes.NOT_COVERED as exc:
-        return _fail_invalid({"error": str(exc)})
+    table = build_table(g_max, d_max, method)
     rows = [
         (g, d, branch_count(g, d), format_rational(values[method]))
         for (g, d), values in table.items()
@@ -254,6 +246,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
+    except MethodNotApplicableError as exc:  # a method refused a cell
+        return _fail_invalid({"error": str(exc)})
     except Exception as exc:  # any handler fault ends in documented JSON
         import traceback
         traceback.print_exc()

@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import factorial
 
 # genus-0 covers of degrees 1 and 2 fall outside the intersection
-# formula (fewer than three marked points); their values are pinned here
+# formula (fewer than three marked points); elsv_genus0 returns these
+# pinned values for them
 DEGENERATE_DEGREES = {1: Fraction(1), 2: Fraction(1, 2)}
 
 # guarded degree bound. The sum has p(d-3) terms, so its cost grows
@@ -22,10 +23,6 @@ DEGENERATE_DEGREES = {1: Fraction(1), 2: Fraction(1, 2)}
 # 0.63 s at d=40, 1.8 s at d=45 and 29.5 s at d=60 (Python 3.11, one
 # core of a 2-CPU Xeon)
 MAX_DEGREE = 40
-
-
-class DegenerateCaseError(ValueError):
-    """Degrees 1 and 2 sit outside the genus-0 intersection formula."""
 
 
 class IntersectionBoundError(ValueError):
@@ -78,16 +75,14 @@ def elsv_genus0(d: int) -> Fraction:
     d!/(m_1! m_2! ...) arrangements, where the m_i are the multiplicities
     of the distinct exponents.
 
-    Only d >= 3 is meaningful; degrees 1 and 2 raise DegenerateCaseError
-    (their pinned values live in DEGENERATE_DEGREES). Degrees above
-    MAX_DEGREE raise IntersectionBoundError.
+    The formula needs d >= 3; degrees 1 and 2 return their pinned
+    values from DEGENERATE_DEGREES. Degrees above MAX_DEGREE raise
+    IntersectionBoundError.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if d < 3:
-        raise DegenerateCaseError(
-            f"degenerate case: d={d} has no genus-0 intersection formula"
-        )
+    if d in DEGENERATE_DEGREES:
+        return DEGENERATE_DEGREES[d]
     if d > MAX_DEGREE:
         raise IntersectionBoundError(
             f"intersection bound exceeded: d={d} (limit: d <= {MAX_DEGREE})"

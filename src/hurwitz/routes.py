@@ -5,7 +5,8 @@ This is the only module that imports more than one route. The routes
 (character, recursion, intersection, oracle) import none of each other,
 so agreement between them in a cross-check is a real check and not a
 tautology. Each route is imported where it runs, so a command loads
-only the routes it asks for.
+only the routes it asks for. A cell outside a method's coverage is
+refused with MethodNotApplicableError, whichever route guard found it.
 """
 
 from __future__ import annotations
@@ -29,19 +30,6 @@ class MethodNotApplicableError(ValueError):
     """The requested method does not cover the requested (genus, degree)."""
 
 
-def __getattr__(name):
-    # NOT_COVERED, what hurwitz_value raises for a cell its method does
-    # not cover, names two routes' bound errors; it is built on first use
-    # so that importing this module imports no route. An `except
-    # routes.NOT_COVERED` clause reads it only when an error is raised.
-    if name == "NOT_COVERED":
-        from .intersection import IntersectionBoundError
-        from .oracle import OracleBoundError
-        return (MethodNotApplicableError, OracleBoundError,
-                IntersectionBoundError)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
     """Number of simple branch points forced on a connected cover:
     2*genus - 2 - degree*(2*target_genus - 2).
@@ -58,36 +46,42 @@ def _check_cell(g: int, d: int) -> None:
         raise ValueError("d must be a positive integer")
 
 
+def _covers(g: int, d: int, method: Method) -> bool:
+    # where each method applies, from its route's own bounds and
+    # importing only that route: the character sum everywhere, the
+    # recursions up to genus 2, the closed form at genus 0, the
+    # intersection formula at genus 0 within its degree bound, and the
+    # oracle within its enumeration bound. hurwitz_value refuses exactly
+    # the other cells.
+    if method is Method.CHARACTER:
+        return True
+    if method is Method.RECURSION:
+        from . import recursion
+        return g <= recursion.MAX_RECURSION_GENUS
+    if method is Method.CLOSED_FORM:
+        return g == 0
+    if method is Method.ELSV_G0:
+        from . import intersection
+        return g == 0 and d <= intersection.MAX_DEGREE
+    from . import oracle
+    return (d <= oracle.MAX_DEGREE
+            and branch_count(g, d) <= oracle.MAX_BRANCH_POINTS)
+
+
 def applicable_methods(g: int, d: int) -> list[Method]:
-    """Every method that covers (g, d), in enum order.
-
-    The character sum always applies; recursions stop at genus 2; the
-    closed form and the intersection formula are genus 0 only, the
-    latter within its degree bound; the brute-force oracle only within
-    its enumeration bound.
-    """
-    from . import intersection, oracle, recursion  # for their bounds
-
+    """Every method that covers (g, d), in enum order: exactly the
+    methods for which hurwitz_value(g, d, method) returns a value."""
     _check_cell(g, d)
-    methods = [Method.CHARACTER]
-    if g <= recursion.MAX_RECURSION_GENUS:
-        methods.append(Method.RECURSION)
-    if g == 0:
-        methods.append(Method.CLOSED_FORM)
-        if d <= intersection.MAX_DEGREE:
-            methods.append(Method.ELSV_G0)
-    r = branch_count(g, d)
-    if d <= oracle.MAX_DEGREE and r <= oracle.MAX_BRANCH_POINTS:
-        methods.append(Method.ORACLE)
-    return methods
+    return [m for m in Method if _covers(g, d, m)]
 
 
 def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
     """H_{g,d} by the requested method.
 
-    Raises MethodNotApplicableError when the method does not cover the
-    cell, and lets the oracle's and the intersection formula's own bound
-    errors pass through; NOT_COVERED names all three.
+    Raises MethodNotApplicableError, and only that, when the method does
+    not cover the cell. The oracle's and the intersection formula's own
+    bound errors are re-raised as it, with the same text, and are its
+    __cause__.
     """
     _check_cell(g, d)
     method = Method(method)
@@ -108,16 +102,20 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
         from .recursion import h0_closed
         return h0_closed(d)
     if method is Method.ELSV_G0:
-        from . import intersection
         if g != 0:
             raise MethodNotApplicableError(
                 "the intersection formula is genus 0 only"
             )
-        if d in intersection.DEGENERATE_DEGREES:
-            return intersection.DEGENERATE_DEGREES[d]
-        return intersection.elsv_genus0(d)
-    from .oracle import oracle_connected
-    return oracle_connected(g, d)
+        from .intersection import IntersectionBoundError, elsv_genus0
+        try:
+            return elsv_genus0(d)
+        except IntersectionBoundError as exc:
+            raise MethodNotApplicableError(str(exc)) from exc
+    from .oracle import OracleBoundError, oracle_connected
+    try:
+        return oracle_connected(g, d)
+    except OracleBoundError as exc:
+        raise MethodNotApplicableError(str(exc)) from exc
 
 
 def build_table(
@@ -130,15 +128,15 @@ def build_table(
 
     Methods stay separate within a cell, so a cross-check compares
     independent computations. One method must cover the whole range:
-    the first cell in (g, d) order that it does not cover raises that
-    method's error before any value is computed.
+    the first cell in (g, d) order that it does not cover raises
+    MethodNotApplicableError before any value is computed.
     """
     _check_cell(g_max, d_max)
     cells = [(g, d) for g in range(g_max + 1) for d in range(1, d_max + 1)]
     if method is not None:
         method = Method(method)
         for g, d in cells:
-            if method not in applicable_methods(g, d):
+            if not _covers(g, d, method):
                 hurwitz_value(g, d, method)  # raises before computing
     return {
         (g, d): {m: hurwitz_value(g, d, m)

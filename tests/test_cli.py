@@ -132,6 +132,53 @@ class TestCompute:
         assert "Traceback" in captured.err
 
 
+# every way a method refuses a cell, with the exact stdout it prints
+REFUSALS = {
+    "recursion-genus-3": (
+        ("compute", "-g", "3", "-d", "2", "--method", "recursion"),
+        "no recursion is available for genus 3 (recursions stop at genus 2)",
+    ),
+    "closed-form-genus-1": (
+        ("compute", "-g", "1", "-d", "2", "--method", "closed-form"),
+        "closed form is genus 0 only",
+    ),
+    "elsv-genus-1": (
+        ("compute", "-g", "1", "-d", "2", "--method", "elsv-g0"),
+        "the intersection formula is genus 0 only",
+    ),
+    "elsv-degree-41": (
+        ("compute", "-g", "0", "-d", "41", "--method", "elsv-g0"),
+        "intersection bound exceeded: d=41 (limit: d <= 40)",
+    ),
+    "oracle-degree-6": (
+        ("compute", "-g", "0", "-d", "6", "--method", "oracle"),
+        "oracle bound exceeded: d=6, r=10 (limits: d <= 5, r <= 10)",
+    ),
+    "oracle-genus-4": (
+        ("compute", "-g", "4", "-d", "3", "--method", "oracle"),
+        "oracle bound exceeded: d=3, r=12 (limits: d <= 5, r <= 10)",
+    ),
+    # names (0, 6), the first cell in (g, d) order the oracle does not cover
+    "table-oracle": (
+        ("table", "--method", "oracle", "--gmax", "0", "--dmax", "7"),
+        "oracle bound exceeded: d=6, r=10 (limits: d <= 5, r <= 10)",
+    ),
+    "table-elsv": (
+        ("table", "--method", "elsv-g0", "--gmax", "1", "--dmax", "3"),
+        "the intersection formula is genus 0 only",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, error", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_prints_exact_bytes(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == (
+        f'{{\n  "error": "{error}",\n  "status": "invalid-input"\n}}\n'
+    )
+
+
 class TestTable:
     def test_csv_golden_output(self, capsys):
         code, out = run_cli(

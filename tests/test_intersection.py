@@ -14,7 +14,7 @@ import pytest
 
 from hurwitz.intersection import (
     DEGENERATE_DEGREES,
-    DegenerateCaseError,
+    IntersectionBoundError,
     _exponent_multisets,
     elsv_genus0,
     psi_integral_genus0,
@@ -144,13 +144,16 @@ class TestIntersectionRoute:
         for d in range(3, 10):
             assert elsv_genus0(d) == elsv_term_by_term(d), d
 
-    def test_degenerate_degrees_raise(self):
+    def test_degenerate_degrees_return_pinned_values(self):
         for d in (1, 2):
-            with pytest.raises(DegenerateCaseError, match="degenerate case"):
-                elsv_genus0(d)
+            assert elsv_genus0(d) == DEGENERATE_DEGREES[d]
 
     def test_degenerate_values_are_pinned_separately(self):
         assert DEGENERATE_DEGREES == {1: Fraction(1), 2: Fraction(1, 2)}
+
+    def test_degree_bound_raises_its_own_error(self):
+        with pytest.raises(IntersectionBoundError, match="d <= 40"):
+            elsv_genus0(41)
 
     def test_nonpositive_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -142,9 +142,11 @@ class TestDispatch:
         with pytest.raises(MethodNotApplicableError):
             hurwitz_value(1, 2, Method.ELSV_G0)
 
-    def test_oracle_bound_passes_through(self):
-        with pytest.raises(OracleBoundError):
+    def test_oracle_bound_is_refused_with_its_cause(self):
+        with pytest.raises(MethodNotApplicableError) as refused:
             hurwitz_value(0, 6, Method.ORACLE)
+        assert isinstance(refused.value.__cause__, OracleBoundError)
+        assert str(refused.value) == str(refused.value.__cause__)
 
     def test_method_accepts_plain_strings(self):
         assert hurwitz_value(1, 2, "recursion") == Fraction(1, 2)

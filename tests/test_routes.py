@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 
 import hurwitz
-from hurwitz.intersection import IntersectionBoundError
-from hurwitz.oracle import OracleBoundError
 from hurwitz.routes import (
     Method,
     MethodNotApplicableError,
@@ -90,7 +88,7 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
 
-def loaded_modules(*argv: str) -> set[str]:
+def loaded_modules(*argv: str, expected_exit: int = 0) -> set[str]:
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)
            + (os.pathsep + path if path else "")}
@@ -99,7 +97,7 @@ def loaded_modules(*argv: str) -> set[str]:
         capture_output=True, text=True, check=True, env=env,
     )
     report = json.loads(result.stdout)
-    assert report["exit"] == 0
+    assert report["exit"] == expected_exit
     return set(report["loaded"])
 
 
@@ -146,14 +144,31 @@ def test_compute_loads_only_the_route_it_runs():
     assert loaded & ROUTE_MODULES == {"hurwitz.character"}
 
 
+def test_table_loads_only_the_route_it_runs():
+    for method in ("character", "recursion"):
+        loaded = loaded_modules("table", "--gmax", "1", "--dmax", "3",
+                                "--method", method)
+        assert loaded & ROUTE_MODULES == {f"hurwitz.{method}"}, method
+
+
+def test_refusal_loads_at_most_the_refusing_route():
+    loaded = loaded_modules("compute", "-g", "3", "-d", "2",
+                            "--method", "recursion", expected_exit=2)
+    assert loaded & ROUTE_MODULES == {"hurwitz.recursion"}
+    loaded = loaded_modules("compute", "-g", "1", "-d", "2",
+                            "--method", "closed-form", expected_exit=2)
+    assert not loaded & ROUTE_MODULES
+
+
 def test_exports_are_their_modules_objects():
     modules = [
         importlib.import_module(f"hurwitz.{name}")
         for name in ("character", "intersection", "oracle", "partitions",
                      "recursion", "routes", "stablemap")
     ]
-    assert len(hurwitz.__all__) == 40
-    assert not {"HurwitzTable", "FormalDivisor"} & set(hurwitz.__all__)
+    assert len(hurwitz.__all__) == 39
+    assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError"}
+                & set(hurwitz.__all__))
     for name in hurwitz.__all__:
         if name == "ORACLE_BACKEND":
             continue
@@ -179,7 +194,6 @@ def test_applicable_methods_are_exactly_where_values_exist():
             try:
                 hurwitz_value(g, d, method)
                 covered = True
-            except (MethodNotApplicableError, OracleBoundError,
-                    IntersectionBoundError):
+            except MethodNotApplicableError:
                 covered = False
             assert covered == (method in applicable), (g, d, method)
