@@ -5,12 +5,21 @@ Four subcommands: `compute` for one Hurwitz number by one method,
 every applicable method on every cell and compare, and `branch-divisor`
 to evaluate the branch divisor of a stable-map graph read from JSON.
 
-Output is deterministic: JSON is printed with sorted keys, rationals
-are serialized as lowest-terms 'a/b' strings (bare integers when the
-denominator is 1), and identical invocations produce byte-identical
-output. Exit codes: 0 for ok, 1 for a cross-check or degree mismatch,
-2 for invalid input, 3 for an internal error (`"status": "error"`,
-with the exception's type and message; the traceback goes to stderr).
+Each handler returns its output, a payload dict or a text or CSV
+table, and prints nothing; `main` alone prints it and picks the exit
+code. Output is deterministic: JSON is printed with sorted keys,
+rationals are serialized as lowest-terms 'a/b' strings (bare integers
+when the denominator is 1), and identical invocations produce
+byte-identical output. Exit codes: 0 for ok, 1 for a cross-check or
+degree mismatch, 2 for invalid input, 3 for an internal error
+(`"status": "error"`, with the exception's type and message; the
+traceback goes to stderr).
+
+Every command runs with the cyclic garbage collector off, until its
+output is printed: a run makes no reference cycles, so the collector's
+passes free nothing. The interpreter's integer-to-string digit limit
+guards all input and is lifted only while the JSON output is
+serialized, so values derived from large input print in full.
 """
 
 import argparse
@@ -29,7 +38,7 @@ EXIT_INVALID = 2
 EXIT_ERROR = 3
 
 _STATUS_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH,
-                "invalid-input": EXIT_INVALID}
+                "invalid-input": EXIT_INVALID, "error": EXIT_ERROR}
 
 def _digits(n: int) -> str:
     # str(n) refuses ints over sys.get_int_max_str_digits() digits, a
@@ -47,32 +56,23 @@ def format_rational(value) -> str:
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _invalid(**fields) -> dict:
+    return {"status": "invalid-input", **fields}
 
 
-def _fail_invalid(payload) -> int:
-    payload["status"] = "invalid-input"
-    _print_json(payload)
-    return EXIT_INVALID
-
-
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> dict:
     g, d = args.genus, args.degree
     if g < 0 or d < 1:
-        return _fail_invalid(
-            {"error": "genus must be >= 0 and degree >= 1"}
-        )
+        return _invalid(error="genus must be >= 0 and degree >= 1")
     value = hurwitz_value(g, d, args.method)
-    _print_json({
+    return {
         "status": "ok",
         "genus": g,
         "degree": d,
         "branch_points": branch_count(g, d),
         "method": args.method,
         "value": format_rational(value),
-    })
-    return EXIT_OK
+    }
 
 
 def _render_table(rows, fmt):
@@ -91,38 +91,32 @@ def _render_table(rows, fmt):
     return "\n".join(lines)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> dict | str:
     g_max, d_max = args.gmax, args.dmax
     if g_max < 0 or d_max < 1:
-        return _fail_invalid(
-            {"error": "gmax must be >= 0 and dmax >= 1"}
-        )
+        return _invalid(error="gmax must be >= 0 and dmax >= 1")
     method = Method(args.method)
     table = build_table(g_max, d_max, method)
     rows = [
         (g, d, branch_count(g, d), format_rational(values[method]))
         for (g, d), values in table.items()
     ]
-    if args.format == "json":
-        _print_json({
-            "status": "ok",
-            "method": args.method,
-            "cells": [
-                {"genus": g, "degree": d, "branch_points": r, "value": v}
-                for g, d, r, v in rows
-            ],
-        })
-    else:
-        print(_render_table(rows, args.format))
-    return EXIT_OK
+    if args.format != "json":
+        return _render_table(rows, args.format)
+    return {
+        "status": "ok",
+        "method": args.method,
+        "cells": [
+            {"genus": g, "degree": d, "branch_points": r, "value": v}
+            for g, d, r, v in rows
+        ],
+    }
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args) -> dict:
     g_max, d_max = args.gmax, args.dmax
     if g_max < 0 or d_max < 1:
-        return _fail_invalid(
-            {"error": "gmax must be >= 0 and dmax >= 1"}
-        )
+        return _invalid(error="gmax must be >= 0 and dmax >= 1")
     cells = [
         {
             "genus": g,
@@ -134,58 +128,39 @@ def _cmd_crosscheck(args) -> int:
         for (g, d), values in build_table(g_max, d_max).items()
     ]
     status = "ok" if all(cell["agree"] for cell in cells) else "mismatch"
-    _print_json({"status": status, "cells": cells})
-    return _STATUS_EXIT[status]
+    return {"status": status, "cells": cells}
 
 
-def _cmd_branch_divisor(args) -> int:
+def _cmd_branch_divisor(args) -> dict:
     from . import stablemap  # the only command that needs it
 
-    # Loading and evaluating a graph allocate an object or more per JSON
-    # value but make no reference cycles, so a cyclic collection finds
-    # nothing to free; on a 10,000-component graph its passes took a
-    # quarter of the command's time. The collector is off until the
-    # command ends.
-    collecting = gc.isenabled()
-    gc.disable()
-    limit = sys.get_int_max_str_digits()
     try:
-        try:
-            graph = stablemap.load_graph(args.input)
-        except FileNotFoundError:
-            return _fail_invalid({"error": f"no such file: {args.input}"})
-        except stablemap.GraphFormatError as exc:
-            return _fail_invalid({"error": str(exc)})
-        # the digit limit guarded the JSON input; the genera it let
-        # through, and the values derived from them, print in full
-        sys.set_int_max_str_digits(0)
-        try:
-            divisor = stablemap.branch_divisor(graph)
-        except stablemap.InvalidGraphError as exc:
-            return _fail_invalid({"violations": exc.violations})
-        # branch_divisor has validated the graph, connectedness included,
-        # so the genus formula applies without a second check
-        source_genus = stablemap._genus(graph)
-        expected = stablemap._degree_law(graph, source_genus)
-        degree = sum(divisor.values())
-        degree_ok = degree == expected
-        status = "ok" if degree_ok else "mismatch"
-        _print_json({
-            "status": status,
-            "target_genus": graph.target_genus,
-            "map_degree": stablemap.total_degree(graph),
-            "source_genus": source_genus,
-            "divisor": divisor,
-            "divisor_degree": degree,
-            "expected_degree": expected,
-            "degree_check": "ok" if degree_ok else "mismatch",
-            "effective": all(c >= 0 for c in divisor.values()),
-        })
-    finally:
-        sys.set_int_max_str_digits(limit)
-        if collecting:
-            gc.enable()
-    return _STATUS_EXIT[status]
+        graph = stablemap.load_graph(args.input)
+    except FileNotFoundError:
+        return _invalid(error=f"no such file: {args.input}")
+    except stablemap.GraphFormatError as exc:
+        return _invalid(error=str(exc))
+    try:
+        divisor = stablemap.branch_divisor(graph)
+    except stablemap.InvalidGraphError as exc:
+        return _invalid(violations=exc.violations)
+    # branch_divisor has validated the graph, connectedness included,
+    # so the genus formula applies without a second check
+    source_genus = stablemap._genus(graph)
+    expected = stablemap._degree_law(graph, source_genus)
+    degree = sum(divisor.values())
+    degree_ok = degree == expected
+    return {
+        "status": "ok" if degree_ok else "mismatch",
+        "target_genus": graph.target_genus,
+        "map_degree": stablemap.total_degree(graph),
+        "source_genus": source_genus,
+        "divisor": divisor,
+        "divisor_degree": degree,
+        "expected_degree": expected,
+        "degree_check": "ok" if degree_ok else "mismatch",
+        "effective": all(c >= 0 for c in divisor.values()),
+    }
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -244,16 +219,35 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # no run makes reference cycles; on a 10,000-component branch-divisor
+    # graph the collector's passes took a quarter of the time
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.handler(args)
-    except MethodNotApplicableError as exc:  # a method refused a cell
-        return _fail_invalid({"error": str(exc)})
-    except Exception as exc:  # any handler fault ends in documented JSON
-        import traceback
-        traceback.print_exc()
-        _print_json({"status": "error",
-                     "error": f"{type(exc).__name__}: {exc}"})
-        return EXIT_ERROR
+        try:
+            result = args.handler(args)
+        except MethodNotApplicableError as exc:  # a method refused a cell
+            result = _invalid(error=str(exc))
+        except Exception as exc:  # any handler fault ends in documented JSON
+            import traceback
+            traceback.print_exc()
+            result = {"status": "error",
+                      "error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(result, str):  # a text or CSV table
+            print(result)
+            return EXIT_OK
+        # all input is parsed by now, so the values print in full
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(result, indent=2, sort_keys=True)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        print(text)
+        return _STATUS_EXIT[result["status"]]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

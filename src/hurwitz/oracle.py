@@ -13,10 +13,10 @@ from fractions import Fraction
 from math import factorial
 
 # guarded enumeration bound. The state count (Python 3.11, one core of a
-# 2-CPU Xeon) takes 0.045 s for (1,5) r=10, 0.42 s for (0,6) r=10 and
-# 0.61 s for (1,6) r=12, so cost alone would allow more; the bound
-# stays because it decides which cells applicable_methods gives the
-# oracle, and with them the crosscheck output
+# 2-CPU Xeon, min of 3) takes 0.015 s for (1,5) r=10, 0.17 s for (0,6)
+# r=10 and 0.24 s for (1,6) r=12, so cost alone would allow more; the
+# bound stays because it decides which cells applicable_methods gives
+# the oracle, and with them the crosscheck output
 MAX_DEGREE = 5
 MAX_BRANCH_POINTS = 10
 
@@ -25,20 +25,6 @@ BACKEND = "python"
 
 class OracleBoundError(ValueError):
     """Requested enumeration exceeds the guarded brute-force bound."""
-
-
-def _swaps_to_identity(perm) -> int:
-    """Fewest transpositions whose product is perm: letters minus cycles."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return len(perm) - cycles
 
 
 def count_factorizations(d: int, r: int) -> tuple[int, int]:
@@ -58,18 +44,13 @@ def count_factorizations(d: int, r: int) -> tuple[int, int]:
     start = tuple(range(d))
     # state: (product, block of each letter named by its smallest letter)
     states = {(start, start): 1}
-    for step in range(r):
-        left = r - step - 1
+    for _ in range(r):
         reached = {}
         for (perm, blocks), count in states.items():
             for i, j in pairs:
                 p = list(perm)
                 p[i], p[j] = p[j], p[i]
                 p = tuple(p)
-                # drop a product that needs more swaps than slots left;
-                # it needs at most d - 1, so only test near the end
-                if left < d - 1 and _swaps_to_identity(p) > left:
-                    continue
                 a, b = blocks[i], blocks[j]
                 if a != b:
                     lo, hi = min(a, b), max(a, b)

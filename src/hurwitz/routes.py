@@ -32,11 +32,16 @@ class MethodNotApplicableError(ValueError):
 
 def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
     """Number of simple branch points forced on a connected cover:
-    2*genus - 2 - degree*(2*target_genus - 2).
+    2*genus - 2 - degree*(2*target_genus - 2). Raises ValueError where
+    that is negative, since no such cover exists.
     """
     if genus < 0 or degree < 1 or target_genus < 0:
         raise ValueError("genus and target_genus must be >= 0, degree >= 1")
-    return 2 * genus - 2 - degree * (2 * target_genus - 2)
+    r = 2 * genus - 2 - degree * (2 * target_genus - 2)
+    if r < 0:
+        raise ValueError("no connected cover: 2*genus - 2 < "
+                         "degree*(2*target_genus - 2)")
+    return r
 
 
 def _check_cell(g: int, d: int) -> None:

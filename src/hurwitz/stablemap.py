@@ -23,7 +23,8 @@ in-process) `hurwitz branch-divisor` takes about 65 ms at 2,500
 components and 310 ms at 10,000, of which `validate` is 16 ms and
 95 ms. As a library call with the cyclic garbage collector on,
 `load_graph` alone takes 48 ms and 330 ms: the collector's passes over
-the growing heap free nothing here, so the command turns it off.
+the growing heap free nothing here, so the CLI runs every command with
+it off.
 """
 
 from __future__ import annotations

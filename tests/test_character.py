@@ -148,3 +148,8 @@ class TestBranchCount:
             branch_count(0, 0)
         with pytest.raises(ValueError):
             branch_count(0, 2, target_genus=-1)
+        # Riemann-Hurwitz: no connected cover has negative branching
+        with pytest.raises(ValueError):
+            branch_count(0, 2, target_genus=1)
+        with pytest.raises(ValueError):
+            branch_count(1, 2, target_genus=2)

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, and determinism."""
 
+import gc
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hurwitz
@@ -520,13 +521,36 @@ def _crosscheck_argv():
     )
 
 
+# the three fixtures, a missing path and a directory
+_BRANCH_DIVISOR_ARGV = [
+    ["branch-divisor", "--input", str(path)] for path in (
+        FIXTURES / "identity_map.json", FIXTURES / "elliptic_tail.json",
+        FIXTURES / "unstable_tail.json", FIXTURES / "missing.json",
+        FIXTURES,
+    )
+]
+
+
 class TestArgumentSpace:
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(_compute_argv(), _table_argv(), _crosscheck_argv()))
+    @given(st.one_of(_compute_argv(), _table_argv(), _crosscheck_argv(),
+                     st.sampled_from(_BRANCH_DIVISOR_ARGV)))
+    @example(_BRANCH_DIVISOR_ARGV[0])
+    @example(_BRANCH_DIVISOR_ARGV[1])
+    @example(_BRANCH_DIVISOR_ARGV[2])
+    @example(_BRANCH_DIVISOR_ARGV[3])
+    @example(_BRANCH_DIVISOR_ARGV[4])
     def test_every_run_ends_in_a_documented_exit(self, argv):
+        # a caller with the collector on, as an interpreter starts; the
+        # next test pins a caller that had turned it off
+        gc.enable()
+        limit = sys.get_int_max_str_digits()
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(argv)
+        # main restores the caller's collector setting and digit limit
+        assert gc.isenabled()
+        assert sys.get_int_max_str_digits() == limit
         assert code in (EXIT_OK, EXIT_INVALID)
         text = out.getvalue()
         if argv[-1] in ("aligned-text", "csv") and code == EXIT_OK:
@@ -536,6 +560,24 @@ class TestArgumentSpace:
         assert isinstance(payload, dict)
         assert payload["status"] == {EXIT_OK: "ok",
                                      EXIT_INVALID: "invalid-input"}[code]
+
+
+def test_main_leaves_a_disabled_collector_off(monkeypatch):
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["compute", "-g", "1", "-d", "3"]) == EXIT_OK
+        assert not gc.isenabled()
+        assert main(["branch-divisor", "--input",
+                     str(FIXTURES / "elliptic_tail.json")]) == EXIT_OK
+        assert not gc.isenabled()
+        monkeypatch.setattr(recursion, "h0_closed", lambda d: 1 / 0)
+        assert main(["compute", "-g", "0", "-d", "3",
+                     "--method", "closed-form"]) == EXIT_ERROR
+        assert not gc.isenabled()
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class TestDeterminism:
