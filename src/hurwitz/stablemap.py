@@ -324,24 +324,19 @@ class _Fault(Exception):
     formatted unless a check fails."""
 
 
-def _str_field(data: dict, key: str) -> str:
+_KIND_TEXT = {str: "a nonempty string", int: "an integer", list: "a list"}
+
+
+def _field(data: dict, key: str, kind: type):
     try:
         value = data[key]
     except KeyError:
         raise _Fault(f": missing field '{key}'") from None
-    if isinstance(value, str) and value:
+    # a string must be nonempty; a bool is an int, but not an integer here
+    if isinstance(value, kind) and (value if kind is str else
+                                    value is not True and value is not False):
         return value
-    raise _Fault(f": field '{key}' must be a nonempty string")
-
-
-def _int_field(data: dict, key: str) -> int:
-    try:
-        value = data[key]
-    except KeyError:
-        raise _Fault(f": missing field '{key}'") from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise _Fault(f": field '{key}' must be an integer")
+    raise _Fault(f": field '{key}' must be {_KIND_TEXT[kind]}")
 
 
 def _check_object(data, allowed: frozenset[str]) -> None:
@@ -353,41 +348,43 @@ def _check_object(data, allowed: frozenset[str]) -> None:
         raise _Fault(f": unknown field '{key}'")
 
 
-def _ramification_from_list(raw) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    if not isinstance(raw, list):
-        raise _Fault(": field 'ramification' must be a list")
-    ramification = []
-    for j, entry in enumerate(raw):
-        try:
-            _check_object(entry, _PROFILE_KEYS)
-            point = _str_field(entry, "point")
-            profile = entry.get("profile")
-            if not (isinstance(profile, list) and profile and all(
-                    isinstance(e, int) and not isinstance(e, bool)
-                    for e in profile)):
-                raise _Fault(
-                    ": field 'profile' must be a nonempty list of integers"
-                )
-        except _Fault as fault:
-            raise _Fault(f".ramification[{j}]{fault}") from None
-        ramification.append((point, tuple(profile)))
-    return tuple(ramification)
+def _parse_list(raw: list, parse, name: str) -> tuple:
+    parsed = []
+    try:
+        for entry in raw:
+            parsed.append(parse(entry))
+    except _Fault as fault:
+        # the failing entry's index is the number parsed before it
+        raise _Fault(f"{name}[{len(parsed)}]{fault}") from None
+    return tuple(parsed)
+
+
+def _profile_from_dict(data) -> tuple[str, tuple[int, ...]]:
+    _check_object(data, _PROFILE_KEYS)
+    point = _field(data, "point", str)
+    profile = data.get("profile")
+    if isinstance(profile, list) and profile and all(
+            isinstance(e, int) and not isinstance(e, bool) for e in profile):
+        return point, tuple(profile)
+    raise _Fault(": field 'profile' must be a nonempty list of integers")
 
 
 def _component_from_dict(data) -> Component:
     if not isinstance(data, dict):
         raise _Fault(": expected an object")
-    kind = _str_field(data, "kind")
-    cid = _str_field(data, "id")
-    genus = _int_field(data, "genus")
+    kind = _field(data, "kind", str)
+    cid = _field(data, "id", str)
+    genus = _field(data, "genus", int)
     if kind == "dominant":
         _check_object(data, _DOMINANT_KEYS)
-        degree = _int_field(data, "degree")
-        return DominantComponent(cid, genus, degree, _ramification_from_list(
-            data.get("ramification", [])))
+        degree = _field(data, "degree", int)
+        raw = (_field(data, "ramification", list)
+               if "ramification" in data else ())
+        return DominantComponent(cid, genus, degree, _parse_list(
+            raw, _profile_from_dict, ".ramification"))
     if kind == "contracted":
         _check_object(data, _CONTRACTED_KEYS)
-        return ContractedComponent(cid, genus, _str_field(data, "image"))
+        return ContractedComponent(cid, genus, _field(data, "image", str))
     raise _Fault(f": kind must be 'dominant' or 'contracted', not {kind!r}")
 
 
@@ -399,18 +396,8 @@ def _node_from_dict(data) -> Node:
     if isinstance(branches, list) and len(branches) == 2:
         a, b = branches
         if isinstance(a, str) and a and isinstance(b, str) and b:
-            return Node((a, b), _str_field(data, "image"))
+            return Node((a, b), _field(data, "image", str))
     raise _Fault(": field 'branches' must be a pair of component ids")
-
-
-def _parse_list(raw: list, parse, name: str) -> tuple:
-    parsed = []
-    for index, entry in enumerate(raw):
-        try:
-            parsed.append(parse(entry))
-        except _Fault as fault:
-            raise GraphFormatError(f"{name}[{index}]{fault}") from None
-    return tuple(parsed)
 
 
 def graph_from_dict(data) -> StableMapGraph:
@@ -422,22 +409,19 @@ def graph_from_dict(data) -> StableMapGraph:
     """
     try:
         _check_object(data, _TOP_KEYS)
-        target_genus = _int_field(data, "target_genus")
-        if "components" not in data:
-            raise _Fault(": missing field 'components'")
-        raw_components = data["components"]
-        if not isinstance(raw_components, list):
-            raise _Fault(": field 'components' must be a list")
-        raw_nodes = data.get("nodes", [])
-        if not isinstance(raw_nodes, list):
-            raise _Fault(": field 'nodes' must be a list")
+        target_genus = _field(data, "target_genus", int)
+        raw_components = _field(data, "components", list)
+        raw_nodes = _field(data, "nodes", list) if "nodes" in data else ()
     except _Fault as fault:
         raise GraphFormatError(f"top level{fault}") from None
-    return StableMapGraph(
-        target_genus,
-        _parse_list(raw_components, _component_from_dict, "components"),
-        _parse_list(raw_nodes, _node_from_dict, "nodes"),
-    )
+    try:
+        return StableMapGraph(
+            target_genus,
+            _parse_list(raw_components, _component_from_dict, "components"),
+            _parse_list(raw_nodes, _node_from_dict, "nodes"),
+        )
+    except _Fault as fault:
+        raise GraphFormatError(str(fault)) from None
 
 
 def graph_to_dict(graph: StableMapGraph) -> dict:
@@ -445,24 +429,16 @@ def graph_to_dict(graph: StableMapGraph) -> dict:
     components = []
     for comp in graph.components:
         if isinstance(comp, DominantComponent):
-            entry = {
-                "kind": "dominant",
-                "id": comp.id,
-                "genus": comp.genus,
-                "degree": comp.degree,
-            }
+            entry = {"kind": "dominant", **comp._asdict()}
             if comp.ramification:
                 entry["ramification"] = [
                     {"point": point, "profile": list(profile)}
                     for point, profile in comp.ramification
                 ]
+            else:
+                del entry["ramification"]
         else:
-            entry = {
-                "kind": "contracted",
-                "id": comp.id,
-                "genus": comp.genus,
-                "image": comp.image,
-            }
+            entry = {"kind": "contracted", **comp._asdict()}
         components.append(entry)
     return {
         "target_genus": graph.target_genus,

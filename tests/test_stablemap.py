@@ -457,6 +457,11 @@ class TestJsonFormat:
         for _ in range(20):
             graph = random_valid_graph(rng)
             assert graph_from_dict(graph_to_dict(graph)) == graph
+        # the bytes too: key order, and no empty ramification list
+        for path in sorted(FIXTURES.glob("*.json")):
+            with open(path, encoding="utf-8") as handle:
+                expected = json.dumps(json.load(handle))
+            assert json.dumps(graph_to_dict(load_graph(path))) == expected
 
     def test_shape_errors(self):
         good = graph_to_dict(two_sheets())
@@ -658,7 +663,34 @@ FIRST_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("data, message", FORMAT_ERRORS + FIRST_FAULTS)
+# a bool is not an integer, an empty string is not a nonempty string, and
+# a bool is not a list (kept after the lists above, whose parameter ids
+# are numbered by position)
+TYPE_RULES = [
+    (edited(lambda d: dominant(d).update(genus=True)),
+     "components[0]: field 'genus' must be an integer"),
+    (edited(lambda d: dominant(d).update(degree=False)),
+     "components[0]: field 'degree' must be an integer"),
+    (edited(lambda d: contracted(d).update(id="")),
+     "components[1]: field 'id' must be a nonempty string"),
+    (edited(lambda d: contracted(d).update(image="")),
+     "components[1]: field 'image' must be a nonempty string"),
+    (edited(lambda d: entry(d).update(point="")),
+     "components[0].ramification[1]: field 'point' must be a nonempty "
+     "string"),
+    (edited(lambda d: node(d).update(image="")),
+     "nodes[0]: field 'image' must be a nonempty string"),
+    (edited(lambda d: d.update(components=False)),
+     "top level: field 'components' must be a list"),
+    (edited(lambda d: d.update(nodes=True)),
+     "top level: field 'nodes' must be a list"),
+    (edited(lambda d: dominant(d).update(ramification=False)),
+     "components[0]: field 'ramification' must be a list"),
+]
+
+
+@pytest.mark.parametrize("data, message",
+                         FORMAT_ERRORS + FIRST_FAULTS + TYPE_RULES)
 def test_format_errors_are_worded_exactly(data, message):
     with pytest.raises(GraphFormatError) as info:
         graph_from_dict(data)
