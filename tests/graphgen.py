@@ -8,10 +8,15 @@ components that touch share an image point, and repairs stability by
 attaching extra nodes. The validate call at the end is the generator's
 own guard: everything returned is a valid graph by construction.
 
+`mutate_document` makes the invalid side: a seeded copy of a graph
+document with a few edits at random places, for tests that pin how
+every fault reads.
+
 Only integer randomness is used, so a seeded random.Random reproduces
-the same graphs on every run.
+the same graphs and documents on every run.
 """
 
+import copy
 import random
 
 from hurwitz.partitions import enumerate_partitions
@@ -169,3 +174,47 @@ def random_valid_graph(rng: random.Random) -> StableMapGraph:
     if problems:
         raise AssertionError(f"generator produced an invalid graph: {problems}")
     return graph
+
+
+# values a mutation may put in place of any field, entry or document
+ODD_VALUES = (None, True, False, 0, 1, -1, 2, 1.5, "", "p", "q1", "A",
+              [], [2], [1, 1], ["A", "B"], {}, {"point": "q"})
+
+
+def _slots(container):
+    # (container, key) for every dict field and list entry, in document
+    # order, depth first
+    keys = container if isinstance(container, dict) else range(len(container))
+    for key in list(keys):
+        yield container, key
+        if isinstance(container[key], (dict, list)):
+            yield from _slots(container[key])
+
+
+def mutate_document(data, rng: random.Random):
+    """A copy of the JSON document `data` with one to three edits, each
+    at a random field or list entry: delete it, replace it by a value
+    from ODD_VALUES, nudge an integer by one, duplicate a list entry,
+    add an unknown field beside it, or copy another slot's value into
+    it. The document itself may be replaced too.
+    """
+    box = [copy.deepcopy(data)]
+    for _ in range(rng.randint(1, 3)):
+        slots = list(_slots(box))
+        container, key = rng.choice(slots)
+        value = container[key]
+        edit = rng.randrange(6)
+        if edit == 0 and container is not box:
+            del container[key]
+        elif edit == 2 and type(value) is int:
+            container[key] = value + rng.choice((-1, 1))
+        elif edit == 3 and isinstance(container, list) and container is not box:
+            container.insert(key, copy.deepcopy(value))
+        elif edit == 4 and isinstance(container, dict):
+            container["extra"] = rng.choice(ODD_VALUES)
+        elif edit == 5:
+            source, other = rng.choice(slots)
+            container[key] = copy.deepcopy(source[other])
+        else:
+            container[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+    return box[0]
