@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitz import intersection, oracle
 from hurwitz.character import connected_hurwitz
 from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
@@ -186,3 +187,31 @@ class TestTable:
             build_table(-1, 2, Method.CHARACTER)
         with pytest.raises(ValueError):
             build_table(0, 0, Method.CHARACTER)
+
+    # the first cell in (g, d) order that each method refuses comes after
+    # cells it covers, so a table that computed before refusing would
+    # call the route first
+    @pytest.mark.parametrize("g_max, d_max, method, message", [
+        (0, 7, Method.ORACLE,
+         "oracle bound exceeded: d=6, r=10 (limits: d <= 5, r <= 10)"),
+        (0, 41, Method.ELSV_G0,
+         "intersection bound exceeded: d=41 (limit: d <= 40)"),
+        (3, 150, Method.RECURSION,
+         "no recursion is available for genus 3 "
+         "(recursions stop at genus 2)"),
+    ], ids=["oracle", "elsv-g0", "recursion"])
+    def test_refuses_before_computing(self, monkeypatch, g_max, d_max,
+                                      method, message):
+        calls = []
+        monkeypatch.setattr(oracle, "count_factorizations",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(intersection, "psi_integral_genus0",
+                            lambda *args: calls.append(args))
+        cached = (h0_closed, h0_recursion, h1_recursion, h2_recursion)
+        for func in cached:
+            func.cache_clear()
+        with pytest.raises(MethodNotApplicableError) as refused:
+            build_table(g_max, d_max, method)
+        assert str(refused.value) == message
+        assert calls == []
+        assert [func.cache_info().currsize for func in cached] == [0] * 4
