@@ -18,15 +18,24 @@ from math import factorial
 # pinned values for them
 DEGENERATE_DEGREES = {1: Fraction(1), 2: Fraction(1, 2)}
 
-# guarded degree bound. The sum has p(d-3) terms, so its cost grows
-# faster than any polynomial in d: elsv_genus0 takes 0.20 s at d=35,
-# 0.63 s at d=40, 1.8 s at d=45 and 29.5 s at d=60 (Python 3.11, one
-# core of a 2-CPU Xeon)
+# guarded degree bound, which check_bound enforces. The sum has p(d-3)
+# terms, so its cost grows faster than any polynomial in d: elsv_genus0
+# takes 0.20 s at d=35, 0.63 s at d=40, 1.8 s at d=45 and 29.5 s at
+# d=60 (Python 3.11, one core of a 2-CPU Xeon)
 MAX_DEGREE = 40
 
 
 class IntersectionBoundError(ValueError):
     """Requested degree exceeds the guarded bound of the psi-integral sum."""
+
+
+def check_bound(d: int) -> None:
+    """Raise IntersectionBoundError, naming the limit, when d exceeds
+    MAX_DEGREE."""
+    if d > MAX_DEGREE:
+        raise IntersectionBoundError(
+            f"intersection bound exceeded: d={d} (limit: d <= {MAX_DEGREE})"
+        )
 
 
 def psi_integral_genus0(exponents: tuple[int, ...]) -> int:
@@ -76,17 +85,14 @@ def elsv_genus0(d: int) -> Fraction:
     of the distinct exponents.
 
     The formula needs d >= 3; degrees 1 and 2 return their pinned
-    values from DEGENERATE_DEGREES. Degrees above MAX_DEGREE raise
+    values from DEGENERATE_DEGREES. Degrees outside check_bound raise
     IntersectionBoundError.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
+    check_bound(d)
     if d in DEGENERATE_DEGREES:
         return DEGENERATE_DEGREES[d]
-    if d > MAX_DEGREE:
-        raise IntersectionBoundError(
-            f"intersection bound exceeded: d={d} (limit: d <= {MAX_DEGREE})"
-        )
     total = 0
     for exponents in _exponent_multisets(d - 3, d):
         arrangements = factorial(d)

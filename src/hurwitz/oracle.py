@@ -12,11 +12,12 @@ involved; this is still enumeration over the group.
 from fractions import Fraction
 from math import factorial
 
-# guarded enumeration bound. The state count (Python 3.11, one core of a
-# 2-CPU Xeon, min of 3) takes 0.015 s for (1,5) r=10, 0.17 s for (0,6)
-# r=10 and 0.24 s for (1,6) r=12, so cost alone would allow more; the
-# bound stays because it decides which cells applicable_methods gives
-# the oracle, and with them the crosscheck output
+# guarded enumeration bound, which check_bound enforces. The state
+# count (Python 3.11, one core of a 2-CPU Xeon, min of 3) takes 0.015 s
+# for (1,5) r=10, 0.17 s for (0,6) r=10 and 0.24 s for (1,6) r=12, so
+# cost alone would allow more; the bound stays because it decides which
+# cells applicable_methods gives the oracle, and with them the
+# crosscheck output
 MAX_DEGREE = 5
 MAX_BRANCH_POINTS = 10
 
@@ -25,6 +26,16 @@ BACKEND = "python"
 
 class OracleBoundError(ValueError):
     """Requested enumeration exceeds the guarded brute-force bound."""
+
+
+def check_bound(d: int, r: int) -> None:
+    """Raise OracleBoundError, naming the limits, unless d <= MAX_DEGREE
+    and r <= MAX_BRANCH_POINTS."""
+    if d > MAX_DEGREE or r > MAX_BRANCH_POINTS:
+        raise OracleBoundError(
+            f"oracle bound exceeded: d={d}, r={r} "
+            f"(limits: d <= {MAX_DEGREE}, r <= {MAX_BRANCH_POINTS})"
+        )
 
 
 def count_factorizations(d: int, r: int) -> tuple[int, int]:
@@ -75,18 +86,13 @@ def oracle_connected(g: int, d: int) -> Fraction:
     the identity and whose transpositions connect all d letters, and
     divide by d!.
 
-    Only inputs with d <= 5 and r <= 10 are accepted; anything larger
-    raises OracleBoundError.
+    A cell outside check_bound raises OracleBoundError.
     """
     if g < 0:
         raise ValueError("g must be a nonnegative integer")
     if d < 1:
         raise ValueError("d must be a positive integer")
     r = 2 * g - 2 + 2 * d
-    if d > MAX_DEGREE or r > MAX_BRANCH_POINTS:
-        raise OracleBoundError(
-            f"oracle bound exceeded: d={d}, r={r} "
-            f"(limits: d <= {MAX_DEGREE}, r <= {MAX_BRANCH_POINTS})"
-        )
+    check_bound(d, r)
     _, transitive = count_factorizations(d, r)
     return Fraction(transitive, factorial(d))

@@ -5,14 +5,15 @@ This is the only module that imports more than one route. The routes
 (character, recursion, intersection, oracle) import none of each other,
 so agreement between them in a cross-check is a real check and not a
 tautology. Each route is imported where it runs, so a command loads
-only the routes it asks for. A cell outside a method's coverage is
-refused with MethodNotApplicableError, whichever route guard found it.
+only the routes it asks for. `_route` alone decides which method covers
+which cell, and refuses the others with MethodNotApplicableError.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 
 class Method(str, Enum):
@@ -51,33 +52,64 @@ def _check_cell(g: int, d: int) -> None:
         raise ValueError("d must be a positive integer")
 
 
-def _covers(g: int, d: int, method: Method) -> bool:
-    # where each method applies, from its route's own bounds and
-    # importing only that route: the character sum everywhere, the
-    # recursions up to genus 2, the closed form at genus 0, the
-    # intersection formula at genus 0 within its degree bound, and the
-    # oracle within its enumeration bound. hurwitz_value refuses exactly
-    # the other cells.
+def _route(g: int, d: int, method: Method):
+    # the zero-argument call that computes H_{g,d} by `method`, importing
+    # only that route and computing nothing, or MethodNotApplicableError.
+    # The genus rules live here alone; each bound lives in its route's
+    # check_bound, whose error gives the refusal its text and __cause__
     if method is Method.CHARACTER:
-        return True
+        from .character import connected_hurwitz
+        return partial(connected_hurwitz, g, d)
     if method is Method.RECURSION:
         from . import recursion
-        return g <= recursion.MAX_RECURSION_GENUS
+        if g > (top := recursion.MAX_RECURSION_GENUS):
+            raise MethodNotApplicableError(
+                f"no recursion is available for genus {g} "
+                f"(recursions stop at genus {top})"
+            )
+        return partial(recursion.RECURSIONS[g], d)
     if method is Method.CLOSED_FORM:
-        return g == 0
+        if g != 0:
+            raise MethodNotApplicableError("closed form is genus 0 only")
+        from .recursion import h0_closed
+        return partial(h0_closed, d)
     if method is Method.ELSV_G0:
+        if g != 0:
+            raise MethodNotApplicableError(
+                "the intersection formula is genus 0 only"
+            )
         from . import intersection
-        return g == 0 and d <= intersection.MAX_DEGREE
+        _within(intersection, intersection.IntersectionBoundError, d)
+        return partial(intersection.elsv_genus0, d)
     from . import oracle
-    return (d <= oracle.MAX_DEGREE
-            and branch_count(g, d) <= oracle.MAX_BRANCH_POINTS)
+    _within(oracle, oracle.OracleBoundError, d, branch_count(g, d))
+    return partial(oracle.oracle_connected, g, d)
+
+
+def _within(route, bound_error: type, *bound) -> None:
+    # the route's check_bound, its error re-raised as the refusal it causes
+    try:
+        route.check_bound(*bound)
+    except bound_error as exc:
+        raise MethodNotApplicableError(str(exc)) from exc
+
+
+def _covering(g: int, d: int) -> dict[Method, partial]:
+    # the call of every method that covers (g, d), in enum order
+    calls = {}
+    for method in Method:
+        try:
+            calls[method] = _route(g, d, method)
+        except MethodNotApplicableError:
+            pass
+    return calls
 
 
 def applicable_methods(g: int, d: int) -> list[Method]:
     """Every method that covers (g, d), in enum order: exactly the
     methods for which hurwitz_value(g, d, method) returns a value."""
     _check_cell(g, d)
-    return [m for m in Method if _covers(g, d, m)]
+    return list(_covering(g, d))
 
 
 def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
@@ -89,38 +121,7 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
     __cause__.
     """
     _check_cell(g, d)
-    method = Method(method)
-    if method is Method.CHARACTER:
-        from .character import connected_hurwitz
-        return connected_hurwitz(g, d)
-    if method is Method.RECURSION:
-        from . import recursion
-        if g > recursion.MAX_RECURSION_GENUS:
-            raise MethodNotApplicableError(
-                f"no recursion is available for genus {g} "
-                f"(recursions stop at genus {recursion.MAX_RECURSION_GENUS})"
-            )
-        return recursion.RECURSIONS[g](d)
-    if method is Method.CLOSED_FORM:
-        if g != 0:
-            raise MethodNotApplicableError("closed form is genus 0 only")
-        from .recursion import h0_closed
-        return h0_closed(d)
-    if method is Method.ELSV_G0:
-        if g != 0:
-            raise MethodNotApplicableError(
-                "the intersection formula is genus 0 only"
-            )
-        from .intersection import IntersectionBoundError, elsv_genus0
-        try:
-            return elsv_genus0(d)
-        except IntersectionBoundError as exc:
-            raise MethodNotApplicableError(str(exc)) from exc
-    from .oracle import OracleBoundError, oracle_connected
-    try:
-        return oracle_connected(g, d)
-    except OracleBoundError as exc:
-        raise MethodNotApplicableError(str(exc)) from exc
+    return _route(g, d, Method(method))()
 
 
 def build_table(
@@ -138,13 +139,10 @@ def build_table(
     """
     _check_cell(g_max, d_max)
     cells = [(g, d) for g in range(g_max + 1) for d in range(1, d_max + 1)]
-    if method is not None:
+    if method is None:
+        calls = {cell: _covering(*cell) for cell in cells}
+    else:
         method = Method(method)
-        for g, d in cells:
-            if not _covers(g, d, method):
-                hurwitz_value(g, d, method)  # raises before computing
-    return {
-        (g, d): {m: hurwitz_value(g, d, m)
-                 for m in ([method] if method else applicable_methods(g, d))}
-        for g, d in cells
-    }
+        calls = {cell: {method: _route(*cell, method)} for cell in cells}
+    return {cell: {m: call() for m, call in row.items()}
+            for cell, row in calls.items()}

@@ -149,6 +149,13 @@ class TestDispatch:
         assert isinstance(refused.value.__cause__, OracleBoundError)
         assert str(refused.value) == str(refused.value.__cause__)
 
+    def test_intersection_bound_is_refused_with_its_cause(self):
+        with pytest.raises(MethodNotApplicableError) as refused:
+            hurwitz_value(0, 41, Method.ELSV_G0)
+        cause = refused.value.__cause__
+        assert isinstance(cause, intersection.IntersectionBoundError)
+        assert str(refused.value) == str(cause)
+
     def test_method_accepts_plain_strings(self):
         assert hurwitz_value(1, 2, "recursion") == Fraction(1, 2)
 
