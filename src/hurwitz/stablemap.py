@@ -362,7 +362,10 @@ def _parse_list(raw: list, parse, name: str) -> tuple:
 def _profile_from_dict(data) -> tuple[str, tuple[int, ...]]:
     _check_object(data, _PROFILE_KEYS)
     point = _field(data, "point", str)
-    profile = data.get("profile")
+    try:
+        profile = data["profile"]
+    except KeyError:
+        raise _Fault(": missing field 'profile'") from None
     if isinstance(profile, list) and profile and all(
             isinstance(e, int) and not isinstance(e, bool) for e in profile):
         return point, tuple(profile)

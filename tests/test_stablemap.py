@@ -588,7 +588,7 @@ FORMAT_ERRORS = [
      "components[0].ramification[1]: field 'point' must be a nonempty "
      "string"),
     (edited(lambda d: entry(d).pop("profile")),
-     f"components[0].ramification[1]: {PROFILE}"),
+     "components[0].ramification[1]: missing field 'profile'"),
     (edited(lambda d: entry(d).update(profile=[])),
      f"components[0].ramification[1]: {PROFILE}"),
     (edited(lambda d: entry(d).update(profile=[True])),
@@ -647,7 +647,7 @@ FIRST_FAULTS = [
     # the first bad entry, and keys before point before profile
     (edited(lambda d: dominant(d).update(ramification=[
         {"point": "q"}, {"point": ""}])),
-     f"components[0].ramification[0]: {PROFILE}"),
+     "components[0].ramification[0]: missing field 'profile'"),
     (edited(lambda d: entry(d).update(extra=1) or entry(d).pop("point")),
      "components[0].ramification[1]: unknown field 'extra'"),
     (edited(lambda d: entry(d).update(point="", profile=None)),
