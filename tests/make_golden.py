@@ -137,11 +137,9 @@ def rebuild() -> dict:
     old = load() if GOLDEN.exists() else {}
     golden = {}
     for key, got in runs():
-        if key.endswith("--help"):
-            golden[key] = {**old.get(key, {}), VERSION: got}
-            golden[key] = dict(sorted(golden[key].items()))
-        else:
-            golden[key] = got
+        if key.endswith("--help"):  # keep the other versions' hashes
+            got = dict(sorted({**old.get(key, {}), VERSION: got}.items()))
+        golden[key] = got
     # one entry a line, so that a diff names exactly the runs that changed
     body = ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}"
                       for key, value in golden.items())
