@@ -145,15 +145,17 @@ def _cmd_branch_divisor(args) -> dict:
     except stablemap.InvalidGraphError as exc:
         return _invalid(violations=exc.violations)
     # branch_divisor has validated the graph, connectedness included,
-    # so the genus formula applies without a second check
+    # so the genus formula applies without a second check, and the
+    # degree law's inputs are in its domain
     source_genus = stablemap._genus(graph)
-    expected = stablemap._degree_law(graph, source_genus)
+    map_degree = stablemap.total_degree(graph)
+    expected = branch_count(source_genus, map_degree, graph.target_genus)
     degree = sum(divisor.values())
     degree_ok = degree == expected
     return {
         "status": "ok" if degree_ok else "mismatch",
         "target_genus": graph.target_genus,
-        "map_degree": stablemap.total_degree(graph),
+        "map_degree": map_degree,
         "source_genus": source_genus,
         "divisor": divisor,
         "divisor_degree": degree,

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-MAX_RECURSION_GENUS = 2
-
 
 def _check_degree(d: int) -> None:
     if d < 1:
@@ -79,7 +77,6 @@ def h1_recursion(d: int) -> Fraction:
     computation independent of the closed form.
     """
     _check_degree(d)
-    _fill_below(h0_recursion, d + 1)
     _fill_below(h1_recursion, d)
     value = Fraction(d, 6) * comb(d, 2) * (2 * d - 1) * h0_recursion(d)
     for i in range(1, d):
@@ -115,7 +112,6 @@ def h2_recursion(d: int) -> Fraction:
     All inputs come from the recursion route.
     """
     _check_degree(d)
-    _fill_below(h1_recursion, d + 1)
     _fill_below(h2_recursion, d)
     value = d ** 2 * (_G2_CUBIC * d - _G2_LINEAR) * h1_recursion(d)
     for i in range(1, d):
@@ -138,5 +134,6 @@ def h2_recursion(d: int) -> Fraction:
     return value
 
 
-# indexed by genus, up to MAX_RECURSION_GENUS
+# indexed by genus
 RECURSIONS = (h0_recursion, h1_recursion, h2_recursion)
+MAX_RECURSION_GENUS = len(RECURSIONS) - 1

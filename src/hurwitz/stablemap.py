@@ -12,19 +12,22 @@ unramified on that component.
 The branch divisor assigns, to each target point, the ramification it
 sees from the dominant components, 2*genus - 2 for each contracted
 component sitting over it, and 2 for each node over it. For a valid
-graph the divisor is effective of degree
-2*genus(source) - 2 - degree*(2*genus(target) - 2).
+graph the divisor is effective, and its degree is the Riemann-Hurwitz
+count `routes.branch_count` gives for the source genus, the map degree
+and the target genus.
 
-Cost: parsing, validation (one union-find pass for connectedness) and
-evaluation each walk the components, profile entries and nodes a fixed
-number of times, so the work is linear in their number. On the
-benchmark's generated graphs (Python 3.11, one core of a 2-CPU Xeon,
-in-process) `hurwitz branch-divisor` takes about 65 ms at 2,500
-components and 310 ms at 10,000, of which `validate` is 16 ms and
-95 ms. As a library call with the cyclic garbage collector on,
-`load_graph` alone takes 48 ms and 330 ms: the collector's passes over
-the growing heap free nothing here, so the CLI runs every command with
-it off.
+Cost: validation and evaluation share one walk over the components,
+profile entries and nodes, which adds each term of the divisor in the
+loop that checks the rules it comes from; with parsing and the one
+union-find pass for connectedness, the work is linear in their number.
+On the benchmark's generated graphs (Python 3.11.7, one core of a shared
+2-CPU Xeon, in-process, median of 15 runs over five seeds)
+`hurwitz branch-divisor` takes about 30 ms at 2,500 components and
+175 ms at 10,000, of which `branch_divisor` is 9 ms and 59 ms. As a
+library call with the cyclic garbage collector on, `load_graph` alone
+takes 20-27 ms and 150-160 ms, against 17-24 ms and 86-105 ms with it
+off: the collector's passes over the growing heap free nothing here, so
+the CLI runs every command with it off.
 """
 
 from __future__ import annotations
@@ -128,18 +131,13 @@ def _full(value, text=str) -> str:
     return str(Decimal(value)) if type(value) is int else text(value)
 
 
-def validate(graph: StableMapGraph) -> list[str]:
-    """Every rule violation in the graph; an empty list means valid.
-
-    Checks, in order: target genus sign, presence and uniqueness of
-    components, node references, connectedness of the dual graph,
-    positivity of the total degree, per-component genus/degree signs,
-    well-formed ramification profiles, Riemann-Hurwitz on each dominant
-    component, stability of contracted components (genus 0 needs at
-    least three node branches, genus 1 at least one), and agreement of
-    node images with contracted-branch images.
-    """
+def _walk(graph: StableMapGraph) -> tuple[list[str], dict[str, int]]:
+    # the rule violations, and the branch divisor's nonzero coefficients.
+    # Each term of the divisor is added in the loop that checks the rules
+    # it comes from; the coefficients mean something only when the
+    # violation list is empty
     violations: list[str] = []
+    coeffs: defaultdict[str, int] = defaultdict(int)
     components, nodes = graph.components, graph.nodes
 
     if graph.target_genus < 0:
@@ -147,18 +145,17 @@ def validate(graph: StableMapGraph) -> list[str]:
 
     if not components:
         violations.append("graph has no components")
-    ids = [c.id for c in components]
-    known = set(ids)
-    if len(known) != len(ids):
-        for cid, count in sorted(Counter(ids).items()):
+    by_id = {c.id: c for c in components}
+    if len(by_id) != len(components):
+        for cid, count in sorted(Counter(c.id for c in components).items()):
             if count > 1:
                 violations.append(f"duplicate component id '{cid}'")
 
     ends = [cid for node in nodes for cid in node.branches]
-    if not known.issuperset(ends):
+    if not by_id.keys() >= set(ends):
         for idx, node in enumerate(nodes):
             for cid in node.branches:
-                if cid not in known:
+                if cid not in by_id:
                     violations.append(
                         f"node {idx} references unknown component '{cid}'"
                     )
@@ -212,6 +209,7 @@ def validate(graph: StableMapGraph) -> list[str]:
                     )
                     profiles_ok = False
                 extra += total - len(profile)
+                coeffs[point] += total - len(profile)
             if profiles_ok and comp.genus >= 0:
                 lhs = 2 * comp.genus - 2
                 rhs = degree * (two_h - 2) + extra
@@ -222,6 +220,7 @@ def validate(graph: StableMapGraph) -> list[str]:
                         f"{Decimal(rhs)})"
                     )
         else:
+            coeffs[comp.image] += 2 * comp.genus - 2
             branches = branch_counts[comp.id]
             if comp.genus == 0 and branches < 3:
                 violations.append(
@@ -235,8 +234,8 @@ def validate(graph: StableMapGraph) -> list[str]:
                     "has no node branches, needs at least 1"
                 )
 
-    by_id = {c.id: c for c in components}
     for idx, node in enumerate(nodes):
+        coeffs[node.image] += 2
         for cid in node.branches:
             comp = by_id.get(cid)
             if isinstance(comp, ContractedComponent) and \
@@ -246,7 +245,21 @@ def validate(graph: StableMapGraph) -> list[str]:
                     f"on '{cid}' is contracted to '{comp.image}'"
                 )
 
-    return violations
+    return violations, {point: c for point, c in coeffs.items() if c}
+
+
+def validate(graph: StableMapGraph) -> list[str]:
+    """Every rule violation in the graph; an empty list means valid.
+
+    Checks, in order: target genus sign, presence and uniqueness of
+    components, node references, connectedness of the dual graph,
+    positivity of the total degree, per-component genus/degree signs,
+    well-formed ramification profiles, Riemann-Hurwitz on each dominant
+    component, stability of contracted components (genus 0 needs at
+    least three node branches, genus 1 at least one), and agreement of
+    node images with contracted-branch images.
+    """
+    return _walk(graph)[0]
 
 
 def _genus(graph: StableMapGraph) -> int:
@@ -255,13 +268,6 @@ def _genus(graph: StableMapGraph) -> int:
         + len(graph.nodes)
         - len(graph.components)
         + 1
-    )
-
-
-def _degree_law(graph: StableMapGraph, source_genus: int) -> int:
-    return (
-        2 * source_genus - 2
-        - total_degree(graph) * (2 * graph.target_genus - 2)
     )
 
 
@@ -277,10 +283,18 @@ def arithmetic_genus(graph: StableMapGraph) -> int:
 
 
 def riemann_hurwitz_degree(graph: StableMapGraph) -> int:
-    """Degree the branch divisor must have:
-    2*genus(source) - 2 - degree*(2*genus(target) - 2).
+    """Degree the branch divisor must have: `routes.branch_count` of the
+    source genus, the map degree and the target genus.
+
+    Raises ValueError, as `arithmetic_genus` and `branch_count` do, on a
+    disconnected graph, on one with no dominant component or a negative
+    genus, and where that degree is negative. Every valid graph is in
+    the domain.
     """
-    return _degree_law(graph, arithmetic_genus(graph))
+    from . import routes  # the degree law is stated there alone
+
+    return routes.branch_count(arithmetic_genus(graph), total_degree(graph),
+                               graph.target_genus)
 
 
 def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
@@ -291,21 +305,12 @@ def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
     sum(e - 1) over each dominant component's profiles, the weight
     2*genus - 2 at the image of each contracted component, and 2 at the
     image of each node. Invalid graphs raise InvalidGraphError carrying
-    the full violation list; they are never evaluated.
+    the full violation list; their divisor is never returned.
     """
-    violations = validate(graph)
+    violations, divisor = _walk(graph)
     if violations:
         raise InvalidGraphError(violations)
-    coeffs: defaultdict[str, int] = defaultdict(int)
-    for comp in graph.components:
-        if isinstance(comp, DominantComponent):
-            for point, profile in comp.ramification:
-                coeffs[point] += sum(profile) - len(profile)
-        else:
-            coeffs[comp.image] += 2 * comp.genus - 2
-    for node in graph.nodes:
-        coeffs[node.image] += 2
-    return {point: c for point, c in coeffs.items() if c}
+    return divisor
 
 
 # keys each JSON object may carry

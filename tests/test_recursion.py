@@ -17,8 +17,8 @@ import pytest
 from hurwitz import intersection, oracle
 from hurwitz.character import connected_hurwitz
 from hurwitz.oracle import OracleBoundError
-from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
-    h2_recursion
+from hurwitz.recursion import RECURSIONS, h0_closed, h0_recursion, \
+    h1_recursion, h2_recursion
 from hurwitz.routes import (
     Method,
     MethodNotApplicableError,
@@ -105,23 +105,26 @@ class TestGenusTwo:
 class TestStackDepth:
     def test_recursions_do_not_recurse_d_levels_deep(self):
         # d is far above the lowered limit; a memoised top-down recursion
-        # needs about d nested calls and raises RecursionError here
+        # needs about d nested calls and raises RecursionError here. Each
+        # recursion starts with all three caches empty, genus 2 first, so
+        # every lower recursion it needs is filled cold under the limit
         d = 150
         depth = 0
         frame = sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
-        for func in (h0_recursion, h1_recursion, h2_recursion):
-            func.cache_clear()
+        values = {}
         sys.setrecursionlimit(depth + 50)
         try:
-            values = [func(d) for func in
-                      (h0_recursion, h1_recursion, h2_recursion)]
+            for func in (h2_recursion, h1_recursion, h0_recursion):
+                for cached in RECURSIONS:
+                    cached.cache_clear()
+                values[func] = func(d)
         finally:
             sys.setrecursionlimit(limit)
-        assert values[0] == h0_closed(d)
-        assert all(value > 0 for value in values)
+        assert values[h0_recursion] == h0_closed(d)
+        assert all(value > 0 for value in values.values())
 
 
 class TestDispatch:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from graphgen import random_valid_graph
+from graphgen import mutate_document, random_valid_graph
 from hurwitz.cli import main
+from hurwitz.routes import branch_count
 from hurwitz.stablemap import (
     ContractedComponent,
     DominantComponent,
@@ -323,36 +324,39 @@ def connected_by_search(graph):
     return len(seen) == len(ids)
 
 
-class TestConnectivity:
-    def perturbed(self, rng, graph):
-        components = list(graph.components)
-        nodes = list(graph.nodes)
-        for _ in range(rng.randint(1, 4)):
-            move = rng.randrange(5)
-            ids = [c.id for c in components]
-            if move == 0 and nodes:  # cut a node, maybe a bridge
-                nodes.pop(rng.randrange(len(nodes)))
-            elif move == 1:  # an isolated component
-                components.append(DominantComponent(
-                    f"Z{len(components)}", 0, 1))
-            elif move == 2:  # a node naming an unknown id
-                nodes.append(Node((rng.choice(ids), "ghost"), "p"))
-            elif move == 3:  # a self-node
-                cid = rng.choice(ids)
-                nodes.append(Node((cid, cid), "p"))
-            elif rng.randrange(4) == 0:  # a repeated id
-                components.append(rng.choice(components))
-            else:  # a node joining two known components
-                nodes.append(Node((rng.choice(ids), rng.choice(ids)), "p"))
-        rng.shuffle(nodes)
-        return graph._replace(components=tuple(components),
-                              nodes=tuple(nodes))
+def perturbed(rng, graph):
+    """A copy of the graph with one to four random edits to its
+    components and nodes; the result may or may not be connected."""
+    components = list(graph.components)
+    nodes = list(graph.nodes)
+    for _ in range(rng.randint(1, 4)):
+        move = rng.randrange(5)
+        ids = [c.id for c in components]
+        if move == 0 and nodes:  # cut a node, maybe a bridge
+            nodes.pop(rng.randrange(len(nodes)))
+        elif move == 1:  # an isolated component
+            components.append(DominantComponent(
+                f"Z{len(components)}", 0, 1))
+        elif move == 2:  # a node naming an unknown id
+            nodes.append(Node((rng.choice(ids), "ghost"), "p"))
+        elif move == 3:  # a self-node
+            cid = rng.choice(ids)
+            nodes.append(Node((cid, cid), "p"))
+        elif rng.randrange(4) == 0:  # a repeated id
+            components.append(rng.choice(components))
+        else:  # a node joining two known components
+            nodes.append(Node((rng.choice(ids), rng.choice(ids)), "p"))
+    rng.shuffle(nodes)
+    return graph._replace(components=tuple(components),
+                          nodes=tuple(nodes))
 
+
+class TestConnectivity:
     def test_matches_breadth_first_reference(self):
         rng = random.Random(4242)
         verdicts = Counter()
         for _ in range(300):
-            graph = self.perturbed(rng, random_valid_graph(rng))
+            graph = perturbed(rng, random_valid_graph(rng))
             connected = connected_by_search(graph)
             verdicts[connected] += 1
             assert ("dual graph is disconnected" not in validate(graph)) \
@@ -398,6 +402,23 @@ class TestGenusAndDegree:
             arithmetic_genus(graph)
 
 
+def reference_divisor(graph):
+    """Reference: the three terms summed in a walk of their own over the
+    components, profiles and nodes, zero coefficients dropped."""
+    coeffs = {}
+    for comp in graph.components:
+        if isinstance(comp, DominantComponent):
+            for point, profile in comp.ramification:
+                coeffs[point] = coeffs.get(point, 0) + sum(profile) \
+                    - len(profile)
+        else:
+            coeffs[comp.image] = coeffs.get(comp.image, 0) \
+                + 2 * comp.genus - 2
+    for node in graph.nodes:
+        coeffs[node.image] = coeffs.get(node.image, 0) + 2
+    return {point: c for point, c in coeffs.items() if c}
+
+
 class TestBranchDivisor:
     def test_smooth_cover(self):
         div = branch_divisor(two_sheets())
@@ -432,6 +453,44 @@ class TestBranchDivisor:
         with pytest.raises(InvalidGraphError) as info:
             branch_divisor(two_sheets(tail_genus=0))
         assert any("contracted genus-0" in v for v in info.value.violations)
+
+    def test_matches_the_reference_on_valid_graphs(self):
+        rng = random.Random(1999)
+        graphs = [random_valid_graph(rng) for _ in range(200)]
+        graphs += [load_graph(FIXTURES / f"{name}.json")
+                   for name in ("identity_map", "elliptic_tail")]
+        for graph in graphs:
+            divisor = branch_divisor(graph)
+            assert divisor == reference_divisor(graph)
+            # the CLI prints the points in this order
+            assert list(divisor) == list(reference_divisor(graph))
+        unstable = load_graph(FIXTURES / "unstable_tail.json")
+        with pytest.raises(InvalidGraphError) as info:
+            branch_divisor(unstable)
+        assert info.value.violations == validate(unstable) != []
+
+    def test_raises_exactly_when_validate_objects(self):
+        rng = random.Random(4242)
+        graphs = [perturbed(rng, random_valid_graph(rng)) for _ in range(300)]
+        source = json.loads(
+            (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
+        for seed in range(300):
+            try:
+                graphs.append(graph_from_dict(
+                    mutate_document(source, random.Random(seed))))
+            except GraphFormatError:
+                pass
+        verdicts = Counter()
+        for graph in graphs:
+            violations = validate(graph)
+            verdicts[bool(violations)] += 1
+            if violations:
+                with pytest.raises(InvalidGraphError) as info:
+                    branch_divisor(graph)
+                assert info.value.violations == violations
+            else:
+                assert branch_divisor(graph) == reference_divisor(graph)
+        assert min(verdicts.values()) > 20
 
 
 class TestJsonFormat:
@@ -698,6 +757,30 @@ def test_format_errors_are_worded_exactly(data, message):
 
 
 class TestRandomizedStructure:
+    def test_one_degree_law(self):
+        rng = random.Random(3105)
+        target_genera = Counter()
+        for _ in range(100):
+            graph = random_valid_graph(rng)
+            target_genera[graph.target_genus] += 1
+            assert riemann_hurwitz_degree(graph) == branch_count(
+                arithmetic_genus(graph), total_degree(graph),
+                graph.target_genus) == sum(branch_divisor(graph).values())
+        assert sorted(target_genera) == [0, 1, 2]
+
+    @pytest.mark.parametrize("graph, message", [
+        (StableMapGraph(0, (ContractedComponent("B", 1, "p"),), ()),
+         "genus and target_genus must be >= 0, degree >= 1"),
+        (StableMapGraph(2, (DominantComponent("A", 0, 1),), ()),
+         "no connected cover: 2*genus - 2 < degree*(2*target_genus - 2)"),
+    ], ids=["no-dominant-component", "negative-count"])
+    def test_degree_law_outside_its_domain(self, graph, message):
+        # connected, so arithmetic_genus answers; branch_count refuses
+        arithmetic_genus(graph)
+        with pytest.raises(ValueError) as info:
+            riemann_hurwitz_degree(graph)
+        assert str(info.value) == message
+
     def test_degree_law_and_effectivity(self):
         rng = random.Random(1105)
         for _ in range(60):
