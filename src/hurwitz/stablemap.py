@@ -22,8 +22,8 @@ loop that checks the rules it comes from; with parsing and the one
 union-find pass for connectedness, the work is linear in their number.
 On the benchmark's generated graphs (Python 3.11.7, one core of a shared
 2-CPU Xeon, in-process, median of 15 runs over five seeds)
-`hurwitz branch-divisor` takes about 30 ms at 2,500 components and
-175 ms at 10,000, of which `branch_divisor` is 9 ms and 59 ms. As a
+`hurwitz branch-divisor` takes about 36 ms at 2,500 components and
+175 ms at 10,000, of which `branch_divisor` is 10 ms and 59 ms. As a
 library call with the cyclic garbage collector on, `load_graph` alone
 takes 20-27 ms and 150-160 ms, against 17-24 ms and 86-105 ms with it
 off: the collector's passes over the growing heap free nothing here, so

@@ -405,17 +405,15 @@ class TestGenusAndDegree:
 def reference_divisor(graph):
     """Reference: the three terms summed in a walk of their own over the
     components, profiles and nodes, zero coefficients dropped."""
-    coeffs = {}
+    coeffs = Counter()
     for comp in graph.components:
         if isinstance(comp, DominantComponent):
             for point, profile in comp.ramification:
-                coeffs[point] = coeffs.get(point, 0) + sum(profile) \
-                    - len(profile)
+                coeffs[point] += sum(profile) - len(profile)
         else:
-            coeffs[comp.image] = coeffs.get(comp.image, 0) \
-                + 2 * comp.genus - 2
+            coeffs[comp.image] += 2 * comp.genus - 2
     for node in graph.nodes:
-        coeffs[node.image] = coeffs.get(node.image, 0) + 2
+        coeffs[node.image] += 2
     return {point: c for point, c in coeffs.items() if c}
 
 
@@ -462,7 +460,7 @@ class TestBranchDivisor:
         for graph in graphs:
             divisor = branch_divisor(graph)
             assert divisor == reference_divisor(graph)
-            # the CLI prints the points in this order
+            # in the same point order too, as a library caller sees it
             assert list(divisor) == list(reference_divisor(graph))
         unstable = load_graph(FIXTURES / "unstable_tail.json")
         with pytest.raises(InvalidGraphError) as info:
