@@ -12,8 +12,10 @@ which cell, and refuses the others with MethodNotApplicableError.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import partial
+
+# the annotations name fractions.Fraction without importing it: they
+# are never evaluated, and `--help` and `branch-divisor` need no fractions
 
 
 class Method(str, Enum):

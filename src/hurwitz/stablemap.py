@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from decimal import Decimal
 from operator import ge
 from typing import NamedTuple
 
@@ -128,6 +127,7 @@ def _is_connected(graph: StableMapGraph) -> bool:
 def _full(value, text=str) -> str:
     # str(int) refuses more digits than sys.get_int_max_str_digits(); an
     # integral Decimal prints in full. Other values print as text does.
+    from decimal import Decimal  # loaded only when a message needs it
     return str(Decimal(value)) if type(value) is int else text(value)
 
 
@@ -216,8 +216,8 @@ def _walk(graph: StableMapGraph) -> tuple[list[str], dict[str, int]]:
                 if lhs != rhs:
                     violations.append(
                         f"component '{comp.id}': Riemann-Hurwitz fails "
-                        f"(2g-2 = {Decimal(lhs)}, degree and profiles give "
-                        f"{Decimal(rhs)})"
+                        f"(2g-2 = {_full(lhs)}, degree and profiles give "
+                        f"{_full(rhs)})"
                     )
         else:
             coeffs[comp.image] += 2 * comp.genus - 2

@@ -562,6 +562,46 @@ class TestArgumentSpace:
                                      EXIT_INVALID: "invalid-input"}[code]
 
 
+def child_env() -> dict[str, str]:
+    # a child process imports the same hurwitz package as this process
+    src = str(Path(hurwitz.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+class TestProcessEntry:
+    # `python -m hurwitz.cli` and the `hurwitz` script run cli.run, which
+    # freezes the heap on the way out; the process must still give
+    # main()'s exit code and stdout bytes, and main() itself must leave
+    # nothing frozen
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("compute", "-g", "2", "-d", "20", "--method", "recursion"),
+        ("compute", "-g", "3", "-d", "2", "--method", "recursion"),
+        ("compute", "-g", "one", "-d", "2"),
+        ("branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json")),
+    ], ids=["help", "compute", "refused", "usage-error", "branch-divisor"])
+    def test_process_matches_main(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help text in both runs
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's exit for --help and usage
+            code = exc.code
+        out = capsys.readouterr().out
+        assert gc.get_freeze_count() == 0
+        result = subprocess.run([sys.executable, "-m", "hurwitz.cli", *argv],
+                                capture_output=True, check=False,
+                                env=child_env())
+        assert (result.returncode, result.stdout) == (code, out.encode())
+
+    def test_console_script_is_the_process_entry(self):
+        import tomllib
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert project["project"]["scripts"] == {"hurwitz": "hurwitz.cli:run"}
+
+
 def test_main_leaves_a_disabled_collector_off(monkeypatch):
     collecting = gc.isenabled()
     gc.disable()
@@ -593,16 +633,11 @@ class TestDeterminism:
         assert first == second
 
     def test_console_script_smoke(self):
-        # the installed entry point must behave like main(); the child
-        # imports the same hurwitz package this test process imported
-        src = str(Path(hurwitz.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        # the installed entry point must behave like main()
         result = subprocess.run(
             [sys.executable, "-m", "hurwitz.cli", "crosscheck",
              "--gmax", "0", "--dmax", "2"],
-            capture_output=True, text=True, check=False, env=env,
+            capture_output=True, text=True, check=False, env=child_env(),
         )
         assert result.returncode == EXIT_OK
         payload = json.loads(result.stdout)

@@ -7,14 +7,18 @@ are pinned by hand (a degree-1 or -2 cover is determined by its branch
 points up to the hyperelliptic involution), H_{1,3} = 40 and
 H_{2,3} = 364 come with the recursions' source, and H_{1,4} = 5460 was
 frozen from the brute-force oracle (131040 transitive tuples / 4!).
+The integer recursions are also checked against the Fraction recursions
+they replaced, copied below as a reference.
 """
 
 import sys
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 
-from hurwitz import intersection, oracle
+from hurwitz import intersection, oracle, recursion
 from hurwitz.character import connected_hurwitz
 from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import RECURSIONS, h0_closed, h0_recursion, \
@@ -31,6 +35,61 @@ H0_KNOWN = [
     Fraction(1), Fraction(1, 2), Fraction(4), Fraction(120),
     Fraction(8400), Fraction(1088640),
 ]
+
+# the private integer sequences 2*H_{g,d} behind the public recursions
+TWICE = (recursion._twice_h0, recursion._twice_h1, recursion._twice_h2)
+
+
+def clear_recursion_caches():
+    for cached in (*RECURSIONS, *TWICE):
+        cached.cache_clear()
+
+
+# The recursions as they were written in Fraction arithmetic, each term
+# as in the docstrings, filled bottom-up like the package's; the integer
+# recursions must return exactly these values
+
+
+def _reference_fill(func, d):
+    for i in range(1, d):
+        func(i)
+
+
+@cache
+def reference_h0(d):
+    if d == 1:
+        return Fraction(1)
+    _reference_fill(reference_h0, d)
+    total = Fraction(0)
+    for i in range(1, d):
+        total += (comb(2 * d - 4, 2 * i - 2) * i ** 2 * (d - i) ** 2
+                  * reference_h0(i) * reference_h0(d - i))
+    return Fraction(2 * d - 3, d) * total
+
+
+@cache
+def reference_h1(d):
+    _reference_fill(reference_h1, d)
+    value = Fraction(d, 6) * comb(d, 2) * (2 * d - 1) * reference_h0(d)
+    for i in range(1, d):
+        value += (comb(2 * d - 2, 2 * i - 2) * (4 * d - 2) * i ** 2 * (d - i)
+                  * reference_h0(i) * reference_h1(d - i))
+    return value
+
+
+@cache
+def reference_h2(d):
+    _reference_fill(reference_h2, d)
+    value = (d ** 2 * (Fraction(97, 136) * d - Fraction(20, 17))
+             * reference_h1(d))
+    for i in range(1, d):
+        value += (comb(2 * d, 2 * i - 2) * (8 * d - Fraction(115, 17) * i)
+                  * i * (d - i) * reference_h0(i) * reference_h2(d - i))
+        value += (comb(2 * d, 2 * i)
+                  * (Fraction(11697, 34) * i * (d - i)
+                     - Fraction(3899, 68) * d ** 2)
+                  * i * (d - i) * reference_h1(i) * reference_h1(d - i))
+    return value
 
 
 class TestGenusZero:
@@ -102,12 +161,45 @@ class TestGenusTwo:
             assert h2_recursion(d) >= 0
 
 
+class TestIntegerRecursions:
+    @pytest.mark.parametrize("func, reference, d_max", [
+        (h0_recursion, reference_h0, 150),
+        (h1_recursion, reference_h1, 150),
+        (h2_recursion, reference_h2, 60),
+    ], ids=["genus-0", "genus-1", "genus-2"])
+    def test_equal_the_fraction_recursions(self, func, reference, d_max):
+        for d in range(1, d_max + 1):
+            assert func(d) == reference(d), d
+
+    def test_twice_the_value_is_the_cached_integer(self):
+        for genus, (func, twice) in enumerate(zip(RECURSIONS, TWICE)):
+            for d in range(1, 21):
+                assert type(twice(d)) is int
+                assert 2 * func(d) == twice(d), (genus, d)
+
+    def test_a_step_with_a_remainder_raises(self, monkeypatch):
+        # with 2*H_{0,d} replaced by 1 the genus-1 step at d=3 sums to
+        # 5 * (9 + 6*2) = 105, which 6 does not divide
+        clear_recursion_caches()
+        monkeypatch.setattr(recursion, "_twice_h0", lambda d: 1)
+        try:
+            with pytest.raises(ArithmeticError,
+                               match="genus-1 recursion step at d=3 is "
+                                     "not divisible by 6"):
+                h1_recursion(3)
+        finally:
+            monkeypatch.undo()
+            clear_recursion_caches()
+        assert h1_recursion(3) == 40
+
+
 class TestStackDepth:
     def test_recursions_do_not_recurse_d_levels_deep(self):
         # d is far above the lowered limit; a memoised top-down recursion
         # needs about d nested calls and raises RecursionError here. Each
-        # recursion starts with all three caches empty, genus 2 first, so
-        # every lower recursion it needs is filled cold under the limit
+        # recursion starts with all caches empty, the integer sequences
+        # behind them included, genus 2 first, so every lower recursion
+        # it needs is filled cold under the limit
         d = 150
         depth = 0
         frame = sys._getframe()
@@ -118,8 +210,7 @@ class TestStackDepth:
         sys.setrecursionlimit(depth + 50)
         try:
             for func in (h2_recursion, h1_recursion, h0_recursion):
-                for cached in RECURSIONS:
-                    cached.cache_clear()
+                clear_recursion_caches()
                 values[func] = func(d)
         finally:
             sys.setrecursionlimit(limit)
@@ -217,11 +308,11 @@ class TestTable:
                             lambda *args: calls.append(args))
         monkeypatch.setattr(intersection, "psi_integral_genus0",
                             lambda *args: calls.append(args))
-        cached = (h0_closed, h0_recursion, h1_recursion, h2_recursion)
+        cached = (h0_closed, *RECURSIONS, *TWICE)
         for func in cached:
             func.cache_clear()
         with pytest.raises(MethodNotApplicableError) as refused:
             build_table(g_max, d_max, method)
         assert str(refused.value) == message
         assert calls == []
-        assert [func.cache_info().currsize for func in cached] == [0] * 4
+        assert [func.cache_info().currsize for func in cached] == [0] * 7

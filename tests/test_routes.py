@@ -136,6 +136,16 @@ def test_help_loads_no_route():
     assert not loaded_modules("--help") & ROUTE_MODULES
 
 
+def test_help_and_branch_divisor_load_neither_fractions_nor_decimal():
+    # only a printed Hurwitz number or a Riemann-Hurwitz message needs them
+    assert not loaded_modules("--help") & {"fractions", "decimal"}
+    for fixture, code in (("elliptic_tail.json", 0),
+                          ("unstable_tail.json", 2)):
+        loaded = loaded_modules("branch-divisor", "--input",
+                                str(FIXTURES / fixture), expected_exit=code)
+        assert not loaded & {"fractions", "decimal"}, fixture
+
+
 def test_compute_loads_only_the_route_it_runs():
     loaded = loaded_modules("compute", "-g", "1", "-d", "3",
                             "--method", "recursion")
