@@ -17,6 +17,15 @@ recurrence
 
 Then H_{g,d} = sum over c of [q^c] f_d * c^r / (d!)^2 with r = 2g-2+2d,
 for every genus from the same f_d.
+
+The route keeps f_0, f_1, ... in one private list for the life of the
+process and extends it in increasing degree when a degree past its end
+is asked for, so each f_n is computed once per process, however many
+degrees a table or cross-check walks. Cost (Python 3.11.7 on a shared
+2-CPU Xeon, median of five alternated cold CLI runs, against a log rerun
+from f_1 for each degree): `crosscheck --gmax 10 --dmax 30` takes 2.1 s
+instead of 3.6 s, and `table --method character --gmax 5 --dmax 24`
+takes 0.47 s instead of 0.78 s.
 """
 
 from fractions import Fraction
@@ -51,8 +60,14 @@ def content_log(z: list[dict[int, int]]) -> list[dict[int, int]]:
     """
     if not z or z[0] != {0: 1}:
         raise ValueError("z_0 must be the constant polynomial 1")
-    f: list[dict[int, int]] = [{}]
-    for n in range(1, len(z)):
+    return _extend_log(z, [{}])
+
+
+def _extend_log(z, f):
+    # f extended in place through f_{len(z)-1}; f_n reads only f_k, k < n.
+    # f_n is stored at index n, never appended, so two threads that extend
+    # the same list store the same value twice instead of shifting entries
+    for n in range(len(f), len(z)):
         fn = dict(z[n])
         for k in range(1, n):
             weight = comb(n - 1, k - 1) * comb(n, k)
@@ -60,13 +75,12 @@ def content_log(z: list[dict[int, int]]) -> list[dict[int, int]]:
                 x *= weight
                 for b, y in z[n - k].items():
                     fn[a + b] = fn.get(a + b, 0) - x * y
-        f.append({c: m for c, m in fn.items() if m})
+        f[n:n + 1] = [{c: m for c, m in fn.items() if m}]
     return f
 
 
-@cache
-def _connected_polynomial(d: int) -> dict[int, int]:
-    return content_log([content_polynomial(n) for n in range(d + 1)])[d]
+# f_0, f_1, ... of this route, extended in increasing degree
+_CONNECTED: list[dict[int, int]] = [{}]
 
 
 @cache
@@ -113,5 +127,6 @@ def connected_hurwitz(g: int, d: int) -> Fraction:
     if d < 1:
         raise ValueError("d must be a positive integer")
     r = 2 * g - 2 + 2 * d
-    total = sum(m * c ** r for c, m in _connected_polynomial(d).items())
+    f = _extend_log([content_polynomial(n) for n in range(d + 1)], _CONNECTED)
+    total = sum(m * c ** r for c, m in f[d].items())
     return Fraction(total, factorial(d) ** 2)

@@ -13,7 +13,8 @@ when the denominator is 1), and identical invocations produce
 byte-identical output. Exit codes: 0 for ok, 1 for a cross-check or
 degree mismatch, 2 for invalid input, 3 for an internal error
 (`"status": "error"`, with the exception's type and message; the
-traceback goes to stderr).
+traceback goes to stderr) and for output that could not be written, a
+closed pipe or a full device (one line on stderr, no traceback).
 
 Every command runs with the cyclic garbage collector off, until its
 output is printed: a run makes no reference cycles, so the collector's
@@ -30,13 +31,16 @@ left to the OS instead of being collected and freed one by one. That
 saves 9-12 ms per process on `--help`, `compute` and `branch-divisor`
 (median of 30 alternated cold runs each, Python 3.11.7 on a shared
 2-CPU Xeon). `atexit` handlers and stdio flushing still run, unlike
-after `os._exit`. `main` itself changes nothing process-wide, so it
+after `os._exit`. Once `main` returns, `run` points stdout at
+`os.devnull`, so output that a failed write left buffered cannot make
+that flush fail too. `main` itself changes nothing process-wide, so it
 can be called in-process.
 """
 
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .routes import (Method, MethodNotApplicableError, branch_count,
@@ -248,18 +252,22 @@ def main(argv=None) -> int:
             traceback.print_exc()
             result = {"status": "error",
                       "error": f"{type(exc).__name__}: {exc}"}
-        if isinstance(result, str):  # a text or CSV table
-            print(result)
-            return EXIT_OK
-        # all input is parsed by now, so the values print in full
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+        text, code = result, EXIT_OK  # a text or CSV table prints as is
+        if isinstance(result, dict):
+            # all input is parsed by now, so the values print in full
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                text = json.dumps(result, indent=2, sort_keys=True)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            code = _STATUS_EXIT[result["status"]]
         try:
-            text = json.dumps(result, indent=2, sort_keys=True)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        print(text)
-        return _STATUS_EXIT[result["status"]]
+            print(text, flush=True)
+        except OSError as exc:  # a closed pipe or a full device
+            print(f"hurwitz: output not written: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        return code
     finally:
         if collecting:
             gc.enable()
@@ -268,7 +276,12 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry: exit with main()'s code, the heap left to the OS."""
     try:
-        sys.exit(main())
+        code = main()
+        # main has flushed its output or reported that it could not; with
+        # descriptor 1 (sys.stdout is None if 1 was closed) on os.devnull,
+        # bytes a failed write left buffered cannot fail the exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        sys.exit(code)
     finally:
         gc.freeze()
 

@@ -115,26 +115,26 @@ def test_criterion_5_genus1_recursion():
     started = time.monotonic_ns()
     pinned = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(40)}
     failures = []
-    for d in range(1, 15):
+    for d in range(1, 25):
         rec, char = h1_recursion(d), connected_hurwitz(1, d)
         if rec != char:
             failures.append(f"d={d}: recursion {rec} != character {char}")
         if d in pinned and rec != pinned[d]:
             failures.append(f"d={d}: {rec} != pinned {pinned[d]}")
-    _report(5, "genus-1 recursion vs character, d <= 14", failures, started)
+    _report(5, "genus-1 recursion vs character, d <= 24", failures, started)
 
 
 def test_criterion_6_genus2_recursion():
     started = time.monotonic_ns()
     pinned = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(364)}
     failures = []
-    for d in range(1, 15):
+    for d in range(1, 25):
         rec, char = h2_recursion(d), connected_hurwitz(2, d)
         if rec != char:
             failures.append(f"d={d}: recursion {rec} != character {char}")
         if d in pinned and rec != pinned[d]:
             failures.append(f"d={d}: {rec} != pinned {pinned[d]}")
-    _report(6, "genus-2 recursion vs character, d <= 14", failures, started)
+    _report(6, "genus-2 recursion vs character, d <= 24", failures, started)
 
 
 def test_criterion_7_branch_degree_law():

@@ -595,6 +595,39 @@ class TestProcessEntry:
                                 env=child_env())
         assert (result.returncode, result.stdout) == (code, out.encode())
 
+    @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+    @pytest.mark.parametrize("argv", [
+        ("compute", "-g", "1", "-d", "3"),
+        ("table", "--gmax", "1", "--dmax", "3"),
+        ("branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json")),
+    ], ids=["compute", "table", "branch-divisor"])
+    def test_unwritable_stdout_is_an_error_without_traceback(self, argv,
+                                                             sink):
+        # a pipe whose read end is closed before the child starts, or a
+        # device that is always full; stdout buffered and unbuffered, since
+        # a buffered child meets the error only when it flushes
+        if sink == "full-device" and not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        for unbuffered in ("", "1"):
+            env = {**child_env(), "PYTHONUNBUFFERED": unbuffered}
+            if sink == "closed-pipe":
+                read_end, stdout = os.pipe()
+                os.close(read_end)
+            else:
+                stdout = os.open("/dev/full", os.O_WRONLY)
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "hurwitz.cli", *argv],
+                    stdout=stdout, stderr=subprocess.PIPE, check=False,
+                    env=env)
+            finally:
+                os.close(stdout)
+            lines = result.stderr.decode().splitlines()
+            assert result.returncode == EXIT_ERROR, lines
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("hurwitz: output not written: "
+                                       "[Errno "), lines
+
     def test_console_script_is_the_process_entry(self):
         import tomllib
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

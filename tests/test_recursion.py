@@ -11,15 +11,17 @@ The integer recursions are also checked against the Fraction recursions
 they replaced, copied below as a reference.
 """
 
+import random
 import sys
+import threading
 from fractions import Fraction
 from functools import cache
 from math import comb
 
 import pytest
 
-from hurwitz import intersection, oracle, recursion
-from hurwitz.character import connected_hurwitz
+from hurwitz import character, intersection, oracle, recursion
+from hurwitz.character import connected_hurwitz, content_log
 from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import RECURSIONS, h0_closed, h0_recursion, \
     h1_recursion, h2_recursion
@@ -36,13 +38,20 @@ H0_KNOWN = [
     Fraction(8400), Fraction(1088640),
 ]
 
-# the private integer sequences 2*H_{g,d} behind the public recursions
-TWICE = (recursion._twice_h0, recursion._twice_h1, recursion._twice_h2)
+# the private lists of 2*H_{g,d} behind the public recursions, as the
+# module seeds them
+SEEDS = ([0, 2], [0], [0])
 
 
-def clear_recursion_caches():
-    for cached in (*RECURSIONS, *TWICE):
-        cached.cache_clear()
+def reset_recursion_lists():
+    for sequence, seed in zip(recursion._TWICE, SEEDS):
+        sequence[:] = seed
+
+
+def clear_connected_polynomials():
+    # the character route's list back to f_0, and the values read from it
+    del character._CONNECTED[1:]
+    connected_hurwitz.cache_clear()
 
 
 # The recursions as they were written in Fraction arithmetic, each term
@@ -120,6 +129,10 @@ class TestGenusZero:
         for d in range(1, 21):
             assert connected_hurwitz(0, d) == h0_closed(d), d
 
+    def test_character_route_matches_closed_form_from_21_to_24(self):
+        for d in range(21, 25):
+            assert connected_hurwitz(0, d) == h0_closed(d), d
+
     def test_bad_degree_rejected(self):
         for func in (h0_closed, h0_recursion):
             with pytest.raises(ValueError):
@@ -172,24 +185,22 @@ class TestIntegerRecursions:
             assert func(d) == reference(d), d
 
     def test_twice_the_value_is_the_cached_integer(self):
-        for genus, (func, twice) in enumerate(zip(RECURSIONS, TWICE)):
+        for genus, func in enumerate(RECURSIONS):
             for d in range(1, 21):
-                assert type(twice(d)) is int
-                assert 2 * func(d) == twice(d), (genus, d)
+                value = func(d)
+                twice = recursion._TWICE[genus][d]
+                assert type(twice) is int
+                assert 2 * value == twice, (genus, d)
 
     def test_a_step_with_a_remainder_raises(self, monkeypatch):
         # with 2*H_{0,d} replaced by 1 the genus-1 step at d=3 sums to
         # 5 * (9 + 6*2) = 105, which 6 does not divide
-        clear_recursion_caches()
-        monkeypatch.setattr(recursion, "_twice_h0", lambda d: 1)
-        try:
-            with pytest.raises(ArithmeticError,
-                               match="genus-1 recursion step at d=3 is "
-                                     "not divisible by 6"):
-                h1_recursion(3)
-        finally:
-            monkeypatch.undo()
-            clear_recursion_caches()
+        monkeypatch.setattr(recursion, "_TWICE", ([0, 1, 1, 1], [0], [0]))
+        with pytest.raises(ArithmeticError,
+                           match="genus-1 recursion step at d=3 is "
+                                 "not divisible by 6"):
+            h1_recursion(3)
+        monkeypatch.undo()
         assert h1_recursion(3) == 40
 
 
@@ -197,9 +208,9 @@ class TestStackDepth:
     def test_recursions_do_not_recurse_d_levels_deep(self):
         # d is far above the lowered limit; a memoised top-down recursion
         # needs about d nested calls and raises RecursionError here. Each
-        # recursion starts with all caches empty, the integer sequences
-        # behind them included, genus 2 first, so every lower recursion
-        # it needs is filled cold under the limit
+        # recursion starts with the integer lists at their seeds, genus 2
+        # first, so every lower recursion it needs is filled cold under
+        # the limit
         d = 150
         depth = 0
         frame = sys._getframe()
@@ -210,12 +221,72 @@ class TestStackDepth:
         sys.setrecursionlimit(depth + 50)
         try:
             for func in (h2_recursion, h1_recursion, h0_recursion):
-                clear_recursion_caches()
+                reset_recursion_lists()
                 values[func] = func(d)
         finally:
             sys.setrecursionlimit(limit)
         assert values[h0_recursion] == h0_closed(d)
         assert all(value > 0 for value in values.values())
+
+
+def in_threads(func, count=4):
+    # func(i) in count threads started together; each must finish and
+    # raise nothing
+    errors = []
+    start = threading.Barrier(count)
+
+    def target(i):
+        try:
+            start.wait(timeout=60)
+            func(i)
+        except BaseException as exc:  # handed to the test thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(i,))
+               for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+class TestSharedSequences:
+    # each route keeps its values in lists that every caller in the
+    # process extends; threads and the order of requests must not change
+    # an entry or the length of a list
+    def test_threads_extend_each_list_once(self):
+        d_rec, d_char = 60, 12
+        twice = [[0] + [2 * reference(d) for d in range(1, d_rec + 1)]
+                 for reference in (reference_h0, reference_h1, reference_h2)]
+        connected = content_log([character.content_polynomial(n)
+                                 for n in range(d_char + 1)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                reset_recursion_lists()
+                in_threads(lambda i: h2_recursion(d_rec))
+                assert list(recursion._TWICE) == twice, trial
+                clear_connected_polynomials()
+                in_threads(lambda i: connected_hurwitz(i, d_char))
+                assert character._CONNECTED == connected, trial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_any_order_of_requests_gives_the_same_values(self):
+        reset_recursion_lists()
+        clear_connected_polynomials()
+        references = (reference_h0, reference_h1, reference_h2)
+        degrees = list(range(1, 25))
+        random.Random(20261018).shuffle(degrees)
+        for d in degrees:
+            for g, reference in enumerate(references):
+                assert connected_hurwitz(g, d) == reference(d), (g, d)
+        for func, reference in zip(RECURSIONS, references):
+            for d in range(60, 0, -1):
+                assert func(d) == reference(d), (func.__name__, d)
 
 
 class TestDispatch:
@@ -308,11 +379,11 @@ class TestTable:
                             lambda *args: calls.append(args))
         monkeypatch.setattr(intersection, "psi_integral_genus0",
                             lambda *args: calls.append(args))
-        cached = (h0_closed, *RECURSIONS, *TWICE)
-        for func in cached:
-            func.cache_clear()
+        h0_closed.cache_clear()
+        reset_recursion_lists()
         with pytest.raises(MethodNotApplicableError) as refused:
             build_table(g_max, d_max, method)
         assert str(refused.value) == message
         assert calls == []
-        assert [func.cache_info().currsize for func in cached] == [0] * 7
+        assert h0_closed.cache_info().currsize == 0
+        assert recursion._TWICE == SEEDS
