@@ -18,14 +18,13 @@ recurrence
 Then H_{g,d} = sum over c of [q^c] f_d * c^r / (d!)^2 with r = 2g-2+2d,
 for every genus from the same f_d.
 
-The route keeps f_0, f_1, ... in one private list for the life of the
-process and extends it in increasing degree when a degree past its end
-is asked for, so each f_n is computed once per process, however many
-degrees a table or cross-check walks. Cost (Python 3.11.7 on a shared
-2-CPU Xeon, median of five alternated cold CLI runs, against a log rerun
-from f_1 for each degree): `crosscheck --gmax 10 --dmax 30` takes 2.1 s
-instead of 3.6 s, and `table --method character --gmax 5 --dmax 24`
-takes 0.47 s instead of 0.78 s.
+The route keeps z_0, z_1, ... and f_0, f_1, ... in two private lists
+for the life of the process and extends each in increasing degree when
+a degree past its end is asked for, so each z_n and each f_n is computed
+once per process, however many degrees a table or cross-check walks.
+Each entry is stored at its index rather than appended, so two threads
+that extend a list at once store the same value twice instead of
+shifting later entries.
 """
 
 from fractions import Fraction
@@ -35,7 +34,6 @@ from math import comb, factorial
 from .partitions import content_sum, enumerate_partitions, irrep_dimension
 
 
-@cache
 def content_polynomial(n: int) -> dict[int, int]:
     """z_n as {content sum: sum of dim^2 over partitions of n with that
     content sum}; z_0 = {0: 1}. The returned dict is shared; do not
@@ -43,11 +41,15 @@ def content_polynomial(n: int) -> dict[int, int]:
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    z: dict[int, int] = {}
-    for lam in enumerate_partitions(n):
-        c = content_sum(lam)
-        z[c] = z.get(c, 0) + irrep_dimension(lam) ** 2
-    return z
+    # z_m reads no earlier entry, so threads that extend the list at once
+    # store equal values at one index
+    for m in range(len(_CONTENT), n + 1):
+        z: dict[int, int] = {}
+        for lam in enumerate_partitions(m):
+            c = content_sum(lam)
+            z[c] = z.get(c, 0) + irrep_dimension(lam) ** 2
+        _CONTENT[m:m + 1] = [z]
+    return _CONTENT[n]
 
 
 def content_log(z: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -79,10 +81,16 @@ def _extend_log(z, f):
     return f
 
 
-# f_0, f_1, ... of this route, extended in increasing degree
+# z_0, z_1, ... and f_0, f_1, ... of this route, extended in increasing
+# degree
+_CONTENT: list[dict[int, int]] = [{0: 1}]
 _CONNECTED: list[dict[int, int]] = [{}]
 
 
+# factorization_count and connected_hurwitz stay cached only because
+# perfbench/replay.py reads their cache_info() for character.cache_hits
+# and character.cache_misses; both caches can go once it counts the
+# lengths of the two lists instead
 @cache
 def factorization_count(d: int, r: int) -> int:
     """Number of r-tuples of transpositions in the symmetric group on d
@@ -127,6 +135,8 @@ def connected_hurwitz(g: int, d: int) -> Fraction:
     if d < 1:
         raise ValueError("d must be a positive integer")
     r = 2 * g - 2 + 2 * d
-    f = _extend_log([content_polynomial(n) for n in range(d + 1)], _CONNECTED)
+    content_polynomial(d)
+    # the slice keeps f from growing past d when _CONTENT is longer
+    f = _extend_log(_CONTENT[:d + 1], _CONNECTED)
     total = sum(m * c ** r for c, m in f[d].items())
     return Fraction(total, factorial(d) ** 2)

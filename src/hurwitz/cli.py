@@ -14,7 +14,8 @@ byte-identical output. Exit codes: 0 for ok, 1 for a cross-check or
 degree mismatch, 2 for invalid input, 3 for an internal error
 (`"status": "error"`, with the exception's type and message; the
 traceback goes to stderr) and for output that could not be written, a
-closed pipe or a full device (one line on stderr, no traceback).
+closed pipe or a full device (one line on stderr, no traceback). Help
+text goes through the same write, so the same holds for `--help`.
 
 Every command runs with the cyclic garbage collector off, until its
 output is printed: a run makes no reference cycles, so the collector's
@@ -182,8 +183,15 @@ def _cmd_branch_divisor(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    # its subparsers are _Parser too; -h prints through the guarded write
+    # of every other output and exits with its code
+    def print_help(self, file=None):
+        raise SystemExit(_write(self.format_help().rstrip("\n"), EXIT_OK))
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hurwitz",
         description="Exact Hurwitz numbers by independent methods, and "
                     "branch divisors of combinatorial stable maps.",
@@ -236,6 +244,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str, code: int) -> int:
+    # code once text is on stdout; EXIT_ERROR if it could not be written
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a closed pipe or a full device
+        print(f"hurwitz: output not written: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # no run makes reference cycles; on a 10,000-component branch-divisor
@@ -262,12 +280,7 @@ def main(argv=None) -> int:
             finally:
                 sys.set_int_max_str_digits(limit)
             code = _STATUS_EXIT[result["status"]]
-        try:
-            print(text, flush=True)
-        except OSError as exc:  # a closed pipe or a full device
-            print(f"hurwitz: output not written: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        return code
+        return _write(text, code)
     finally:
         if collecting:
             gc.enable()
@@ -277,13 +290,14 @@ def run() -> None:
     """Process entry: exit with main()'s code, the heap left to the OS."""
     try:
         code = main()
-        # main has flushed its output or reported that it could not; with
-        # descriptor 1 (sys.stdout is None if 1 was closed) on os.devnull,
-        # bytes a failed write left buffered cannot fail the exit's flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        sys.exit(code)
     finally:
+        # main has flushed its output or reported that it could not, also
+        # before argparse's SystemExit; with descriptor 1 (sys.stdout is
+        # None if 1 was closed) on os.devnull, bytes a failed write left
+        # buffered cannot fail the exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ dimension (hook-length formula) and the content sum, which together feed
 the character-sum count of transposition factorizations.
 """
 
-from functools import cache
 from math import factorial
 
 
@@ -20,11 +19,6 @@ def is_partition(parts: tuple[int, ...]) -> bool:
 def _check_partition(parts: tuple[int, ...]) -> None:
     if not is_partition(tuple(parts)):
         raise ValueError(f"not a partition: {parts!r}")
-
-
-@cache
-def _partitions(d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_descending(d, d))
 
 
 def _descending(n: int, largest: int):
@@ -45,14 +39,12 @@ def enumerate_partitions(d: int) -> list[tuple[int, ...]]:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return list(_partitions(d))
+    return list(_descending(d, d))
 
 
 def partition_count(d: int) -> int:
     """p(d), the number of partitions of d."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    return len(_partitions(d))
+    return len(enumerate_partitions(d))
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -597,10 +597,12 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
     @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("compute", "--help"),
         ("compute", "-g", "1", "-d", "3"),
         ("table", "--gmax", "1", "--dmax", "3"),
         ("branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json")),
-    ], ids=["compute", "table", "branch-divisor"])
+    ], ids=["help", "compute-help", "compute", "table", "branch-divisor"])
     def test_unwritable_stdout_is_an_error_without_traceback(self, argv,
                                                              sink):
         # a pipe whose read end is closed before the child starts, or a

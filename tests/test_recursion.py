@@ -20,7 +20,7 @@ from math import comb
 
 import pytest
 
-from hurwitz import character, intersection, oracle, recursion
+from hurwitz import character, intersection, oracle, partitions, recursion
 from hurwitz.character import connected_hurwitz, content_log
 from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import RECURSIONS, h0_closed, h0_recursion, \
@@ -49,9 +49,21 @@ def reset_recursion_lists():
 
 
 def clear_connected_polynomials():
-    # the character route's list back to f_0, and the values read from it
+    # the character route's lists back to z_0 and f_0, and the values
+    # read from them
+    character._CONTENT[:] = [{0: 1}]
     del character._CONNECTED[1:]
     connected_hurwitz.cache_clear()
+
+
+def direct_content_polynomial(n):
+    # z_n summed straight from the partitions of n: hook-length dimension
+    # squared at each content sum
+    z = {}
+    for lam in partitions.enumerate_partitions(n):
+        c = partitions.content_sum(lam)
+        z[c] = z.get(c, 0) + partitions.irrep_dimension(lam) ** 2
+    return z
 
 
 # The recursions as they were written in Fraction arithmetic, each term
@@ -260,8 +272,8 @@ class TestSharedSequences:
         d_rec, d_char = 60, 12
         twice = [[0] + [2 * reference(d) for d in range(1, d_rec + 1)]
                  for reference in (reference_h0, reference_h1, reference_h2)]
-        connected = content_log([character.content_polynomial(n)
-                                 for n in range(d_char + 1)])
+        content = [direct_content_polynomial(n) for n in range(d_char + 1)]
+        connected = content_log(content)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -271,6 +283,7 @@ class TestSharedSequences:
                 assert list(recursion._TWICE) == twice, trial
                 clear_connected_polynomials()
                 in_threads(lambda i: connected_hurwitz(i, d_char))
+                assert character._CONTENT == content, trial
                 assert character._CONNECTED == connected, trial
         finally:
             sys.setswitchinterval(interval)
@@ -278,12 +291,22 @@ class TestSharedSequences:
     def test_any_order_of_requests_gives_the_same_values(self):
         reset_recursion_lists()
         clear_connected_polynomials()
+        assert character._CONTENT == [{0: 1}]
+        content = [direct_content_polynomial(n) for n in range(21)]
+        orders = list(range(21))
+        random.Random(20261017).shuffle(orders)
+        for n in orders:
+            assert character.content_polynomial(n) == content[n], n
+        assert character._CONTENT == content
+        # z_n is now known past most degrees below; f must still grow
+        # only as far as the largest degree asked for
         references = (reference_h0, reference_h1, reference_h2)
         degrees = list(range(1, 25))
         random.Random(20261018).shuffle(degrees)
-        for d in degrees:
+        for step, d in enumerate(degrees):
             for g, reference in enumerate(references):
                 assert connected_hurwitz(g, d) == reference(d), (g, d)
+            assert len(character._CONNECTED) == max(degrees[:step + 1]) + 1
         for func, reference in zip(RECURSIONS, references):
             for d in range(60, 0, -1):
                 assert func(d) == reference(d), (func.__name__, d)
@@ -379,11 +402,11 @@ class TestTable:
                             lambda *args: calls.append(args))
         monkeypatch.setattr(intersection, "psi_integral_genus0",
                             lambda *args: calls.append(args))
-        h0_closed.cache_clear()
+        monkeypatch.setattr(recursion, "h0_closed",
+                            lambda *args: calls.append(args))
         reset_recursion_lists()
         with pytest.raises(MethodNotApplicableError) as refused:
             build_table(g_max, d_max, method)
         assert str(refused.value) == message
         assert calls == []
-        assert h0_closed.cache_info().currsize == 0
         assert recursion._TWICE == SEEDS

@@ -66,6 +66,33 @@ def test_routes_import_no_other_route():
         assert package_imports(module) <= allowed, module
 
 
+# a route keeps values across calls in growing lists stored by index; a
+# cache stays only where the benchmark reads its cache_info()
+ALLOWED_CACHES = {
+    # perfbench/replay.py sums both into the traced counters
+    # character.cache_hits and character.cache_misses
+    ("character", "factorization_count"),
+    ("character", "connected_hurwitz"),
+}
+
+
+def test_only_the_benchmark_counted_functions_are_cached():
+    cached = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):  # lru_cache(...)
+                    decorator = decorator.func
+                name = getattr(decorator, "id",
+                               getattr(decorator, "attr", None))
+                if name in ("cache", "lru_cache"):
+                    cached.add((path.stem, node.name))
+    assert cached == ALLOWED_CACHES
+
+
 # run in a fresh interpreter: with arguments, cli.main(arguments) with
 # stdout captured (`--help` ends in SystemExit); without, `import
 # hurwitz`. Prints the modules the run added to those the probe itself
