@@ -20,14 +20,19 @@ Cost: validation and evaluation share one walk over the components,
 profile entries and nodes, which adds each term of the divisor in the
 loop that checks the rules it comes from; with parsing and the one
 union-find pass for connectedness, the work is linear in their number.
-On the benchmark's generated graphs (Python 3.11.7, one core of a shared
-2-CPU Xeon, in-process, median of 15 runs over five seeds)
-`hurwitz branch-divisor` takes about 36 ms at 2,500 components and
-175 ms at 10,000, of which `branch_divisor` is 10 ms and 59 ms. As a
-library call with the cyclic garbage collector on, `load_graph` alone
-takes 20-27 ms and 150-160 ms, against 17-24 ms and 86-105 ms with it
-off: the collector's passes over the growing heap free nothing here, so
-the CLI runs every command with it off.
+`load_graph` decodes the file into the graph directly: each component
+and node becomes its NamedTuple as soon as the parser has read it, so
+the document's dict tree never exists whole. A faulty file is read a
+second time, into dicts, and `graph_from_dict` reports the fault. On
+the benchmark's generated graphs (Python 3.11.7, shared 2-CPU Xeon,
+five seeds) `hurwitz branch-divisor` peaks at 17.3 MB resident at 2,500
+components and 26.5 MB at 10,000, against 19.2 MB and 37.5 MB when the
+whole tree was decoded first; its time did not move (medians of 20
+alternated runs: 130.5 -> 127.7 ms and 400.7 -> 402.8 ms, interpreter
+start included). As a library call, `load_graph` takes 36-37 ms and
+175-180 ms at the two sizes with the cyclic garbage collector off, and
+39 ms and 191 ms with it on: the collector's passes over the growing
+heap free nothing here, so the CLI runs every command with it off.
 """
 
 from __future__ import annotations
@@ -458,6 +463,38 @@ def graph_to_dict(graph: StableMapGraph) -> dict:
     }
 
 
+def _build(data: dict):
+    # json's object_hook: each component and node becomes its NamedTuple
+    # as soon as it is decoded, so the document's dict tree never exists
+    # whole. Profile dicts are parsed by their component's call; any
+    # other dict is returned as it is
+    if "kind" in data:
+        return _component_from_dict(data)
+    if "branches" in data:
+        return _node_from_dict(data)
+    return data
+
+
+_COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
+
+
+def _decoded(path) -> StableMapGraph:
+    # the graph built while the file decodes. Anything wrong raises, and
+    # a NamedTuple where the document wants a dict (or a dict left where
+    # it wants a NamedTuple) fails a check here or in the parser
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle, object_hook=_build)
+    _check_object(data, _TOP_KEYS)
+    target_genus = _field(data, "target_genus", int)
+    components = _field(data, "components", list)
+    nodes = _field(data, "nodes", list) if "nodes" in data else []
+    # one type check per list at C speed, not a Python call per entry
+    if set(map(type, components)) <= _COMPONENT_TYPES and \
+            set(map(type, nodes)) <= {Node}:
+        return StableMapGraph(target_genus, tuple(components), tuple(nodes))
+    raise _Fault(": misplaced object")
+
+
 def load_graph(path) -> StableMapGraph:
     """Read a graph document from a JSON file.
 
@@ -466,6 +503,15 @@ def load_graph(path) -> StableMapGraph:
     too deep for the parser, an integer literal over the interpreter's
     digit limit) raises GraphFormatError.
     """
+    try:
+        return _decoded(path)
+    except Exception:
+        # a faulty file is read a second time, into a dict tree that
+        # graph_from_dict then reports on, so every error text comes from
+        # one place. That read must run in this frame, through json.load:
+        # the depth at which the parser runs out of stack is part of what
+        # it reports
+        pass
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)

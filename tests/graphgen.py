@@ -10,7 +10,8 @@ own guard: everything returned is a valid graph by construction.
 
 `mutate_document` makes the invalid side: a seeded copy of a graph
 document with a few edits at random places, for tests that pin how
-every fault reads.
+every fault reads. `misplaced_documents` moves a whole object to where
+another kind of object belongs.
 
 Only integer randomness is used, so a seeded random.Random reproduces
 the same graphs and documents on every run.
@@ -218,3 +219,23 @@ def mutate_document(data, rng: random.Random):
         else:
             container[key] = copy.deepcopy(rng.choice(ODD_VALUES))
     return box[0]
+
+
+def misplaced_documents(data) -> dict:
+    """Copies of the JSON document `data`, each with one object where
+    another kind belongs, keyed by what moved: its first node among the
+    components, its first component among the nodes, that component
+    among its own ramification entries, and that component's "kind" at
+    the top level. The first component must be dominant, with a
+    ramification list, and there must be a node.
+    """
+    component, node = data["components"][0], data["nodes"][0]
+    moved = {name: copy.deepcopy(data) for name in (
+        "node in components", "component in nodes",
+        "component in ramification", "kind at top level")}
+    moved["node in components"]["components"].append(copy.deepcopy(node))
+    moved["component in nodes"]["nodes"].append(copy.deepcopy(component))
+    moved["component in ramification"]["components"][0][
+        "ramification"].append(copy.deepcopy(component))
+    moved["kind at top level"]["kind"] = component["kind"]
+    return moved

@@ -5,10 +5,12 @@ Each entry maps an argv, joined by spaces, to [exit code, sha256 of
 stdout]. The runs are every `--help`, `compute` by every method over a
 grid of cells, `table` by every method over nine ranges in every
 format, `crosscheck` over six ranges, `branch-divisor` on the fixtures
-and a missing path, and seeded mutations of
+and a missing path, seeded mutations of
 docs/fixtures/elliptic_tail.json from graphgen.mutate_document, each
-keyed by its seed. Every run goes through `cli.main` in this process,
-with COLUMNS pinned so that help text does not follow the terminal.
+keyed by its seed, and that fixture's graphgen.misplaced_documents,
+each keyed by what moved. Every run goes through `cli.main` in this
+process, with COLUMNS pinned so that help text does not follow the
+terminal.
 
 Help text also depends on the interpreter: Python 3.13's argparse
 prints `--genus, -g GENUS` where 3.11 and 3.12 print `--genus GENUS,
@@ -38,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:  # run as a script from a checkout
     sys.path.insert(0, str(ROOT / "src"))
 
-from graphgen import mutate_document  # noqa: E402
+from graphgen import misplaced_documents, mutate_document  # noqa: E402
 from hurwitz.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
@@ -103,6 +105,10 @@ def runs():
                 mutated = mutate_document(source, random.Random(seed))
                 path.write_text(json.dumps(mutated), encoding="utf-8")
                 yield (f"branch-divisor --input <{MUTATED} mutation {seed}>",
+                       _run(["branch-divisor", "--input", str(path)]))
+            for moved, document in misplaced_documents(source).items():
+                path.write_text(json.dumps(document), encoding="utf-8")
+                yield (f"branch-divisor --input <{MUTATED}, {moved}>",
                        _run(["branch-divisor", "--input", str(path)]))
     finally:
         os.chdir(cwd)

@@ -6,12 +6,18 @@ suite reruns them at full volume.
 import json
 import random
 import sys
+import threading
+import tracemalloc
 from collections import Counter, deque
 from pathlib import Path
 
 import pytest
 
-from graphgen import mutate_document, random_valid_graph
+from graphgen import (
+    misplaced_documents,
+    mutate_document,
+    random_valid_graph,
+)
 from hurwitz.cli import main
 from hurwitz.routes import branch_count
 from hurwitz.stablemap import (
@@ -563,6 +569,155 @@ class TestJsonFormat:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(GraphFormatError, match="not valid JSON"):
             load_graph(path)
+
+
+def reference_load(path):
+    """Reference: the whole document decoded into dicts first, then
+    graph_from_dict, with load_graph's documented errors."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except FileNotFoundError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError(f"JSON nested too deeply: {exc}") from exc
+    except ValueError as exc:
+        raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read input: {exc}") from exc
+    return graph_from_dict(data)
+
+
+def load_outcome(load, path):
+    """The graph `load` returns, or the type and text of what it raised."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def nested_document(depth):
+    """A document whose only component has `depth` nested empty lists as
+    its genus: a genus fault, or too deep for the parser."""
+    return ('{"target_genus": 0, "components": [{"kind": "dominant", '
+            '"id": "A", "genus": ' + "[" * depth + "]" * depth
+            + ', "degree": 1}]}')
+
+
+class TestLoadGraph:
+    """load_graph builds the graph while the JSON decodes, and reads a
+    faulty file again the reference way; both must give the same graph
+    or the same error."""
+
+    def test_valid_graphs(self, tmp_path):
+        rng = random.Random(1919)
+        path = tmp_path / "graph.json"
+        for _ in range(100):
+            graph = random_valid_graph(rng)
+            path.write_text(json.dumps(graph_to_dict(graph)),
+                            encoding="utf-8")
+            assert load_graph(path) == reference_load(path) == graph
+
+    def test_mutations_of_every_fixture(self, tmp_path):
+        path = tmp_path / "mutation.json"
+        loaded = Counter()
+        for name in ("elliptic_tail", "identity_map", "unstable_tail"):
+            source = json.loads(
+                (FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+            for seed in range(300):
+                path.write_text(json.dumps(mutate_document(
+                    source, random.Random(seed))), encoding="utf-8")
+                got = load_outcome(load_graph, path)
+                assert got == load_outcome(reference_load, path), seed
+                loaded[isinstance(got, StableMapGraph)] += 1
+        assert min(loaded.values()) > 50
+
+    def test_misplaced_objects(self, tmp_path):
+        # each moved object is built where it does not belong; the
+        # reference names the fault by where it sits in the document
+        path = tmp_path / "misplaced.json"
+        source = json.loads(
+            (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
+        for moved, document in misplaced_documents(source).items():
+            path.write_text(json.dumps(document), encoding="utf-8")
+            got = load_outcome(load_graph, path)
+            assert got == load_outcome(reference_load, path), moved
+            assert got[0] is GraphFormatError
+
+    def test_unreadable_files(self, tmp_path):
+        (tmp_path / "noise.json").write_bytes(b"\xff\xfe\x00\x9c" * 64)
+        (tmp_path / "broken.json").write_text('{"target_genus": 0, "comp',
+                                              encoding="utf-8")
+        (tmp_path / "huge.json").write_text(
+            '{"target_genus": ' + "9" * (sys.get_int_max_str_digits() + 1)
+            + "}", encoding="utf-8")
+        for name in ("missing.json", "noise.json", "broken.json",
+                     "huge.json", ""):
+            path = tmp_path / name  # "" names the directory itself
+            got = load_outcome(load_graph, path)
+            assert got == load_outcome(reference_load, path), name
+            assert got[0] in (FileNotFoundError, GraphFormatError)
+
+    def test_nesting_boundary(self, tmp_path):
+        # the depth at which the parser runs out of stack depends on the
+        # frames below it, so a second read from another frame or through
+        # json.loads would move it. Run in a thread, whose stack starts
+        # nearly empty, the boundary lies inside this window on Python
+        # 3.11; from 3.12 the parser has a limit of its own, above it
+        limit = sys.getrecursionlimit()
+        paths = []
+        for depth in range(limit - 45, limit + 6):
+            paths.append(tmp_path / f"deep-{depth}.json")
+            paths[-1].write_text(nested_document(depth), encoding="utf-8")
+        results = []
+        thread = threading.Thread(target=lambda: results.extend(
+            (load_outcome(load_graph, path),
+             load_outcome(reference_load, path)) for path in paths))
+        thread.start()
+        thread.join()
+        assert len(results) == len(paths)
+        for depth, (got, expected) in enumerate(results, limit - 45):
+            assert got == expected, depth
+        texts = {got[1].split(":")[0] for got, _ in results}
+        assert "components[0]" in texts
+        if sys.version_info < (3, 12):
+            assert "JSON nested too deeply" in texts
+
+    def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
+        # the disjoint union of random graphs, about 2,500 components: its
+        # dict tree outweighs its graph, and built while decoding, the
+        # graph never needs the whole tree beside it
+        rng = random.Random(2500)
+        components, nodes = [], []
+        while len(components) < 2500:
+            graph, k = random_valid_graph(rng), len(components)
+            components += [c._replace(id=f"{c.id}.{k}")
+                           for c in graph.components]
+            nodes += [n._replace(branches=tuple(f"{b}.{k}"
+                                                for b in n.branches))
+                      for n in graph.nodes]
+        union = StableMapGraph(0, tuple(components), tuple(nodes))
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps(graph_to_dict(union)), encoding="utf-8")
+
+        def decode():
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert load_graph(path) == union
+        assert peak(lambda: load_graph(path)) < peak(decode)
 
 
 def edited(change):
