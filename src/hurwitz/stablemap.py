@@ -22,24 +22,20 @@ loop that checks the rules it comes from; with parsing and the one
 union-find pass for connectedness, the work is linear in their number.
 `load_graph` decodes the file into the graph directly: each component
 and node becomes its NamedTuple as soon as the parser has read it, so
-the document's dict tree never exists whole. A faulty file is read a
-second time, into dicts, and `graph_from_dict` reports the fault. On
-the benchmark's generated graphs (Python 3.11.7, shared 2-CPU Xeon,
-five seeds) `hurwitz branch-divisor` peaks at 17.3 MB resident at 2,500
-components and 26.5 MB at 10,000, against 19.2 MB and 37.5 MB when the
-whole tree was decoded first; its time did not move (medians of 20
-alternated runs: 130.5 -> 127.7 ms and 400.7 -> 402.8 ms, interpreter
-start included). As a library call, `load_graph` takes 36-37 ms and
-175-180 ms at the two sizes with the cyclic garbage collector off, and
-39 ms and 191 ms with it on: the collector's passes over the growing
-heap free nothing here, so the CLI runs every command with it off.
+the document's dict tree never exists whole, and one table per load
+makes equal labels one string and equal profiles one tuple (equal
+strings still name the same point; nothing is kept between loads). A
+faulty file is read a second time, into dicts, and `graph_from_dict`
+reports the fault. docs/branch_divisor_format.md gives the measured
+time and peak memory; the CLI runs every command with the cyclic
+garbage collector off, whose passes over the growing heap free nothing.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from operator import ge
+from operator import countOf, ge
 from typing import NamedTuple
 
 
@@ -156,8 +152,8 @@ def _walk(graph: StableMapGraph) -> tuple[list[str], dict[str, int]]:
             if count > 1:
                 violations.append(f"duplicate component id '{cid}'")
 
-    ends = [cid for node in nodes for cid in node.branches]
-    if not by_id.keys() >= set(ends):
+    branch_counts = Counter([cid for node in nodes for cid in node.branches])
+    if not by_id.keys() >= branch_counts.keys():
         for idx, node in enumerate(nodes):
             for cid in node.branches:
                 if cid not in by_id:
@@ -173,7 +169,6 @@ def _walk(graph: StableMapGraph) -> tuple[list[str], dict[str, int]]:
             "total degree is 0: at least one dominant component is required"
         )
 
-    branch_counts = Counter(ends)
     two_h = 2 * graph.target_genus
 
     for comp in components:
@@ -358,59 +353,88 @@ def _check_object(data, allowed: frozenset[str]) -> None:
         raise _Fault(f": unknown field '{key}'")
 
 
-def _parse_list(raw: list, parse, name: str) -> tuple:
+def _parse_list(raw: list, parse, name: str, share) -> tuple:
     parsed = []
     try:
         for entry in raw:
-            parsed.append(parse(entry))
+            parsed.append(parse(entry, share))
     except _Fault as fault:
         # the failing entry's index is the number parsed before it
         raise _Fault(f"{name}[{len(parsed)}]{fault}") from None
     return tuple(parsed)
 
 
-def _profile_from_dict(data) -> tuple[str, tuple[int, ...]]:
-    _check_object(data, _PROFILE_KEYS)
-    point = _field(data, "point", str)
-    try:
+# Each parser tests a group of fields for exact types and a key count
+# that leaves no room for an unknown key. Only when that fails does it
+# run the group's checks in order, which raise the first fault or accept
+# a subclass. `share` is the setdefault of one dict per load.
+def _profile_from_dict(data, share) -> tuple[str, tuple[int, ...]]:
+    point = profile = None
+    if type(data) is dict and len(data) == 2:
+        point, profile = data.get("point"), data.get("profile")
+    if not (type(point) is str and point and type(profile) is list and
+            profile and countOf(map(type, profile), int) == len(profile)):
+        _check_object(data, _PROFILE_KEYS)
+        point = _field(data, "point", str)
+        if "profile" not in data:
+            raise _Fault(": missing field 'profile'")
         profile = data["profile"]
-    except KeyError:
-        raise _Fault(": missing field 'profile'") from None
-    if isinstance(profile, list) and profile and all(
-            isinstance(e, int) and not isinstance(e, bool) for e in profile):
-        return point, tuple(profile)
-    raise _Fault(": field 'profile' must be a nonempty list of integers")
+        if not (isinstance(profile, list) and profile and all(
+                isinstance(e, int) and not isinstance(e, bool)
+                for e in profile)):
+            raise _Fault(
+                ": field 'profile' must be a nonempty list of integers")
+    profile = tuple(profile)
+    return share(point, point), share(profile, profile)
 
 
-def _component_from_dict(data) -> Component:
+def _component_from_dict(data, share) -> Component:
     if not isinstance(data, dict):
         raise _Fault(": expected an object")
-    kind = _field(data, "kind", str)
-    cid = _field(data, "id", str)
-    genus = _field(data, "genus", int)
+    kind, cid, genus = data.get("kind"), data.get("id"), data.get("genus")
+    if not (type(kind) is type(cid) is str and kind and cid and
+            type(genus) is int):
+        kind = _field(data, "kind", str)
+        cid = _field(data, "id", str)
+        genus = _field(data, "genus", int)
+    keys = len(data)
     if kind == "dominant":
-        _check_object(data, _DOMINANT_KEYS)
-        degree = _field(data, "degree", int)
-        raw = (_field(data, "ramification", list)
-               if "ramification" in data else ())
-        return DominantComponent(cid, genus, degree, _parse_list(
-            raw, _profile_from_dict, ".ramification"))
+        degree, raw = data.get("degree"), data.get("ramification", ())
+        if not (type(degree) is int and (
+                keys == 4 or keys == 5 and type(raw) is list)):
+            _check_object(data, _DOMINANT_KEYS)
+            degree = _field(data, "degree", int)
+            raw = (_field(data, "ramification", list)
+                   if "ramification" in data else ())
+        return DominantComponent(share(cid, cid), genus, degree, _parse_list(
+            raw, _profile_from_dict, ".ramification", share))
     if kind == "contracted":
-        _check_object(data, _CONTRACTED_KEYS)
-        return ContractedComponent(cid, genus, _field(data, "image", str))
+        image = data.get("image")
+        if not (keys == 4 and type(image) is str and image):
+            _check_object(data, _CONTRACTED_KEYS)
+            image = _field(data, "image", str)
+        return ContractedComponent(share(cid, cid), genus,
+                                   share(image, image))
     raise _Fault(f": kind must be 'dominant' or 'contracted', not {kind!r}")
 
 
-def _node_from_dict(data) -> Node:
-    _check_object(data, _NODE_KEYS)
-    if "branches" not in data:
-        raise _Fault(": missing field 'branches'")
-    branches = data["branches"]
-    if isinstance(branches, list) and len(branches) == 2:
-        a, b = branches
-        if isinstance(a, str) and a and isinstance(b, str) and b:
-            return Node((a, b), _field(data, "image", str))
-    raise _Fault(": field 'branches' must be a pair of component ids")
+def _node_from_dict(data, share) -> Node:
+    branches = image = None
+    if type(data) is dict and len(data) == 2:
+        branches, image = data.get("branches"), data.get("image")
+    if not (type(branches) is list and len(branches) == 2 and
+            type(branches[0]) is type(branches[1]) is str and
+            all(branches) and type(image) is str and image):
+        _check_object(data, _NODE_KEYS)
+        if "branches" not in data:
+            raise _Fault(": missing field 'branches'")
+        branches = data["branches"]
+        if not (isinstance(branches, list) and len(branches) == 2 and all(
+                isinstance(e, str) and e for e in branches)):
+            raise _Fault(": field 'branches' must be a pair of component ids")
+        image = _field(data, "image", str)
+    a, b = branches
+    return Node((share(a, a), share(b, b)), share(image, image))
 
 
 def graph_from_dict(data) -> StableMapGraph:
@@ -427,11 +451,13 @@ def graph_from_dict(data) -> StableMapGraph:
         raw_nodes = _field(data, "nodes", list) if "nodes" in data else ()
     except _Fault as fault:
         raise GraphFormatError(f"top level{fault}") from None
+    share = {}.setdefault
     try:
         return StableMapGraph(
             target_genus,
-            _parse_list(raw_components, _component_from_dict, "components"),
-            _parse_list(raw_nodes, _node_from_dict, "nodes"),
+            _parse_list(raw_components, _component_from_dict, "components",
+                        share),
+            _parse_list(raw_nodes, _node_from_dict, "nodes", share),
         )
     except _Fault as fault:
         raise GraphFormatError(str(fault)) from None
@@ -463,18 +489,6 @@ def graph_to_dict(graph: StableMapGraph) -> dict:
     }
 
 
-def _build(data: dict):
-    # json's object_hook: each component and node becomes its NamedTuple
-    # as soon as it is decoded, so the document's dict tree never exists
-    # whole. Profile dicts are parsed by their component's call; any
-    # other dict is returned as it is
-    if "kind" in data:
-        return _component_from_dict(data)
-    if "branches" in data:
-        return _node_from_dict(data)
-    return data
-
-
 _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
 
 
@@ -482,8 +496,19 @@ def _decoded(path) -> StableMapGraph:
     # the graph built while the file decodes. Anything wrong raises, and
     # a NamedTuple where the document wants a dict (or a dict left where
     # it wants a NamedTuple) fails a check here or in the parser
+    share = {}.setdefault
+
+    def build(data: dict):
+        # json's object_hook. Profile dicts are parsed by their
+        # component's call; any other dict is returned as it is
+        if "kind" in data:
+            return _component_from_dict(data, share)
+        if "branches" in data:
+            return _node_from_dict(data, share)
+        return data
+
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle, object_hook=_build)
+        data = json.load(handle, object_hook=build)
     _check_object(data, _TOP_KEYS)
     target_genus = _field(data, "target_genus", int)
     components = _field(data, "components", list)

@@ -688,21 +688,9 @@ class TestLoadGraph:
             assert "JSON nested too deeply" in texts
 
     def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
-        # the disjoint union of random graphs, about 2,500 components: its
-        # dict tree outweighs its graph, and built while decoding, the
-        # graph never needs the whole tree beside it
-        rng = random.Random(2500)
-        components, nodes = [], []
-        while len(components) < 2500:
-            graph, k = random_valid_graph(rng), len(components)
-            components += [c._replace(id=f"{c.id}.{k}")
-                           for c in graph.components]
-            nodes += [n._replace(branches=tuple(f"{b}.{k}"
-                                                for b in n.branches))
-                      for n in graph.nodes]
-        union = StableMapGraph(0, tuple(components), tuple(nodes))
-        path = tmp_path / "union.json"
-        path.write_text(json.dumps(graph_to_dict(union)), encoding="utf-8")
+        # the union's dict tree outweighs its graph, and built while
+        # decoding, the graph never needs the whole tree beside it
+        union, path = union_document(tmp_path)
 
         def decode():
             with open(path, encoding="utf-8") as handle:
@@ -718,6 +706,137 @@ class TestLoadGraph:
 
         assert load_graph(path) == union
         assert peak(lambda: load_graph(path)) < peak(decode)
+
+    def test_retained_size_with_shared_labels(self, tmp_path):
+        # the same graph with every label and profile a fresh object
+        # weighs about twice what the load keeps
+        union, path = union_document(tmp_path)
+        graph, shared = traced_size(lambda: load_graph(path))
+        copy, fresh = traced_size(lambda: unshared_copy(graph))
+        assert graph == copy == union
+        assert shared <= 0.7 * fresh, (shared, fresh)
+
+    def test_labels_and_profiles_are_one_object_each(self, tmp_path):
+        union, path = union_document(tmp_path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for graph in (load_graph(path), graph_from_dict(data)):
+            ids = {c.id: c.id for c in graph.components}
+            assert all(cid is ids[cid]
+                       for node in graph.nodes for cid in node.branches)
+            labels, profiles = labels_and_profiles(graph)
+            for values in (labels, profiles):
+                distinct = {value: value for value in values}
+                assert all(value is distinct[value] for value in values)
+        # the union repeats its point labels and profiles many times
+        assert len(labels) > 3 * len(set(labels))
+        assert len(profiles) > 10 * len(set(profiles))
+
+    def test_no_table_outlives_the_load(self, tmp_path):
+        _, path = union_document(tmp_path)
+        # the same graph with every id and point label renamed: the union's
+        # ids all hold a ".", its point labels all start with "q", and no
+        # key or kind has either
+        other = tmp_path / "other.json"
+        other.write_text(path.read_text(encoding="utf-8").replace(
+            '"q', '"r').replace(".", ","), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            load_graph(other)  # fills the interpreter's free lists
+            before = tracemalloc.get_traced_memory()[0]
+            graph = load_graph(path)
+            assert tracemalloc.get_traced_memory()[0] - before > 500_000
+            del graph
+            assert tracemalloc.get_traced_memory()[0] - before < 20_000
+        finally:
+            tracemalloc.stop()
+
+    def test_str_subclass_labels(self):
+        # a bare sys.intern raises TypeError on these; the parser accepts
+        # them, as it accepts int subclasses, and builds an equal graph
+        class Label(str):
+            pass
+
+        class Count(int):
+            pass
+
+        def subclassed(value):
+            if isinstance(value, dict):
+                return {key: subclassed(v) for key, v in value.items()}
+            if isinstance(value, list):
+                return [subclassed(v) for v in value]
+            if isinstance(value, str):
+                return Label(value)
+            return Count(value)
+
+        rng = random.Random(2020)
+        for _ in range(50):
+            data = graph_to_dict(random_valid_graph(rng))
+            assert graph_from_dict(subclassed(data)) == graph_from_dict(data)
+
+
+def union_document(tmp_path):
+    """The disjoint union of random graphs, about 2,500 components, with
+    component ids made distinct and point labels left as drawn; the
+    graph and the path of its JSON document."""
+    rng = random.Random(2500)
+    components, nodes = [], []
+    while len(components) < 2500:
+        graph, k = random_valid_graph(rng), len(components)
+        components += [c._replace(id=f"{c.id}.{k}")
+                       for c in graph.components]
+        nodes += [n._replace(branches=tuple(f"{b}.{k}"
+                                            for b in n.branches))
+                  for n in graph.nodes]
+    union = StableMapGraph(0, tuple(components), tuple(nodes))
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(graph_to_dict(union)), encoding="utf-8")
+    return union, path
+
+
+def traced_size(call):
+    """What call() returns, and the memory its allocations still hold."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def unshared_copy(graph):
+    """An equal graph in which every label and profile is a new object
+    (a one-character label is the interpreter's own either way)."""
+    def fresh(label):
+        return (label + " ")[:-1]
+
+    components = []
+    for comp in graph.components:
+        if isinstance(comp, DominantComponent):
+            components.append(comp._replace(
+                id=fresh(comp.id), ramification=tuple(
+                    (fresh(point), tuple(list(profile)))
+                    for point, profile in comp.ramification)))
+        else:
+            components.append(comp._replace(id=fresh(comp.id),
+                                            image=fresh(comp.image)))
+    return StableMapGraph(graph.target_genus, tuple(components), tuple(
+        Node(tuple(map(fresh, node.branches)), fresh(node.image))
+        for node in graph.nodes))
+
+
+def labels_and_profiles(graph):
+    """Every label in the graph, and every profile, one per occurrence."""
+    labels, profiles = [], []
+    for comp in graph.components:
+        labels.append(comp.id)
+        if isinstance(comp, DominantComponent):
+            for point, profile in comp.ramification:
+                labels.append(point)
+                profiles.append(profile)
+        else:
+            labels.append(comp.image)
+    for node in graph.nodes:
+        labels += [*node.branches, node.image]
+    return labels, profiles
 
 
 def edited(change):
