@@ -313,14 +313,6 @@ def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
     return divisor
 
 
-# keys each JSON object may carry
-_TOP_KEYS = frozenset({"target_genus", "components", "nodes"})
-_DOMINANT_KEYS = frozenset({"kind", "id", "genus", "degree", "ramification"})
-_CONTRACTED_KEYS = frozenset({"kind", "id", "genus", "image"})
-_PROFILE_KEYS = frozenset({"point", "profile"})
-_NODE_KEYS = frozenset({"branches", "image"})
-
-
 class _Fault(Exception):
     """A shape error, raised as text that starts with its location
     relative to the object being parsed: ": problem" for the object
@@ -329,28 +321,57 @@ class _Fault(Exception):
     formatted unless a check fails."""
 
 
-_KIND_TEXT = {str: "a nonempty string", int: "an integer", list: "a list"}
+def _integer(value) -> bool:
+    # a bool is an int, but not an integer here
+    return isinstance(value, int) and value is not True and value is not False
 
 
-def _field(data: dict, key: str, kind: type):
-    try:
-        value = data[key]
-    except KeyError:
-        raise _Fault(f": missing field '{key}'") from None
-    # a string must be nonempty; a bool is an int, but not an integer here
-    if isinstance(value, kind) and (value if kind is str else
-                                    value is not True and value is not False):
-        return value
-    raise _Fault(f": field '{key}' must be {_KIND_TEXT[kind]}")
+def _text(value) -> bool:
+    return isinstance(value, str) and value != ""
 
 
-def _check_object(data, allowed: frozenset[str]) -> None:
+# The document schema. Each kind of field value is a test and the words
+# a fault names it by; an optional kind adds what an absent field stands
+# for. Each object lists its fields in the order they are checked.
+_TEXT = _text, "a nonempty string"
+_INT = _integer, "an integer"
+_LIST = (lambda value: isinstance(value, list)), "a list"
+_OPTIONAL_LIST = *_LIST, ()
+_INTEGERS = (lambda value: isinstance(value, list) and value != [] and all(
+    map(_integer, value))), "a nonempty list of integers"
+_PAIR = (lambda value: isinstance(value, list) and len(value) == 2 and all(
+    map(_text, value))), "a pair of component ids"
+
+_TOP = {"target_genus": _INT, "components": _LIST, "nodes": _OPTIONAL_LIST}
+# a component's kind picks its fields, so kind, id and genus are checked
+# before its unknown keys; every other object checks unknown keys first
+_HEAD = {"kind": _TEXT, "id": _TEXT, "genus": _INT}
+_DOMINANT = {**_HEAD, "degree": _INT, "ramification": _OPTIONAL_LIST}
+_CONTRACTED = {**_HEAD, "image": _TEXT}
+_PROFILE = {"point": _TEXT, "profile": _INTEGERS}
+_NODE = {"branches": _PAIR, "image": _TEXT}
+
+
+def _check(data, fields: dict, closed: bool = True) -> list:
+    # the values of an object's fields, in the order `fields` lists them,
+    # or its first fault: not an object, then (in a closed check) the
+    # first unknown key in document order, then each field in turn
     if not isinstance(data, dict):
         raise _Fault(": expected an object")
-    if not allowed.issuperset(data):
-        # name the first unknown key in document order
-        key = next(key for key in data if key not in allowed)
+    if closed and not fields.keys() >= data.keys():
+        key = next(key for key in data if key not in fields)
         raise _Fault(f": unknown field '{key}'")
+    values = []
+    for key, (test, text, *absent) in fields.items():
+        if key not in data:
+            if not absent:
+                raise _Fault(f": missing field '{key}'")
+            values.append(absent[0])
+        elif test(data[key]):
+            values.append(data[key])
+        else:
+            raise _Fault(f": field '{key}' must be {text}")
+    return values
 
 
 def _parse_list(raw: list, parse, name: str, share) -> tuple:
@@ -366,24 +387,16 @@ def _parse_list(raw: list, parse, name: str, share) -> tuple:
 
 # Each parser tests a group of fields for exact types and a key count
 # that leaves no room for an unknown key. Only when that fails does it
-# run the group's checks in order, which raise the first fault or accept
-# a subclass. `share` is the setdefault of one dict per load.
+# run the ordered check of the group's schema, which raises the first
+# fault or accepts a subclass. `share` is the setdefault of one dict per
+# load.
 def _profile_from_dict(data, share) -> tuple[str, tuple[int, ...]]:
     point = profile = None
     if type(data) is dict and len(data) == 2:
         point, profile = data.get("point"), data.get("profile")
     if not (type(point) is str and point and type(profile) is list and
             profile and countOf(map(type, profile), int) == len(profile)):
-        _check_object(data, _PROFILE_KEYS)
-        point = _field(data, "point", str)
-        if "profile" not in data:
-            raise _Fault(": missing field 'profile'")
-        profile = data["profile"]
-        if not (isinstance(profile, list) and profile and all(
-                isinstance(e, int) and not isinstance(e, bool)
-                for e in profile)):
-            raise _Fault(
-                ": field 'profile' must be a nonempty list of integers")
+        point, profile = _check(data, _PROFILE)
     profile = tuple(profile)
     return share(point, point), share(profile, profile)
 
@@ -394,25 +407,19 @@ def _component_from_dict(data, share) -> Component:
     kind, cid, genus = data.get("kind"), data.get("id"), data.get("genus")
     if not (type(kind) is type(cid) is str and kind and cid and
             type(genus) is int):
-        kind = _field(data, "kind", str)
-        cid = _field(data, "id", str)
-        genus = _field(data, "genus", int)
+        kind, cid, genus = _check(data, _HEAD, closed=False)
     keys = len(data)
     if kind == "dominant":
         degree, raw = data.get("degree"), data.get("ramification", ())
         if not (type(degree) is int and (
                 keys == 4 or keys == 5 and type(raw) is list)):
-            _check_object(data, _DOMINANT_KEYS)
-            degree = _field(data, "degree", int)
-            raw = (_field(data, "ramification", list)
-                   if "ramification" in data else ())
+            *_, degree, raw = _check(data, _DOMINANT)
         return DominantComponent(share(cid, cid), genus, degree, _parse_list(
             raw, _profile_from_dict, ".ramification", share))
     if kind == "contracted":
         image = data.get("image")
         if not (keys == 4 and type(image) is str and image):
-            _check_object(data, _CONTRACTED_KEYS)
-            image = _field(data, "image", str)
+            *_, image = _check(data, _CONTRACTED)
         return ContractedComponent(share(cid, cid), genus,
                                    share(image, image))
     raise _Fault(f": kind must be 'dominant' or 'contracted', not {kind!r}")
@@ -425,16 +432,18 @@ def _node_from_dict(data, share) -> Node:
     if not (type(branches) is list and len(branches) == 2 and
             type(branches[0]) is type(branches[1]) is str and
             all(branches) and type(image) is str and image):
-        _check_object(data, _NODE_KEYS)
-        if "branches" not in data:
-            raise _Fault(": missing field 'branches'")
-        branches = data["branches"]
-        if not (isinstance(branches, list) and len(branches) == 2 and all(
-                isinstance(e, str) and e for e in branches)):
-            raise _Fault(": field 'branches' must be a pair of component ids")
-        image = _field(data, "image", str)
+        branches, image = _check(data, _NODE)
     a, b = branches
     return Node((share(a, a), share(b, b)), share(image, image))
+
+
+def _top(data) -> list:
+    # target genus, components and nodes: the top level's checks, for
+    # both ways a document is read
+    try:
+        return _check(data, _TOP)
+    except _Fault as fault:
+        raise GraphFormatError(f"top level{fault}") from None
 
 
 def graph_from_dict(data) -> StableMapGraph:
@@ -444,13 +453,7 @@ def graph_from_dict(data) -> StableMapGraph:
     GraphFormatError naming the first fault in document order; rule
     violations are left to `validate`.
     """
-    try:
-        _check_object(data, _TOP_KEYS)
-        target_genus = _field(data, "target_genus", int)
-        raw_components = _field(data, "components", list)
-        raw_nodes = _field(data, "nodes", list) if "nodes" in data else ()
-    except _Fault as fault:
-        raise GraphFormatError(f"top level{fault}") from None
+    target_genus, raw_components, raw_nodes = _top(data)
     share = {}.setdefault
     try:
         return StableMapGraph(
@@ -509,10 +512,7 @@ def _decoded(path) -> StableMapGraph:
 
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle, object_hook=build)
-    _check_object(data, _TOP_KEYS)
-    target_genus = _field(data, "target_genus", int)
-    components = _field(data, "components", list)
-    nodes = _field(data, "nodes", list) if "nodes" in data else []
+    target_genus, components, nodes = _top(data)
     # one type check per list at C speed, not a Python call per entry
     if set(map(type, components)) <= _COMPONENT_TYPES and \
             set(map(type, nodes)) <= {Node}:

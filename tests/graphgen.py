@@ -8,6 +8,10 @@ components that touch share an image point, and repairs stability by
 attaching extra nodes. The validate call at the end is the generator's
 own guard: everything returned is a valid graph by construction.
 
+`collision_limit` makes a valid graph of another sort: the stable limit
+of a cover whose branch points collide, built from permutations alone,
+with the branch divisor the limit must have.
+
 `mutate_document` makes the invalid side: a seeded copy of a graph
 document with a few edits at random places, for tests that pin how
 every fault reads. `misplaced_documents` moves a whole object to where
@@ -83,6 +87,12 @@ def _random_dominant(rng, cid, target_genus, labels):
     }
 
 
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def random_valid_graph(rng: random.Random) -> StableMapGraph:
     target_genus = rng.choice((0, 0, 0, 1, 2))
     labels = _Labels(rng)
@@ -126,20 +136,13 @@ def random_valid_graph(rng: random.Random) -> StableMapGraph:
     # contracted components joined by a node must share their image:
     # union-find over contracted-contracted edges, one label per group
     parent = list(range(len(drafts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges:
         if drafts[a]["kind"] == drafts[b]["kind"] == "contracted":
-            parent[find(a)] = find(b)
+            parent[_find(parent, a)] = _find(parent, b)
     group_image: dict[int, str] = {}
     for i, draft in enumerate(drafts):
         if draft["kind"] == "contracted":
-            root = find(i)
+            root = _find(parent, i)
             if root not in group_image:
                 group_image[root] = labels.point()
             draft["image"] = group_image[root]
@@ -239,3 +242,106 @@ def misplaced_documents(data) -> dict:
         "ramification"].append(copy.deepcopy(component))
     moved["kind at top level"]["kind"] = component["kind"]
     return moved
+
+
+def _classes(points, pairs):
+    """The classes of `points` joined by `pairs`, each a sorted list,
+    in order of their least element."""
+    parent = {x: x for x in points}
+    for a, b in pairs:
+        parent[_find(parent, a)] = _find(parent, b)
+    classes = {}
+    for x in sorted(points):
+        classes.setdefault(_find(parent, x), []).append(x)
+    return list(classes.values())
+
+
+def collision_limit(rng: random.Random, g: int, d: int):
+    """The stable limit of a connected genus-g, degree-d cover of the
+    line when 2 to 5 of its r = 2g + 2d - 2 simple branch points come
+    together at one point "p", as a graph document, with the branch
+    divisor the limit must have: k at "p" for k collided points, and 1
+    at each other branch point "q<j>". Needs d >= 2; uses no `hurwitz`
+    function.
+
+    The cover is a factorization t_1...t_r = 1 into transpositions that
+    generate a transitive group: a spanning tree and g more
+    transpositions, followed by the same list reversed, then shuffled
+    by braid moves, which keep the product and the group. A block of k
+    consecutive t_i collides with monodromy sigma, their product. The
+    dominant components are the orbits of sigma and the other t_j, with
+    sigma's cycle type over "p" and (2, 1, ...) over each t_j they
+    contain. Each orbit B of the block gets a bubble contracted to "p",
+    of genus h with 2h - 2 = -|B| + k_B - (cycles of sigma on B), k_B
+    the block's transpositions on B, glued by one node to the dominant
+    component of each of those cycles. Stabilizing drops a genus-0
+    bubble with one node and turns one with two nodes into a single
+    node between the two dominant branches.
+    """
+    points = range(d)
+    tree = [(x, rng.randrange(x)) for x in range(1, d)]
+    extra = [tuple(rng.sample(points, 2)) for _ in range(g)]
+    half = tree + extra
+    rng.shuffle(half)
+    factors = half + half[::-1]
+    r = len(factors)
+    for _ in range(3 * r):
+        # (t_i, t_i+1) -> (t_i t_i+1 t_i, t_i)
+        i = rng.randrange(r - 1)
+        a, b = factors[i]
+        swap = {a: b, b: a}
+        c, e = factors[i + 1]
+        factors[i:i + 2] = [(swap.get(c, c), swap.get(e, e)), (a, b)]
+
+    k = rng.randint(2, min(5, r))
+    start = rng.randrange(r - k + 1)
+    block = factors[start:start + k]
+    others = {j: t for j, t in enumerate(factors, 1)
+              if not start < j <= start + k}
+    sigma = list(points)
+    for a, b in block:
+        sigma = [b if y == a else a if y == b else y for y in sigma]
+    cycles = _classes(points, enumerate(sigma))
+
+    orbits = _classes(points, [*others.values(), *enumerate(sigma)])
+    owner = {x: f"A{n}" for n, orbit in enumerate(orbits, 1) for x in orbit}
+    components = []
+    for n, orbit in enumerate(orbits, 1):
+        ramification = []
+        at_p = sorted((len(c) for c in cycles if c[0] in orbit),
+                      reverse=True)
+        for j in range(1, r + 1):
+            if j == start + 1 and at_p[0] > 1:
+                ramification.append({"point": "p", "profile": at_p})
+            if j in others and others[j][0] in orbit:
+                profile = [2] + [1] * (len(orbit) - 2)
+                ramification.append({"point": f"q{j}", "profile": profile})
+        weight = sum(sum(e["profile"]) - len(e["profile"])
+                     for e in ramification)
+        entry = {"kind": "dominant", "id": f"A{n}",
+                 "genus": (weight - 2 * len(orbit) + 2) // 2,
+                 "degree": len(orbit)}
+        if ramification:
+            entry["ramification"] = ramification
+        components.append(entry)
+
+    nodes = []
+    for n, bubble in enumerate(_classes(points, block), 1):
+        ends = [owner[c[0]] for c in cycles if c[0] in bubble]
+        k_b = sum(a in bubble for a, _ in block)
+        genus = (k_b - len(bubble) - len(ends) + 2) // 2
+        if genus == 0 and len(ends) == 1:
+            continue
+        if genus == 0 and len(ends) == 2:
+            nodes.append({"branches": ends, "image": "p"})
+            continue
+        components.append({"kind": "contracted", "id": f"B{n}",
+                           "genus": genus, "image": "p"})
+        nodes += [{"branches": [f"B{n}", end], "image": "p"} for end in ends]
+
+    divisor = {f"q{j}": 1 for j in others}
+    divisor["p"] = k
+    document = {"target_genus": 0, "components": components}
+    if nodes:
+        document["nodes"] = nodes
+    return document, divisor

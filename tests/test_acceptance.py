@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from contentseries import content_exp
-from graphgen import random_valid_graph
+from graphgen import collision_limit, random_valid_graph
 from hurwitz.character import (
     connected_hurwitz,
     content_log,
@@ -30,7 +30,9 @@ from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
 from hurwitz.routes import branch_count
 from hurwitz.stablemap import (
     InvalidGraphError,
+    arithmetic_genus,
     branch_divisor,
+    graph_from_dict,
     load_graph,
     riemann_hurwitz_degree,
     validate,
@@ -210,3 +212,22 @@ def test_criterion_9_property_suite():
                 failures.append(f"content antisymmetry fails at {shape}")
 
     _report(9, "property suite", failures, started)
+
+
+def test_criterion_10_continuity_under_collision():
+    # k of the branch points of a seeded cover collide at p: the stable
+    # limit's divisor is k at p and 1 at every other branch point
+    started = time.monotonic_ns()
+    failures = []
+    rng = random.Random(GRAPH_SEED)
+    for index in range(GRAPH_COUNT):
+        g, d = rng.randint(0, 2), rng.randint(2, 6)
+        document, expected = collision_limit(rng, g, d)
+        graph = graph_from_dict(document)
+        # the violations in place of the divisor, where there are any
+        got = (validate(graph) or branch_divisor(graph),
+               arithmetic_genus(graph), riemann_hurwitz_degree(graph))
+        if got != (expected, g, sum(expected.values())):
+            failures.append(f"limit {index}: {got} != {expected}, g={g}")
+    _report(10, f"branch divisor continuous under collision, "
+            f"{GRAPH_COUNT} limits", failures, started)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hurwitz
-from hurwitz import recursion
+from hurwitz import cli, recursion
 from hurwitz.cli import EXIT_ERROR, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from hurwitz.routes import Method
 
@@ -494,6 +494,24 @@ class TestBranchDivisor:
         assert payload["expected_degree"] == 4 * genus
         assert payload["effective"] is True
 
+    def test_broken_degree_law_is_an_internal_error(self, capsys,
+                                                    monkeypatch):
+        # every valid graph meets the degree law, so a divisor that breaks
+        # it is a fault in the program, not a mismatch (exit 1)
+        count = cli.branch_count
+        monkeypatch.setattr(cli, "branch_count",
+                            lambda *args: count(*args) + 1)
+        code = main(["branch-divisor", "--input",
+                     str(FIXTURES / "elliptic_tail.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert json.loads(captured.out) == {
+            "status": "error",
+            "error": "ArithmeticError: branch divisor of degree 4 is not an "
+                     "effective divisor of degree 5",
+        }
+        assert captured.err.count("Traceback") == 1
+
 
 def _compute_argv():
     return st.builds(
@@ -668,7 +686,10 @@ class TestDeterminism:
         assert first == second
 
     def test_console_script_smoke(self):
-        # the installed entry point must behave like main()
+        # `python -m hurwitz.cli` in a child process: cli.run, the entry
+        # that the `hurwitz` console script calls too. CI compares the
+        # installed script with this run on the fixtures and a few
+        # commands
         result = subprocess.run(
             [sys.executable, "-m", "hurwitz.cli", "crosscheck",
              "--gmax", "0", "--dmax", "2"],
