@@ -111,12 +111,18 @@ def _render_table(rows, fmt):
     return "\n".join(lines)
 
 
-def _cmd_table(args) -> dict | str:
-    g_max, d_max = args.gmax, args.dmax
-    if g_max < 0 or d_max < 1:
+def _range_fault(args) -> dict | None:
+    # table's and crosscheck's one check of --gmax and --dmax
+    if args.gmax < 0 or args.dmax < 1:
         return _invalid(error="gmax must be >= 0 and dmax >= 1")
+    return None
+
+
+def _cmd_table(args) -> dict | str:
+    if fault := _range_fault(args):
+        return fault
     method = Method(args.method)
-    table = build_table(g_max, d_max, method)
+    table = build_table(args.gmax, args.dmax, method)
     rows = [
         (g, d, branch_count(g, d), format_rational(values[method]))
         for (g, d), values in table.items()
@@ -134,9 +140,8 @@ def _cmd_table(args) -> dict | str:
 
 
 def _cmd_crosscheck(args) -> dict:
-    g_max, d_max = args.gmax, args.dmax
-    if g_max < 0 or d_max < 1:
-        return _invalid(error="gmax must be >= 0 and dmax >= 1")
+    if fault := _range_fault(args):
+        return fault
     cells = [
         {
             "genus": g,
@@ -145,7 +150,7 @@ def _cmd_crosscheck(args) -> dict:
             "values": {m.value: format_rational(v) for m, v in values.items()},
             "agree": len(set(values.values())) == 1,
         }
-        for (g, d), values in build_table(g_max, d_max).items()
+        for (g, d), values in build_table(args.gmax, args.dmax).items()
     ]
     status = "ok" if all(cell["agree"] for cell in cells) else "mismatch"
     return {"status": status, "cells": cells}

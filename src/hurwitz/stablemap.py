@@ -332,7 +332,8 @@ def _text(value) -> bool:
 
 # The document schema. Each kind of field value is a test and the words
 # a fault names it by; an optional kind adds what an absent field stands
-# for. Each object lists its fields in the order they are checked.
+# for. Each object lists its fields in the order they are checked, which
+# is the order graph_to_dict writes them in.
 _TEXT = _text, "a nonempty string"
 _INT = _integer, "an integer"
 _LIST = (lambda value: isinstance(value, list)), "a list"
@@ -467,29 +468,25 @@ def graph_from_dict(data) -> StableMapGraph:
 
 
 def graph_to_dict(graph: StableMapGraph) -> dict:
-    """Inverse of graph_from_dict, for round trips and fixtures."""
+    """Inverse of graph_from_dict, for round trips and fixtures.
+
+    Each object takes its keys, in order, from the schema row that
+    reads it; an empty ramification is left out, and nodes never are.
+    """
     components = []
     for comp in graph.components:
-        if isinstance(comp, DominantComponent):
-            entry = {"kind": "dominant", **comp._asdict()}
-            if comp.ramification:
-                entry["ramification"] = [
-                    {"point": point, "profile": list(profile)}
-                    for point, profile in comp.ramification
-                ]
-            else:
-                del entry["ramification"]
-        else:
-            entry = {"kind": "contracted", **comp._asdict()}
-        components.append(entry)
-    return {
-        "target_genus": graph.target_genus,
-        "components": components,
-        "nodes": [
-            {"branches": list(node.branches), "image": node.image}
-            for node in graph.nodes
-        ],
-    }
+        if isinstance(comp, ContractedComponent):
+            components.append(dict(zip(_CONTRACTED, ("contracted", *comp))))
+            continue
+        profiles = [dict(zip(_PROFILE, (point, list(profile))))
+                    for point, profile in comp.ramification]
+        values = "dominant", *comp[:3], profiles
+        # zip stops at the shorter side, so four values leave it out
+        components.append(dict(zip(_DOMINANT,
+                                   values if profiles else values[:-1])))
+    nodes = [dict(zip(_NODE, (list(node.branches), node.image)))
+             for node in graph.nodes]
+    return dict(zip(_TOP, (graph.target_genus, components, nodes)))
 
 
 _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})

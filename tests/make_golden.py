@@ -4,13 +4,13 @@ hash of a fixed list of CLI runs.
 Each entry maps an argv, joined by spaces, to [exit code, sha256 of
 stdout]. The runs are every `--help`, `compute` by every method over a
 grid of cells, `table` by every method over nine ranges in every
-format, `crosscheck` over six ranges, `branch-divisor` on the fixtures
-and a missing path, seeded mutations of
-docs/fixtures/elliptic_tail.json from graphgen.mutate_document, each
-keyed by its seed, and that fixture's graphgen.misplaced_documents,
-each keyed by what moved. Every run goes through `cli.main` in this
-process, with COLUMNS pinned so that help text does not follow the
-terminal.
+format, `crosscheck` over six ranges, `branch-divisor` on every
+docs/fixtures/*.json in sorted order and a missing path, seeded
+mutations of docs/fixtures/elliptic_tail.json from
+graphgen.mutate_document, each keyed by its seed, and that fixture's
+graphgen.misplaced_documents, each keyed by what moved. Every run goes
+through `cli.main` in this process, with COLUMNS pinned so that help
+text does not follow the terminal.
 
 Help text also depends on the interpreter: Python 3.13's argparse
 prints `--genus, -g GENUS` where 3.11 and 3.12 print `--genus GENUS,
@@ -46,7 +46,9 @@ from hurwitz.cli import main  # noqa: E402
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
 METHODS = ("character", "recursion", "closed-form", "elsv-g0", "oracle")
-FIXTURES = ("elliptic_tail", "identity_map", "unstable_tail")
+# every document in docs/fixtures, in the order CI runs them
+FIXTURES = sorted(path.name for path in
+                  (ROOT / "docs" / "fixtures").glob("*.json"))
 MUTATED = "elliptic_tail"
 MUTATIONS = 300
 
@@ -72,7 +74,7 @@ ARGVS = (
        ["table", "--method", "elsv-g0", "--gmax", "0", "--dmax", "41"]]
     + [["crosscheck", "--gmax", str(g), "--dmax", str(d)]
        for g, d in CROSSCHECK_RANGES]
-    + [["branch-divisor", "--input", f"docs/fixtures/{name}.json"]
+    + [["branch-divisor", "--input", f"docs/fixtures/{name}"]
        for name in FIXTURES]
     + [["branch-divisor", "--input", "docs/fixtures/missing.json"]]
 )

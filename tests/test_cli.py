@@ -539,25 +539,27 @@ def _crosscheck_argv():
     )
 
 
-# the three fixtures, a missing path and a directory
+# every fixture in sorted order, a missing path and a directory
 _BRANCH_DIVISOR_ARGV = [
     ["branch-divisor", "--input", str(path)] for path in (
-        FIXTURES / "identity_map.json", FIXTURES / "elliptic_tail.json",
-        FIXTURES / "unstable_tail.json", FIXTURES / "missing.json",
+        *sorted(FIXTURES.glob("*.json")), FIXTURES / "missing.json",
         FIXTURES,
     )
 ]
+
+
+def _every_branch_divisor_example(test):
+    # each of those argv runs on every test run, not only when drawn
+    for argv in _BRANCH_DIVISOR_ARGV:
+        test = example(argv)(test)
+    return test
 
 
 class TestArgumentSpace:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_compute_argv(), _table_argv(), _crosscheck_argv(),
                      st.sampled_from(_BRANCH_DIVISOR_ARGV)))
-    @example(_BRANCH_DIVISOR_ARGV[0])
-    @example(_BRANCH_DIVISOR_ARGV[1])
-    @example(_BRANCH_DIVISOR_ARGV[2])
-    @example(_BRANCH_DIVISOR_ARGV[3])
-    @example(_BRANCH_DIVISOR_ARGV[4])
+    @_every_branch_divisor_example
     def test_every_run_ends_in_a_documented_exit(self, argv):
         # a caller with the collector on, as an interpreter starts; the
         # next test pins a caller that had turned it off

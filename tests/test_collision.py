@@ -18,6 +18,7 @@ from hurwitz.stablemap import (
     arithmetic_genus,
     branch_divisor,
     graph_from_dict,
+    graph_to_dict,
     riemann_hurwitz_degree,
     validate,
 )
@@ -61,6 +62,7 @@ def test_every_limit_has_the_collided_divisor():
     seen = {}
     for g, d, document, divisor in limits():
         graph = graph_from_dict(document)
+        assert graph_from_dict(graph_to_dict(graph)) == graph, document
         assert validate(graph) == [], document
         assert branch_divisor(graph) == divisor, document
         assert arithmetic_genus(graph) == g, document
