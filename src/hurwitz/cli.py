@@ -5,25 +5,26 @@ Four subcommands: `compute` for one Hurwitz number by one method,
 every applicable method on every cell and compare, and `branch-divisor`
 to evaluate the branch divisor of a stable-map graph read from JSON.
 
-Each handler returns its output, a payload dict or a text or CSV
-table, and prints nothing; `main` alone prints it and picks the exit
-code. Output is deterministic: JSON is printed with sorted keys,
-rationals are serialized as lowest-terms 'a/b' strings (bare integers
-when the denominator is 1), and identical invocations produce
-byte-identical output. Exit codes: 0 for ok, 1 for routes that
-disagree (from `crosscheck` alone), 2 for invalid input, 3 for an
-internal error (`"status": "error"`, with the exception's type and
-message; the traceback goes to stderr), which includes a branch divisor
-that breaks the degree law or is not effective, and for output that
-could not be written, a closed pipe or a full device (one line on
-stderr, no traceback). Help text goes through the same write, so the
-same holds for `--help`.
+Each handler returns its output as a payload dict, with the routes'
+values as Fractions, and prints nothing; `main` alone renders it, as
+JSON or as `table`'s text or CSV, prints it and picks the exit code.
+Output is deterministic: JSON is printed with sorted keys, rationals
+are serialized as lowest-terms 'a/b' strings (bare integers when the
+denominator is 1), and identical invocations produce byte-identical
+output. Exit codes: 0 for ok, 1 for routes that disagree (from
+`crosscheck` alone), 2 for invalid input, 3 for an internal error
+(`"status": "error"`, with the exception's type and message; the
+traceback goes to stderr), which includes a branch divisor that breaks
+the degree law or is not effective, and for output that could not be
+written, a closed pipe or a full device (one line on stderr, no
+traceback). Help text goes through the same write, so the same holds
+for `--help`.
 
 Every command runs with the cyclic garbage collector off, until its
 output is printed: a run makes no reference cycles, so the collector's
 passes free nothing. The interpreter's integer-to-string digit limit
-guards all input and is lifted only while the JSON output is
-serialized, so values derived from large input print in full.
+guards all input and is lifted only while the output is rendered,
+tables included, so values of any size print in full.
 
 `python -m hurwitz.cli` and the `hurwitz` console script both enter
 through `run`, which calls `main` and then freezes the collector's view
@@ -57,23 +58,17 @@ EXIT_ERROR = 3
 _STATUS_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH,
                 "invalid-input": EXIT_INVALID, "error": EXIT_ERROR}
 
-def _digits(n: int) -> str:
-    # str(n) refuses ints over sys.get_int_max_str_digits() digits, a
-    # limit kept because it guards JSON input; an integral Decimal is
-    # exact and prints in full. Imported here, as is Fraction below, so
-    # that `--help` and `branch-divisor` load neither module
-    from decimal import Decimal
-    return str(Decimal(n))
 
-
-def format_rational(value) -> str:
-    """Lowest-terms 'a/b', or a bare integer when the denominator is 1,
-    printed in full at any size."""
+def _rational(value) -> str:
+    # json's default=, called only for a value JSON has no type for: a
+    # route's Fraction prints as str() does, 'a/b' in lowest terms or a
+    # bare integer. Imported here, so that `--help` and `branch-divisor`
+    # never load fractions
     from fractions import Fraction
-    value = Fraction(value)
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    if type(value) is Fraction:
+        return str(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _invalid(**fields) -> dict:
@@ -91,24 +86,22 @@ def _cmd_compute(args) -> dict:
         "degree": d,
         "branch_points": branch_count(g, d),
         "method": args.method,
-        "value": format_rational(value),
+        "value": value,
     }
 
 
-def _render_table(rows, fmt):
-    # rows: (g, d, r, value-string)
+def _render(result: dict, fmt: str) -> str:
+    # an ok table payload as CSV or aligned text, any other as JSON. Each
+    # cell's entries are in column order: g, d, r and value
+    if fmt == "json" or result["status"] != "ok":
+        return json.dumps(result, indent=2, sort_keys=True, default=_rational)
+    rows = [("g", "d", "r", "value")]
+    rows += [tuple(map(str, cell.values())) for cell in result["cells"]]
     if fmt == "csv":
-        return "\n".join(
-            ["g,d,r,value"] + [f"{g},{d},{r},{v}" for g, d, r, v in rows]
-        )
-    header = ("g", "d", "r", "value")
-    columns = list(zip(*([header] + [tuple(map(str, row)) for row in rows])))
-    widths = [max(len(entry) for entry in col) for col in columns]
-    lines = []
-    for row in [header] + rows:
-        cells = [str(entry).ljust(w) for entry, w in zip(row, widths)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+        return "\n".join(map(",".join, rows))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip()
+                     for row in rows)
 
 
 def _range_fault(args) -> dict | None:
@@ -118,23 +111,18 @@ def _range_fault(args) -> dict | None:
     return None
 
 
-def _cmd_table(args) -> dict | str:
+def _cmd_table(args) -> dict:
     if fault := _range_fault(args):
         return fault
     method = Method(args.method)
-    table = build_table(args.gmax, args.dmax, method)
-    rows = [
-        (g, d, branch_count(g, d), format_rational(values[method]))
-        for (g, d), values in table.items()
-    ]
-    if args.format != "json":
-        return _render_table(rows, args.format)
     return {
         "status": "ok",
         "method": args.method,
         "cells": [
-            {"genus": g, "degree": d, "branch_points": r, "value": v}
-            for g, d, r, v in rows
+            {"genus": g, "degree": d, "branch_points": branch_count(g, d),
+             "value": values[method]}
+            for (g, d), values in build_table(args.gmax, args.dmax,
+                                              method).items()
         ],
     }
 
@@ -147,7 +135,7 @@ def _cmd_crosscheck(args) -> dict:
             "genus": g,
             "degree": d,
             "branch_points": branch_count(g, d),
-            "values": {m.value: format_rational(v) for m, v in values.items()},
+            "values": {m.value: v for m, v in values.items()},
             "agree": len(set(values.values())) == 1,
         }
         for (g, d), values in build_table(args.gmax, args.dmax).items()
@@ -180,8 +168,8 @@ def _cmd_branch_divisor(args) -> dict:
     degree = sum(divisor.values())
     if degree != expected or min(divisor.values(), default=0) < 0:
         raise ArithmeticError(
-            f"branch divisor of degree {_digits(degree)} is not an "
-            f"effective divisor of degree {_digits(expected)}")
+            f"branch divisor of degree {stablemap._full(degree)} is not an "
+            f"effective divisor of degree {stablemap._full(expected)}")
     return {
         "status": "ok",
         "target_genus": graph.target_genus,
@@ -282,17 +270,14 @@ def main(argv=None) -> int:
             traceback.print_exc()
             result = {"status": "error",
                       "error": f"{type(exc).__name__}: {exc}"}
-        text, code = result, EXIT_OK  # a text or CSV table prints as is
-        if isinstance(result, dict):
-            # all input is parsed by now, so the values print in full
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
-                text = json.dumps(result, indent=2, sort_keys=True)
-            finally:
-                sys.set_int_max_str_digits(limit)
-            code = _STATUS_EXIT[result["status"]]
-        return _write(text, code)
+        # all input is parsed by now, so the values print in full
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = _render(result, getattr(args, "format", "json"))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        return _write(text, _STATUS_EXIT[result["status"]])
     finally:
         if collecting:
             gc.enable()

@@ -20,15 +20,16 @@ Cost: validation and evaluation share one walk over the components,
 profile entries and nodes, which adds each term of the divisor in the
 loop that checks the rules it comes from; with parsing and the one
 union-find pass for connectedness, the work is linear in their number.
-`load_graph` decodes the file into the graph directly: each component
+`load_graph` decodes its input into the graph directly: each component
 and node becomes its NamedTuple as soon as the parser has read it, so
 the document's dict tree never exists whole, and one table per load
 makes equal labels one string and equal profiles one tuple (equal
-strings still name the same point; nothing is kept between loads). A
-faulty file is read a second time, into dicts, and `graph_from_dict`
-reports the fault. docs/branch_divisor_format.md gives the measured
-time and peak memory; the CLI runs every command with the cyclic
-garbage collector off, whose passes over the growing heap free nothing.
+strings still name the same point; nothing is kept between loads). The
+input is read once, so it may be a pipe or a FIFO; a faulty document
+is decoded a second time, into dicts, and `graph_from_dict` reports
+the fault. docs/branch_divisor_format.md gives the measured time and
+peak memory; the CLI runs every command with the cyclic garbage
+collector off, whose passes over the growing heap free nothing.
 """
 
 from __future__ import annotations
@@ -492,8 +493,8 @@ def graph_to_dict(graph: StableMapGraph) -> dict:
 _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
 
 
-def _decoded(path) -> StableMapGraph:
-    # the graph built while the file decodes. Anything wrong raises, and
+def _built(text: str) -> StableMapGraph:
+    # the graph built while the text decodes. Anything wrong raises, and
     # a NamedTuple where the document wants a dict (or a dict left where
     # it wants a NamedTuple) fails a check here or in the parser
     share = {}.setdefault
@@ -507,9 +508,12 @@ def _decoded(path) -> StableMapGraph:
             return _node_from_dict(data, share)
         return data
 
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle, object_hook=build)
-    target_genus, components, nodes = _top(data)
+    target_genus, components, nodes = _top(
+        json.loads(text, object_hook=build))
+    # the graph holds every shared label and profile by now. With the
+    # table gone, the copies of the lists into tuples below fit in the
+    # memory the decode peaked at, though the caller still holds the text
+    del share
     # one type check per list at C speed, not a Python call per entry
     if set(map(type, components)) <= _COMPONENT_TYPES and \
             set(map(type, nodes)) <= {Node}:
@@ -517,8 +521,15 @@ def _decoded(path) -> StableMapGraph:
     raise _Fault(": misplaced object")
 
 
+def _plain(text: str):
+    # the dict tree, decoded one frame below load_graph as json.load did:
+    # the depth at which the parser runs out of stack is part of what it
+    # reports
+    return json.loads(text)
+
+
 def load_graph(path) -> StableMapGraph:
-    """Read a graph document from a JSON file.
+    """Read a graph document from a JSON file, pipe or FIFO.
 
     A missing file raises FileNotFoundError; any other unreadable input
     (a directory, a permission error, bytes that are not UTF-8, nesting
@@ -526,28 +537,29 @@ def load_graph(path) -> StableMapGraph:
     digit limit) raises GraphFormatError.
     """
     try:
-        return _decoded(path)
-    except Exception:
-        # a faulty file is read a second time, into a dict tree that
-        # graph_from_dict then reports on, so every error text comes from
-        # one place. That read must run in this frame, through json.load:
-        # the depth at which the parser runs out of stack is part of what
-        # it reports
-        pass
-    try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except FileNotFoundError:
         raise
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read input: {exc}") from exc
+    try:
+        return _built(text)
+    except (_Fault, ValueError, RecursionError):
+        # a faulty document is decoded again, into the dict tree that
+        # graph_from_dict reports on, so every error text comes from one
+        # place
+        pass
+    try:
+        data = _plain(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise GraphFormatError(f"JSON nested too deeply: {exc}") from exc
     except ValueError as exc:
         # int() refuses literals over sys.get_int_max_str_digits() digits
         raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read input: {exc}") from exc
+    del text  # graph_from_dict needs only the tree
     return graph_from_dict(data)

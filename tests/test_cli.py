@@ -615,6 +615,25 @@ class TestProcessEntry:
                                 env=child_env())
         assert (result.returncode, result.stdout) == (code, out.encode())
 
+    def test_piped_input_reads_as_a_file(self, tmp_path):
+        # a shape fault: the input is read once, so a pipe gives the same
+        # exit code and stdout bytes as the file
+        document = json.loads(
+            (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
+        document["components"][-1]["genus"] = "1"
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv = [sys.executable, "-m", "hurwitz.cli", "branch-divisor",
+                "--input"]
+        piped = subprocess.run([*argv, "/dev/stdin"],
+                               input=path.read_bytes(), capture_output=True,
+                               check=False, env=child_env())
+        read = subprocess.run([*argv, str(path)], capture_output=True,
+                              check=False, env=child_env())
+        assert read.returncode == EXIT_INVALID
+        assert (piped.returncode, piped.stdout) == (read.returncode,
+                                                    read.stdout)
+
     @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
     @pytest.mark.parametrize("argv", [
         ("--help",),
