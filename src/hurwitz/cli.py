@@ -15,10 +15,10 @@ output. Exit codes: 0 for ok, 1 for routes that disagree (from
 `crosscheck` alone), 2 for invalid input, 3 for an internal error
 (`"status": "error"`, with the exception's type and message; the
 traceback goes to stderr), which includes a branch divisor that breaks
-the degree law or is not effective, and for output that could not be
-written, a closed pipe or a full device (one line on stderr, no
-traceback). Help text goes through the same write, so the same holds
-for `--help`.
+the degree law or is not effective and a value that JSON cannot
+render, and for output that could not be written, a closed pipe or a
+full device (one line on stderr, no traceback). Help text goes through
+the same write, so the same holds for `--help`.
 
 Every command runs with the cyclic garbage collector off, until its
 output is printed: a run makes no reference cycles, so the collector's
@@ -102,6 +102,15 @@ def _render(result: dict, fmt: str) -> str:
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip()
                      for row in rows)
+
+
+def _fault(exc: Exception) -> dict:
+    # the payload of a handler or render that raised
+    if isinstance(exc, MethodNotApplicableError):  # a method refused a cell
+        return _invalid(error=str(exc))
+    import traceback
+    traceback.print_exception(exc)
+    return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _range_fault(args) -> dict | None:
@@ -260,25 +269,20 @@ def main(argv=None) -> int:
     # graph the collector's passes took a quarter of the time
     collecting = gc.isenabled()
     gc.disable()
+    fmt = getattr(args, "format", "json")
+    limit = sys.get_int_max_str_digits()
     try:
         try:
             result = args.handler(args)
-        except MethodNotApplicableError as exc:  # a method refused a cell
-            result = _invalid(error=str(exc))
-        except Exception as exc:  # any handler fault ends in documented JSON
-            import traceback
-            traceback.print_exc()
-            result = {"status": "error",
-                      "error": f"{type(exc).__name__}: {exc}"}
-        # all input is parsed by now, so the values print in full
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            text = _render(result, getattr(args, "format", "json"))
-        finally:
-            sys.set_int_max_str_digits(limit)
+            # all input is parsed by now, so the values print in full
+            sys.set_int_max_str_digits(0)
+            text = _render(result, fmt)
+        except Exception as exc:  # any fault, render included, ends in JSON
+            result = _fault(exc)
+            text = _render(result, fmt)
         return _write(text, _STATUS_EXIT[result["status"]])
     finally:
+        sys.set_int_max_str_digits(limit)
         if collecting:
             gc.enable()
 

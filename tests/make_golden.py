@@ -3,8 +3,9 @@ hash of a fixed list of CLI runs.
 
 Each entry maps an argv, joined by spaces, to [exit code, sha256 of
 stdout]. The runs are every `--help`, `compute` by every method over a
-grid of cells, `table` by every method over nine ranges in every
-format, `crosscheck` over six ranges, `branch-divisor` on every
+grid of cells and by recursion and closed form at genus 0, degree 500,
+`table` by every method over nine ranges in every format, `crosscheck`
+over seven ranges up to genus 10 and degree 30, `branch-divisor` on every
 docs/fixtures/*.json in sorted order and a missing path, seeded
 mutations of docs/fixtures/elliptic_tail.json from
 graphgen.mutate_document, each keyed by its seed, and that fixture's
@@ -42,10 +43,11 @@ if str(ROOT / "src") not in sys.path:  # run as a script from a checkout
 
 from graphgen import misplaced_documents, mutate_document  # noqa: E402
 from hurwitz.cli import main  # noqa: E402
+from hurwitz.routes import Method  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
-METHODS = ("character", "recursion", "closed-form", "elsv-g0", "oracle")
+METHODS = [method.value for method in Method]
 # every document in docs/fixtures, in the order CI runs them
 FIXTURES = sorted(path.name for path in
                   (ROOT / "docs" / "fixtures").glob("*.json"))
@@ -59,12 +61,17 @@ HELP = [["--help"]] + [[command, "--help"] for command in
 # to degree 20
 TABLE_RANGES = [(0, 1), (0, 5), (0, 7), (1, 4), (2, 6), (3, 2), (0, 20),
                 (-1, 3), (0, 0)]
-CROSSCHECK_RANGES = [(0, 3), (1, 4), (2, 6), (3, 5), (5, 10), (0, 0)]
+# (gmax, dmax), the last the headline cross-check of every route
+CROSSCHECK_RANGES = [(0, 3), (1, 4), (2, 6), (3, 5), (5, 10), (0, 0),
+                     (10, 30)]
 
 ARGVS = (
     HELP
     + [["compute", "-g", str(g), "-d", str(d), "--method", method]
        for method in METHODS for g in range(-1, 5) for d in range(8)]
+    # the two genus-0 routes that reach degree 500
+    + [["compute", "-g", "0", "-d", "500", "--method", method]
+       for method in ("recursion", "closed-form")]
     + [["table", "--method", method, "--gmax", str(g), "--dmax", str(d),
         "--format", fmt]
        for method in METHODS for g, d in TABLE_RANGES

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,10 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def _broken_route(d):
+    raise RuntimeError("broken route")
 
 
 @contextmanager
@@ -118,18 +123,19 @@ class TestCompute:
             sys.set_int_max_str_digits(limit)
 
 
-    def test_internal_error_is_reported(self, capsys, monkeypatch):
-        def broken(d):
-            raise RuntimeError("broken route")
-
+    @pytest.mark.parametrize("broken, error", [
+        (_broken_route, "RuntimeError: broken route"),
+        (Decimal, "TypeError: Object of type Decimal is not JSON "
+                  "serializable"),
+    ], ids=["route-raises", "value-json-refuses"])
+    def test_internal_error_is_reported(self, capsys, monkeypatch, broken,
+                                        error):
         monkeypatch.setattr(recursion, "h0_closed", broken)
         code = main(["compute", "-g", "0", "-d", "3",
                      "--method", "closed-form"])
         captured = capsys.readouterr()
         assert code == EXIT_ERROR
-        assert json.loads(captured.out) == {
-            "status": "error", "error": "RuntimeError: broken route",
-        }
+        assert json.loads(captured.out) == {"status": "error", "error": error}
         assert "Traceback" in captured.err
 
 
@@ -615,14 +621,20 @@ class TestProcessEntry:
                                 env=child_env())
         assert (result.returncode, result.stdout) == (code, out.encode())
 
-    def test_piped_input_reads_as_a_file(self, tmp_path):
-        # a shape fault: the input is read once, so a pipe gives the same
-        # exit code and stdout bytes as the file
-        document = json.loads(
-            (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
-        document["components"][-1]["genus"] = "1"
-        path = tmp_path / "faulty.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
+    @pytest.mark.parametrize("name", [
+        *sorted(path.name for path in FIXTURES.glob("*.json")), "shape-fault",
+    ])
+    def test_piped_input_reads_as_a_file(self, tmp_path, name):
+        # every fixture, and one with a shape fault: the input is read
+        # once, so a pipe gives the same exit code and stdout bytes as the
+        # file
+        path = FIXTURES / name
+        if name == "shape-fault":
+            document = json.loads(
+                (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
+            document["components"][-1]["genus"] = "1"
+            path = tmp_path / "faulty.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
         argv = [sys.executable, "-m", "hurwitz.cli", "branch-divisor",
                 "--input"]
         piped = subprocess.run([*argv, "/dev/stdin"],
@@ -630,7 +642,8 @@ class TestProcessEntry:
                                check=False, env=child_env())
         read = subprocess.run([*argv, str(path)], capture_output=True,
                               check=False, env=child_env())
-        assert read.returncode == EXIT_INVALID
+        if name == "shape-fault":
+            assert read.returncode == EXIT_INVALID
         assert (piped.returncode, piped.stdout) == (read.returncode,
                                                     read.stdout)
 
