@@ -24,11 +24,11 @@ a degree past its end is asked for, so each z_n and each f_n is computed
 once per process, however many degrees a table or cross-check walks.
 Each entry is stored at its index rather than appended, so two threads
 that extend a list at once store the same value twice instead of
-shifting later entries.
+shifting later entries. The two lists are the only values the route
+keeps between calls.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 
 from .partitions import content_sum, enumerate_partitions, irrep_dimension
@@ -87,11 +87,6 @@ _CONTENT: list[dict[int, int]] = [{0: 1}]
 _CONNECTED: list[dict[int, int]] = [{}]
 
 
-# factorization_count and connected_hurwitz stay cached only because
-# perfbench/replay.py reads their cache_info() for character.cache_hits
-# and character.cache_misses; both caches can go once it counts the
-# lengths of the two lists instead
-@cache
 def factorization_count(d: int, r: int) -> int:
     """Number of r-tuples of transpositions in the symmetric group on d
     letters whose product is the identity.
@@ -122,13 +117,14 @@ def disconnected_hurwitz(d: int, r: int) -> Fraction:
     return Fraction(factorization_count(d, r), factorial(d))
 
 
-@cache
 def connected_hurwitz(g: int, d: int) -> Fraction:
     """Hurwitz number H_{g,d}: connected genus-g degree-d covers of the
     projective line with r = 2g - 2 + 2d simple branch points, each
     cover weighted by 1/|Aut|.
 
-    Read off the connected content polynomial f_d.
+    Read off the connected content polynomial f_d. A repeat call reads
+    the stored f_d and sums its terms again: about 30 us at d = 10 and
+    250 us at d = 24 (Python 3.11, 2-CPU Xeon).
     """
     if g < 0:
         raise ValueError("g must be a nonnegative integer")

@@ -7,6 +7,7 @@ produced by that scan.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -128,6 +129,25 @@ class TestConnected:
             connected_hurwitz(-1, 2)
         with pytest.raises(ValueError):
             connected_hurwitz(0, 0)
+
+
+class TestValuesKept:
+    def test_repeat_calls_keep_no_values(self):
+        # z_10 and f_10 stored first; after that, values asked for are
+        # returned, not kept: 700 calls leave under 16 KB traced
+        factorization_count(10, 0)
+        connected_hurwitz(0, 10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for r in range(500):
+                factorization_count(10, r)
+            for g in range(200):
+                connected_hurwitz(g, 10)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * 1024, kept
 
 
 class TestBranchCount:

@@ -21,7 +21,8 @@ from math import comb
 import pytest
 
 from hurwitz import character, intersection, oracle, partitions, recursion
-from hurwitz.character import connected_hurwitz, content_log
+from hurwitz.character import connected_hurwitz, content_log, \
+    factorization_count
 from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import RECURSIONS, h0_closed, h0_recursion, \
     h1_recursion, h2_recursion
@@ -49,11 +50,10 @@ def reset_recursion_lists():
 
 
 def clear_connected_polynomials():
-    # the character route's lists back to z_0 and f_0, and the values
-    # read from them
+    # the character route's lists back to z_0 and f_0, all the route
+    # keeps between calls
     character._CONTENT[:] = [{0: 1}]
     del character._CONNECTED[1:]
-    connected_hurwitz.cache_clear()
 
 
 def direct_content_polynomial(n):
@@ -285,6 +285,9 @@ class TestSharedSequences:
                 in_threads(lambda i: connected_hurwitz(i, d_char))
                 assert character._CONTENT == content, trial
                 assert character._CONNECTED == connected, trial
+                clear_connected_polynomials()
+                in_threads(lambda i: factorization_count(d_char, i))
+                assert character._CONTENT == content, trial
         finally:
             sys.setswitchinterval(interval)
 

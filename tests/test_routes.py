@@ -66,14 +66,9 @@ def test_routes_import_no_other_route():
         assert package_imports(module) <= allowed, module
 
 
-# a route keeps values across calls in growing lists stored by index; a
-# cache stays only where the benchmark reads its cache_info()
-ALLOWED_CACHES = {
-    # perfbench/replay.py sums both into the traced counters
-    # character.cache_hits and character.cache_misses
-    ("character", "factorization_count"),
-    ("character", "connected_hurwitz"),
-}
+# a route keeps values across calls only in growing lists stored by
+# index, so no function in the package is cached
+ALLOWED_CACHES = set()
 
 
 def test_only_the_benchmark_counted_functions_are_cached():
