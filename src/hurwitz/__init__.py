@@ -15,14 +15,12 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines under the same name
 _MODULE_EXPORTS = {
-    "character": ("connected_hurwitz", "disconnected_hurwitz",
-                  "factorization_count"),
+    "character": ("connected_hurwitz", "factorization_count"),
     "intersection": ("DEGENERATE_DEGREES", "IntersectionBoundError",
                      "elsv_genus0", "psi_integral_genus0"),
     "oracle": ("OracleBoundError", "oracle_connected"),
-    "partitions": ("conjugate_partition", "content_sum",
-                   "enumerate_partitions", "irrep_dimension",
-                   "partition_count"),
+    "partitions": ("content_sum", "enumerate_partitions",
+                   "irrep_dimension"),
     "recursion": ("h0_closed", "h0_recursion", "h1_recursion",
                   "h2_recursion"),
     "routes": ("Method", "MethodNotApplicableError", "applicable_methods",

@@ -110,13 +110,6 @@ def factorization_count(d: int, r: int) -> int:
     return count
 
 
-def disconnected_hurwitz(d: int, r: int) -> Fraction:
-    """Disconnected degree-d count with r simple branch points:
-    factorization count divided by d! (covers weighted by 1/|Aut|).
-    """
-    return Fraction(factorization_count(d, r), factorial(d))
-
-
 def connected_hurwitz(g: int, d: int) -> Fraction:
     """Hurwitz number H_{g,d}: connected genus-g degree-d covers of the
     projective line with r = 2g - 2 + 2d simple branch points, each

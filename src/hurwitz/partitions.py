@@ -9,15 +9,9 @@ the character-sum count of transposition factorizations.
 from math import factorial
 
 
-def is_partition(parts: tuple[int, ...]) -> bool:
-    """True if parts is weakly decreasing with strictly positive entries."""
-    return all(p >= 1 for p in parts) and all(
-        a >= b for a, b in zip(parts, parts[1:])
-    )
-
-
 def _check_partition(parts: tuple[int, ...]) -> None:
-    if not is_partition(tuple(parts)):
+    if not (all(p >= 1 for p in parts)
+            and all(a >= b for a, b in zip(parts, parts[1:]))):
         raise ValueError(f"not a partition: {parts!r}")
 
 
@@ -42,20 +36,6 @@ def enumerate_partitions(d: int) -> list[tuple[int, ...]]:
     return list(_descending(d, d))
 
 
-def partition_count(d: int) -> int:
-    """p(d), the number of partitions of d."""
-    return len(enumerate_partitions(d))
-
-
-def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose of the Young diagram."""
-    parts = tuple(parts)
-    _check_partition(parts)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
-
-
 def irrep_dimension(parts: tuple[int, ...]) -> int:
     """Dimension of the irreducible representation of the symmetric group
     indexed by the partition, via the hook-length formula.
@@ -68,11 +48,11 @@ def irrep_dimension(parts: tuple[int, ...]) -> int:
     _check_partition(parts)
     if not parts:
         return 1
-    conj = conjugate_partition(parts)
+    columns = [sum(1 for p in parts if p > j) for j in range(parts[0])]
     hooks = 1
     for i, row in enumerate(parts):
         for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
+            hooks *= row - j + columns[j] - i - 1
     dim, rem = divmod(factorial(sum(parts)), hooks)
     if rem:  # the hook product always divides d!
         raise ArithmeticError(f"hook product does not divide d! for {parts!r}")

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from contentseries import content_exp
+from diagrams import conjugate
 from graphgen import collision_limit, random_valid_graph
 from hurwitz.character import (
     connected_hurwitz,
@@ -21,7 +22,6 @@ from hurwitz.intersection import elsv_genus0
 from hurwitz.oracle import oracle_connected
 from hurwitz.partitions import (
     content_sum,
-    conjugate_partition,
     enumerate_partitions,
     irrep_dimension,
 )
@@ -208,7 +208,7 @@ def test_criterion_9_property_suite():
     # content sums are antisymmetric under conjugation
     for d in range(0, 11):
         for shape in enumerate_partitions(d):
-            if content_sum(conjugate_partition(shape)) != -content_sum(shape):
+            if content_sum(conjugate(shape)) != -content_sum(shape):
                 failures.append(f"content antisymmetry fails at {shape}")
 
     _report(9, "property suite", failures, started)

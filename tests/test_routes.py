@@ -24,7 +24,8 @@ from hurwitz.routes import (
 )
 
 PACKAGE = Path(hurwitz.__file__).resolve().parent
-FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "docs" / "fixtures"
 
 # the hurwitz modules each route may import; routes.py alone combines them
 ROUTE_IMPORTS = {
@@ -66,12 +67,9 @@ def test_routes_import_no_other_route():
         assert package_imports(module) <= allowed, module
 
 
-# a route keeps values across calls only in growing lists stored by
-# index, so no function in the package is cached
-ALLOWED_CACHES = set()
-
-
-def test_only_the_benchmark_counted_functions_are_cached():
+def test_no_function_in_the_package_is_cached():
+    # a route keeps values across calls only in growing lists stored by
+    # index
     cached = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -85,7 +83,7 @@ def test_only_the_benchmark_counted_functions_are_cached():
                                getattr(decorator, "attr", None))
                 if name in ("cache", "lru_cache"):
                     cached.add((path.stem, node.name))
-    assert cached == ALLOWED_CACHES
+    assert not cached, sorted(cached)
 
 
 # run in a fresh interpreter: with arguments, cli.main(arguments) with
@@ -110,13 +108,17 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
 
-def loaded_modules(*argv: str, expected_exit: int = 0) -> set[str]:
+def child_env() -> dict[str, str]:
+    # a child process imports the same hurwitz package as this process
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)
-           + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": str(PACKAGE.parent)
+            + (os.pathsep + path if path else "")}
+
+
+def loaded_modules(*argv: str, expected_exit: int = 0) -> set[str]:
     result = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
-        capture_output=True, text=True, check=True, env=env,
+        capture_output=True, text=True, check=True, env=child_env(),
     )
     report = json.loads(result.stdout)
     assert report["exit"] == expected_exit
@@ -198,9 +200,10 @@ def test_exports_are_their_modules_objects():
         for name in ("character", "intersection", "oracle", "partitions",
                      "recursion", "routes", "stablemap")
     ]
-    assert len(hurwitz.__all__) == 39
-    assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError"}
-                & set(hurwitz.__all__))
+    assert len(hurwitz.__all__) == 36
+    assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError",
+                 "conjugate_partition", "partition_count",
+                 "disconnected_hurwitz"} & set(hurwitz.__all__))
     for name in hurwitz.__all__:
         if name == "ORACLE_BACKEND":
             continue
@@ -211,6 +214,19 @@ def test_exports_are_their_modules_objects():
     exec("from hurwitz import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(hurwitz.__all__)
     assert set(hurwitz.__all__) <= set(dir(hurwitz))
+
+
+def test_benchmark_reference_table_matches_the_routes():
+    # make_reference.py recomputes every value of perfbench/reference.json
+    # by a route of its own, compares it with the genus-2 recursion or the
+    # character route, and checks the benchmark's closed forms; --check
+    # writes nothing and exits nonzero on the first disagreement
+    result = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "make_reference.py"),
+         "--check"],
+        capture_output=True, text=True, check=False, env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_applicable_methods_are_exactly_where_values_exist():
