@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines under the same name
 _MODULE_EXPORTS = {
-    "character": ("connected_hurwitz", "factorization_count"),
+    "character": ("connected_hurwitz", "content_sum", "enumerate_partitions",
+                  "factorization_count", "irrep_dimension"),
     "intersection": ("DEGENERATE_DEGREES", "IntersectionBoundError",
                      "elsv_genus0", "psi_integral_genus0"),
     "oracle": ("OracleBoundError", "oracle_connected"),
-    "partitions": ("content_sum", "enumerate_partitions",
-                   "irrep_dimension"),
     "recursion": ("h0_closed", "h0_recursion", "h1_recursion",
                   "h2_recursion"),
     "routes": ("Method", "MethodNotApplicableError", "applicable_methods",

@@ -8,6 +8,11 @@ degree is summarized once by an integer content polynomial
 
     z_n(q) = sum over partitions of n of dim^2 q^(content sum).
 
+The route computes its own partition statistics. A partition is a plain
+tuple of weakly decreasing positive ints; its dimension comes from the
+hook lengths of its diagram and its content sum from the contents j - i
+of its cells.
+
 Connected counts come from the exponential formula: the generating
 series sum z_n(q) x^n / (n!)^2 has logarithm sum f_n(q) x^n / (n!)^2,
 and the integer polynomials f_n follow from the division-free
@@ -31,7 +36,71 @@ keeps between calls.
 from fractions import Fraction
 from math import comb, factorial
 
-from .partitions import content_sum, enumerate_partitions, irrep_dimension
+
+def _check_partition(parts: tuple[int, ...]) -> None:
+    if not (all(p >= 1 for p in parts)
+            and all(a >= b for a, b in zip(parts, parts[1:]))):
+        raise ValueError(f"not a partition: {parts!r}")
+
+
+def _descending(n: int, largest: int):
+    # all partitions of n with parts <= largest, largest part first
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _descending(n - first, first):
+            yield (first, *rest)
+
+
+def enumerate_partitions(d: int) -> list[tuple[int, ...]]:
+    """All partitions of d in reverse-lexicographic order.
+
+    The first entry is (d,) and the last is (1,)*d; for d=0 the single
+    empty partition is returned.
+    """
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    return list(_descending(d, d))
+
+
+def irrep_dimension(parts: tuple[int, ...]) -> int:
+    """Dimension of the irreducible representation of the symmetric group
+    indexed by the partition, via the hook-length formula.
+
+    The cell (i, j) of the diagram has hook length
+    (row length - j) + (column length - i) - 1, and the dimension is
+    d! divided by the product of all hook lengths.
+    """
+    parts = tuple(parts)
+    _check_partition(parts)
+    if not parts:
+        return 1
+    columns = [sum(1 for p in parts if p > j) for j in range(parts[0])]
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hooks *= row - j + columns[j] - i - 1
+    dim, rem = divmod(factorial(sum(parts)), hooks)
+    if rem:  # the hook product always divides d!
+        raise ArithmeticError(f"hook product does not divide d! for {parts!r}")
+    return dim
+
+
+def content_sum(parts: tuple[int, ...]) -> int:
+    """Sum of the contents j - i over all cells (i, j) of the diagram,
+    rows and columns 1-indexed.
+
+    Antisymmetric under conjugation; this is the central character value
+    that a single transposition scales each irreducible block by, up to
+    normalization.
+    """
+    parts = tuple(parts)
+    _check_partition(parts)
+    total = 0
+    for i, row in enumerate(parts, start=1):
+        total += row * (row + 1) // 2 - row * i
+    return total
 
 
 def content_polynomial(n: int) -> dict[int, int]:

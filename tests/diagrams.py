@@ -1,5 +1,5 @@
 """The conjugate (transpose) of a Young diagram, written out
-independently of the package, whose `hurwitz.partitions.irrep_dimension`
+independently of the package, whose `hurwitz.character.irrep_dimension`
 counts column lengths inline.
 
 A partition is a tuple of weakly decreasing positive ints, one per row.

@@ -24,7 +24,7 @@ the same graphs and documents on every run.
 import copy
 import random
 
-from hurwitz.partitions import enumerate_partitions
+from hurwitz.character import enumerate_partitions
 from hurwitz.stablemap import (
     ContractedComponent,
     DominantComponent,

@@ -16,15 +16,13 @@ from hurwitz.character import (
     connected_hurwitz,
     content_log,
     content_polynomial,
+    content_sum,
+    enumerate_partitions,
     factorization_count,
+    irrep_dimension,
 )
 from hurwitz.intersection import elsv_genus0
 from hurwitz.oracle import oracle_connected
-from hurwitz.partitions import (
-    content_sum,
-    enumerate_partitions,
-    irrep_dimension,
-)
 from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
     h2_recursion
 from hurwitz.routes import branch_count

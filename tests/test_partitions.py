@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diagrams import conjugate
-from hurwitz.partitions import (
+from hurwitz.character import (
     content_sum,
     enumerate_partitions,
     irrep_dimension,

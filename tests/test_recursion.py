@@ -20,7 +20,7 @@ from math import comb
 
 import pytest
 
-from hurwitz import character, intersection, oracle, partitions, recursion
+from hurwitz import character, intersection, oracle, recursion
 from hurwitz.character import connected_hurwitz, content_log, \
     factorization_count
 from hurwitz.oracle import OracleBoundError
@@ -60,9 +60,9 @@ def direct_content_polynomial(n):
     # z_n summed straight from the partitions of n: hook-length dimension
     # squared at each content sum
     z = {}
-    for lam in partitions.enumerate_partitions(n):
-        c = partitions.content_sum(lam)
-        z[c] = z.get(c, 0) + partitions.irrep_dimension(lam) ** 2
+    for lam in character.enumerate_partitions(n):
+        c = character.content_sum(lam)
+        z[c] = z.get(c, 0) + character.irrep_dimension(lam) ** 2
     return z
 
 

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import hurwitz
+from hurwitz import routes
 from hurwitz.routes import (
     Method,
     MethodNotApplicableError,
@@ -26,14 +27,6 @@ from hurwitz.routes import (
 PACKAGE = Path(hurwitz.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "docs" / "fixtures"
-
-# the hurwitz modules each route may import; routes.py alone combines them
-ROUTE_IMPORTS = {
-    "character": {"partitions"},
-    "recursion": set(),
-    "intersection": set(),
-    "oracle": set(),
-}
 
 
 def package_imports(module: str) -> set[str]:
@@ -62,9 +55,20 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+# the route modules, read off the imports of routes.py, the one module
+# that combines routes
+ROUTES = package_imports("routes")
+ROUTE_MODULES = {f"hurwitz.{route}" for route in ROUTES}
+
+
 def test_routes_import_no_other_route():
-    for module, allowed in ROUTE_IMPORTS.items():
-        assert package_imports(module) <= allowed, module
+    # the same set read off the calls that the methods resolve to, so a
+    # new route module is checked here without an edit
+    resolved = {routes._route(0, 3, method).func.__module__
+                for method in Method}
+    assert resolved == ROUTE_MODULES
+    for route in ROUTES:
+        assert not package_imports(route), route
 
 
 def test_no_function_in_the_package_is_cached():
@@ -146,9 +150,6 @@ def test_branch_divisor_loads_no_dataclasses():
     assert "dataclasses" not in loaded
 
 
-ROUTE_MODULES = {f"hurwitz.{route}" for route in ROUTE_IMPORTS}
-
-
 def test_branch_divisor_loads_no_route():
     loaded = loaded_modules(
         "branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json"),
@@ -197,8 +198,8 @@ def test_refusal_loads_at_most_the_refusing_route():
 def test_exports_are_their_modules_objects():
     modules = [
         importlib.import_module(f"hurwitz.{name}")
-        for name in ("character", "intersection", "oracle", "partitions",
-                     "recursion", "routes", "stablemap")
+        for name in ("character", "intersection", "oracle", "recursion",
+                     "routes", "stablemap")
     ]
     assert len(hurwitz.__all__) == 36
     assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError",
