@@ -43,7 +43,6 @@ can be called in-process.
 
 import argparse
 import gc
-import json
 import os
 import sys
 
@@ -94,6 +93,7 @@ def _render(result: dict, fmt: str) -> str:
     # an ok table payload as CSV or aligned text, any other as JSON. Each
     # cell's entries are in column order: g, d, r and value
     if fmt == "json" or result["status"] != "ok":
+        import json  # so that `--help` and text or CSV tables never load it
         return json.dumps(result, indent=2, sort_keys=True, default=_rational)
     rows = [("g", "d", "r", "value")]
     rows += [tuple(map(str, cell.values())) for cell in result["cells"]]

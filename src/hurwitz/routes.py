@@ -9,13 +9,11 @@ only the routes it asks for. `_route` alone decides which method covers
 which cell, and refuses the others with MethodNotApplicableError.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from functools import partial
 
-# the annotations name fractions.Fraction without importing it: they
-# are never evaluated, and `--help` and `branch-divisor` need no fractions
+# the annotations name fractions.Fraction in quotes, without importing
+# it: `--help` and `branch-divisor` need no fractions
 
 
 class Method(str, Enum):
@@ -114,7 +112,7 @@ def applicable_methods(g: int, d: int) -> list[Method]:
     return list(_covering(g, d))
 
 
-def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
+def hurwitz_value(g: int, d: int, method: Method) -> "Fraction":
     """H_{g,d} by the requested method.
 
     Raises MethodNotApplicableError, and only that, when the method does
@@ -128,7 +126,7 @@ def hurwitz_value(g: int, d: int, method: Method) -> Fraction:
 
 def build_table(
     g_max: int, d_max: int, method: Method | None = None
-) -> dict[tuple[int, int], dict[Method, Fraction]]:
+) -> dict[tuple[int, int], dict[Method, "Fraction"]]:
     """H_{g,d} for 0 <= g <= g_max, 1 <= d <= d_max, by one method, or
     by every applicable method when method is None, as
     {(g, d): {method: value}} with cells in (g, d) order and methods in

@@ -21,7 +21,7 @@ profile entries and nodes, which adds each term of the divisor in the
 loop that checks the rules it comes from; with parsing and the one
 union-find pass for connectedness, the work is linear in their number.
 `load_graph` decodes its input into the graph directly: each component
-and node becomes its NamedTuple as soon as the parser has read it, so
+and node becomes its named tuple as soon as the parser has read it, so
 the document's dict tree never exists whole, and one table per load
 makes equal labels one string and equal profiles one tuple (equal
 strings still name the same point; nothing is kept between loads). The
@@ -32,12 +32,9 @@ peak memory; the CLI runs every command with the cyclic garbage
 collector off, whose passes over the growing heap free nothing.
 """
 
-from __future__ import annotations
-
 import json
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from operator import countOf, ge
-from typing import NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -52,49 +49,51 @@ class InvalidGraphError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class DominantComponent(NamedTuple):
-    """Normalization component mapping onto the target curve.
+class DominantComponent(namedtuple(
+        "DominantComponent", "id genus degree ramification", defaults=((),))):
+    """Normalization component mapping onto the target curve: an `id`
+    (str), a `genus` and a `degree` (int), and a `ramification` tuple,
+    empty by default.
 
     `ramification` pairs a target point label with the partition of the
-    degree giving the sheet multiplicities over that point; listing a
-    point at most once is part of validity, not of construction.
+    degree giving the sheet multiplicities over that point, as a tuple
+    of (str, tuple of int) pairs; listing a point at most once is part
+    of validity, not of construction.
     """
 
-    id: str
-    genus: int
-    degree: int
-    ramification: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    __slots__ = ()
 
 
-class ContractedComponent(NamedTuple):
-    """Normalization component mapped entirely to one target point."""
+class ContractedComponent(namedtuple("ContractedComponent",
+                                     "id genus image")):
+    """Normalization component mapped entirely to one target point: an
+    `id` (str), a `genus` (int) and the `image` point's label (str)."""
 
-    id: str
-    genus: int
-    image: str
+    __slots__ = ()
 
 
 Component = DominantComponent | ContractedComponent
 
 
-class Node(NamedTuple):
-    """Two component branches glued over a target point.
+class Node(namedtuple("Node", "branches image")):
+    """Two component branches glued over a target point: `branches`, a
+    pair of component ids (str), and the `image` point's label (str).
 
     The pair is unordered; both entries naming the same component is a
     self-node and contributes two branches to that component.
     """
 
-    branches: tuple[str, str]
-    image: str
+    __slots__ = ()
 
 
-class StableMapGraph(NamedTuple):
+class StableMapGraph(namedtuple("StableMapGraph",
+                                "target_genus components nodes")):
     """Dual-graph description of a map from a nodal curve to a
-    nonsingular curve of genus `target_genus`."""
+    nonsingular curve of genus `target_genus` (int): `components`, a
+    tuple of DominantComponent and ContractedComponent, and `nodes`, a
+    tuple of Node."""
 
-    target_genus: int
-    components: tuple[Component, ...]
-    nodes: tuple[Node, ...]
+    __slots__ = ()
 
 
 def total_degree(graph: StableMapGraph) -> int:
@@ -495,8 +494,8 @@ _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
 
 def _built(text: str) -> StableMapGraph:
     # the graph built while the text decodes. Anything wrong raises, and
-    # a NamedTuple where the document wants a dict (or a dict left where
-    # it wants a NamedTuple) fails a check here or in the parser
+    # a named tuple where the document wants a dict (or a dict left where
+    # it wants a named tuple) fails a check here or in the parser
     share = {}.setdefault
 
     def build(data: dict):

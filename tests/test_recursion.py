@@ -190,7 +190,7 @@ class TestIntegerRecursions:
     @pytest.mark.parametrize("func, reference, d_max", [
         (h0_recursion, reference_h0, 150),
         (h1_recursion, reference_h1, 150),
-        (h2_recursion, reference_h2, 60),
+        (h2_recursion, reference_h2, 150),
     ], ids=["genus-0", "genus-1", "genus-2"])
     def test_equal_the_fraction_recursions(self, func, reference, d_max):
         for d in range(1, d_max + 1):

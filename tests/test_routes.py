@@ -93,9 +93,10 @@ def test_no_function_in_the_package_is_cached():
 # run in a fresh interpreter: with arguments, cli.main(arguments) with
 # stdout captured (`--help` ends in SystemExit); without, `import
 # hurwitz`. Prints the modules the run added to those the probe itself
-# needs.
+# needs, and those loaded before it ran. json is imported only to print
+# the report, after the run, so a run that loads it shows it.
 PROBE = """
-import io, json, sys
+import io, sys
 from contextlib import redirect_stdout
 before = set(sys.modules)
 if sys.argv[1:]:
@@ -108,7 +109,9 @@ if sys.argv[1:]:
 else:
     import hurwitz
     code = 0
-print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"exit": code, "loaded": loaded, "before": sorted(before)}))
 """
 
 
@@ -119,14 +122,19 @@ def child_env() -> dict[str, str]:
             + (os.pathsep + path if path else "")}
 
 
-def loaded_modules(*argv: str, expected_exit: int = 0) -> set[str]:
+def probe(*argv: str, expected_exit: int = 0, flags: tuple = ()) -> dict:
+    # the probe's report, run with the interpreter's `flags`
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, *flags, "-c", PROBE, *argv],
         capture_output=True, text=True, check=True, env=child_env(),
     )
     report = json.loads(result.stdout)
     assert report["exit"] == expected_exit
-    return set(report["loaded"])
+    return report
+
+
+def loaded_modules(*argv: str, expected_exit: int = 0) -> set[str]:
+    return set(probe(*argv, expected_exit=expected_exit)["loaded"])
 
 
 def test_import_loads_no_submodule():
@@ -169,6 +177,35 @@ def test_help_and_branch_divisor_load_neither_fractions_nor_decimal():
         loaded = loaded_modules("branch-divisor", "--input",
                                 str(FIXTURES / fixture), expected_exit=code)
         assert not loaded & {"fractions", "decimal"}, fixture
+
+
+def test_help_and_text_tables_load_no_json():
+    # only a JSON payload needs json; the probe sees it where it loads
+    table = ("table", "--gmax", "1", "--dmax", "3")
+    assert "json" not in loaded_modules("--help")
+    assert "json" not in loaded_modules(*table)
+    assert "json" not in loaded_modules(*table, "--format", "csv")
+    assert "json" in loaded_modules(*table, "--format", "json")
+
+
+def test_no_command_loads_future():
+    # no module of the package postpones its annotations
+    elliptic = str(FIXTURES / "elliptic_tail.json")
+    for argv in (("--help",), ("compute", "-g", "1", "-d", "3"),
+                 ("table", "--gmax", "1", "--dmax", "3"),
+                 ("crosscheck", "--gmax", "1", "--dmax", "3"),
+                 ("branch-divisor", "--input", elliptic)):
+        assert "__future__" not in loaded_modules(*argv), argv
+
+
+def test_branch_divisor_loads_no_typing():
+    # with -S: a site that preloads typing, as a .pth file can, would
+    # leave nothing for the probe to see
+    report = probe("branch-divisor", "--input",
+                   str(FIXTURES / "elliptic_tail.json"), flags=("-S",))
+    assert "hurwitz.stablemap" in report["loaded"]
+    assert "typing" not in report["before"]
+    assert "typing" not in report["loaded"]
 
 
 def test_compute_loads_only_the_route_it_runs():
