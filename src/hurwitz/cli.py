@@ -74,19 +74,25 @@ def _invalid(**fields) -> dict:
     return {"status": "invalid-input", **fields}
 
 
+def _range_fault(args, first: str, second: str) -> dict | None:
+    # the one check of compute's, table's and crosscheck's genus and degree
+    # options; the message names the options it was given
+    if getattr(args, first) < 0 or getattr(args, second) < 1:
+        return _invalid(error=f"{first} must be >= 0 and {second} >= 1")
+    return None
+
+
+def _cell(g: int, d: int, **fields) -> dict:
+    # genus, degree and r, then the fields: a table cell's column order
+    return dict(genus=g, degree=d, branch_points=branch_count(g, d), **fields)
+
+
 def _cmd_compute(args) -> dict:
     g, d = args.genus, args.degree
-    if g < 0 or d < 1:
-        return _invalid(error="genus must be >= 0 and degree >= 1")
+    if fault := _range_fault(args, "genus", "degree"):
+        return fault
     value = hurwitz_value(g, d, args.method)
-    return {
-        "status": "ok",
-        "genus": g,
-        "degree": d,
-        "branch_points": branch_count(g, d),
-        "method": args.method,
-        "value": value,
-    }
+    return _cell(g, d, status="ok", method=args.method, value=value)
 
 
 def _render(result: dict, fmt: str) -> str:
@@ -113,23 +119,15 @@ def _fault(exc: Exception) -> dict:
     return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _range_fault(args) -> dict | None:
-    # table's and crosscheck's one check of --gmax and --dmax
-    if args.gmax < 0 or args.dmax < 1:
-        return _invalid(error="gmax must be >= 0 and dmax >= 1")
-    return None
-
-
 def _cmd_table(args) -> dict:
-    if fault := _range_fault(args):
+    if fault := _range_fault(args, "gmax", "dmax"):
         return fault
     method = Method(args.method)
     return {
         "status": "ok",
         "method": args.method,
         "cells": [
-            {"genus": g, "degree": d, "branch_points": branch_count(g, d),
-             "value": values[method]}
+            _cell(g, d, value=values[method])
             for (g, d), values in build_table(args.gmax, args.dmax,
                                               method).items()
         ],
@@ -137,16 +135,11 @@ def _cmd_table(args) -> dict:
 
 
 def _cmd_crosscheck(args) -> dict:
-    if fault := _range_fault(args):
+    if fault := _range_fault(args, "gmax", "dmax"):
         return fault
     cells = [
-        {
-            "genus": g,
-            "degree": d,
-            "branch_points": branch_count(g, d),
-            "values": {m.value: v for m, v in values.items()},
-            "agree": len(set(values.values())) == 1,
-        }
+        _cell(g, d, values={m.value: v for m, v in values.items()},
+              agree=len(set(values.values())) == 1)
         for (g, d), values in build_table(args.gmax, args.dmax).items()
     ]
     status = "ok" if all(cell["agree"] for cell in cells) else "mismatch"
@@ -206,39 +199,32 @@ def _parser() -> argparse.ArgumentParser:
                     "branch divisors of combinatorial stable maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    method = dict(choices=sorted(m.value for m in Method), default="character")
 
     compute = sub.add_parser(
         "compute", help="one Hurwitz number by one method"
     )
     compute.add_argument("--genus", "-g", type=int, required=True)
     compute.add_argument("--degree", "-d", type=int, required=True)
-    compute.add_argument(
-        "--method", choices=sorted(m.value for m in Method),
-        default="character",
-    )
+    compute.add_argument("--method", **method)
     compute.set_defaults(handler=_cmd_compute)
 
     table = sub.add_parser(
         "table", help="a genus/degree range of values by one method"
     )
-    table.add_argument("--gmax", type=int, required=True)
-    table.add_argument("--dmax", type=int, required=True)
-    table.add_argument(
-        "--method", choices=sorted(m.value for m in Method),
-        default="character",
+    crosscheck = sub.add_parser(
+        "crosscheck",
+        help="run every applicable method on every cell and compare",
     )
+    for ranged in (table, crosscheck):
+        ranged.add_argument("--gmax", type=int, required=True)
+        ranged.add_argument("--dmax", type=int, required=True)
+    table.add_argument("--method", **method)
     table.add_argument(
         "--format", choices=["aligned-text", "json", "csv"],
         default="aligned-text",
     )
     table.set_defaults(handler=_cmd_table)
-
-    crosscheck = sub.add_parser(
-        "crosscheck",
-        help="run every applicable method on every cell and compare",
-    )
-    crosscheck.add_argument("--gmax", type=int, required=True)
-    crosscheck.add_argument("--dmax", type=int, required=True)
     crosscheck.set_defaults(handler=_cmd_crosscheck)
 
     divisor = sub.add_parser(

@@ -5,7 +5,7 @@ Each entry maps an argv, joined by spaces, to [exit code, sha256 of
 stdout]. The runs are every `--help`, `compute` by every method over a
 grid of cells and by recursion and closed form at genus 0, degree 500,
 `table` by every method over nine ranges in every format, `crosscheck`
-over seven ranges up to genus 10 and degree 30, `branch-divisor` on every
+over eight ranges up to genus 10 and degree 30, `branch-divisor` on every
 docs/fixtures/*.json in sorted order and a missing path, seeded
 mutations of docs/fixtures/elliptic_tail.json from
 graphgen.mutate_document, each keyed by its seed, and that fixture's
@@ -61,9 +61,10 @@ HELP = [["--help"]] + [[command, "--help"] for command in
 # to degree 20
 TABLE_RANGES = [(0, 1), (0, 5), (0, 7), (1, 4), (2, 6), (3, 2), (0, 20),
                 (-1, 3), (0, 0)]
-# (gmax, dmax), the last the headline cross-check of every route
-CROSSCHECK_RANGES = [(0, 3), (1, 4), (2, 6), (3, 5), (5, 10), (0, 0),
-                     (10, 30)]
+# (gmax, dmax): both invalid ranges, and last the headline cross-check
+# of every route
+CROSSCHECK_RANGES = [(0, 3), (1, 4), (2, 6), (3, 5), (5, 10), (-1, 3),
+                     (0, 0), (10, 30)]
 
 ARGVS = (
     HELP

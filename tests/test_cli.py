@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import hurwitz
 from hurwitz import cli, recursion
 from hurwitz.cli import EXIT_ERROR, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
-from hurwitz.routes import Method
+from hurwitz.routes import Method, applicable_methods
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
@@ -331,6 +331,41 @@ class TestCrosscheck:
   "status": "ok"
 }
 """
+
+
+class TestSharedCell:
+    """`compute`, `table` and `crosscheck` give a cell one shape, and
+    `table` and `crosscheck` one refusal of a range."""
+
+    @pytest.mark.parametrize("g, d", [(0, 1), (0, 2), (1, 3), (2, 3)])
+    def test_commands_agree_on_a_cell(self, capsys, g, d):
+        _code, checked = run_json(capsys, "crosscheck", "--gmax", str(g),
+                                  "--dmax", str(d))
+        crosscheck = next(cell for cell in checked["cells"]
+                          if (cell["genus"], cell["degree"]) == (g, d))
+        methods = [method.value for method in applicable_methods(g, d)]
+        assert sorted(crosscheck["values"]) == sorted(methods)
+        for method in methods:
+            code, computed = run_json(capsys, "compute", "-g", str(g),
+                                      "-d", str(d), "--method", method)
+            assert code == EXIT_OK
+            _code, table = run_json(capsys, "table", "--gmax", str(g),
+                                    "--dmax", str(d), "--method", method,
+                                    "--format", "json")
+            cell = next(cell for cell in table["cells"]
+                        if (cell["genus"], cell["degree"]) == (g, d))
+            assert cell == {key: computed[key] for key in
+                            ("genus", "degree", "branch_points", "value")}
+            assert crosscheck["branch_points"] == cell["branch_points"]
+            assert crosscheck["values"][method] == cell["value"]
+
+    @pytest.mark.parametrize("gmax, dmax", [(-1, 3), (0, 0)])
+    def test_table_and_crosscheck_refuse_a_range_alike(self, capsys, gmax,
+                                                        dmax):
+        bounds = ("--gmax", str(gmax), "--dmax", str(dmax))
+        table = run_cli(capsys, "table", *bounds)
+        assert table[0] == EXIT_INVALID
+        assert table == run_cli(capsys, "crosscheck", *bounds)
 
 
 class TestBranchDivisor:
