@@ -27,8 +27,8 @@ _MODULE_EXPORTS = {
     "stablemap": ("ContractedComponent", "DominantComponent",
                   "GraphFormatError", "InvalidGraphError", "Node",
                   "StableMapGraph", "arithmetic_genus", "branch_divisor",
-                  "graph_from_dict", "graph_to_dict", "load_graph",
-                  "riemann_hurwitz_degree", "total_degree", "validate"),
+                  "graph_from_dict", "load_graph", "riemann_hurwitz_degree",
+                  "total_degree", "validate"),
 }
 
 # public name -> (module, attribute)

@@ -72,9 +72,6 @@ class ContractedComponent(namedtuple("ContractedComponent",
     __slots__ = ()
 
 
-Component = DominantComponent | ContractedComponent
-
-
 class Node(namedtuple("Node", "branches image")):
     """Two component branches glued over a target point: `branches`, a
     pair of component ids (str), and the `image` point's label (str).
@@ -332,8 +329,7 @@ def _text(value) -> bool:
 
 # The document schema. Each kind of field value is a test and the words
 # a fault names it by; an optional kind adds what an absent field stands
-# for. Each object lists its fields in the order they are checked, which
-# is the order graph_to_dict writes them in.
+# for. Each object lists its fields in the order they are checked.
 _TEXT = _text, "a nonempty string"
 _INT = _integer, "an integer"
 _LIST = (lambda value: isinstance(value, list)), "a list"
@@ -402,7 +398,7 @@ def _profile_from_dict(data, share) -> tuple[str, tuple[int, ...]]:
     return share(point, point), share(profile, profile)
 
 
-def _component_from_dict(data, share) -> Component:
+def _component_from_dict(data, share):
     if not isinstance(data, dict):
         raise _Fault(": expected an object")
     kind, cid, genus = data.get("kind"), data.get("id"), data.get("genus")
@@ -465,28 +461,6 @@ def graph_from_dict(data) -> StableMapGraph:
         )
     except _Fault as fault:
         raise GraphFormatError(str(fault)) from None
-
-
-def graph_to_dict(graph: StableMapGraph) -> dict:
-    """Inverse of graph_from_dict, for round trips and fixtures.
-
-    Each object takes its keys, in order, from the schema row that
-    reads it; an empty ramification is left out, and nodes never are.
-    """
-    components = []
-    for comp in graph.components:
-        if isinstance(comp, ContractedComponent):
-            components.append(dict(zip(_CONTRACTED, ("contracted", *comp))))
-            continue
-        profiles = [dict(zip(_PROFILE, (point, list(profile))))
-                    for point, profile in comp.ramification]
-        values = "dominant", *comp[:3], profiles
-        # zip stops at the shorter side, so four values leave it out
-        components.append(dict(zip(_DOMINANT,
-                                   values if profiles else values[:-1])))
-    nodes = [dict(zip(_NODE, (list(node.branches), node.image)))
-             for node in graph.nodes]
-    return dict(zip(_TOP, (graph.target_genus, components, nodes)))
 
 
 _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})

@@ -8,6 +8,11 @@ components that touch share an image point, and repairs stability by
 attaching extra nodes. The validate call at the end is the generator's
 own guard: everything returned is a valid graph by construction.
 
+`graph_to_dict` writes a graph as the JSON document that
+`hurwitz.stablemap.graph_from_dict` reads, with the keys in the order
+of docs/fixtures. The package only reads graph documents; the tests
+write theirs with this writer.
+
 `collision_limit` makes a valid graph of another sort: the stable limit
 of a cover whose branch points collide, built from permutations alone,
 with the branch divisor the limit must have.
@@ -178,6 +183,29 @@ def random_valid_graph(rng: random.Random) -> StableMapGraph:
     if problems:
         raise AssertionError(f"generator produced an invalid graph: {problems}")
     return graph
+
+
+def graph_to_dict(graph: StableMapGraph) -> dict:
+    """The JSON document of `graph`: each object's keys in the documented
+    order, an empty ramification left out, and the nodes always written.
+    """
+    components = []
+    for comp in graph.components:
+        if isinstance(comp, ContractedComponent):
+            components.append({"kind": "contracted", "id": comp.id,
+                               "genus": comp.genus, "image": comp.image})
+            continue
+        entry = {"kind": "dominant", "id": comp.id, "genus": comp.genus,
+                 "degree": comp.degree}
+        if comp.ramification:
+            entry["ramification"] = [
+                {"point": point, "profile": list(profile)}
+                for point, profile in comp.ramification]
+        components.append(entry)
+    nodes = [{"branches": list(node.branches), "image": node.image}
+             for node in graph.nodes]
+    return {"target_genus": graph.target_genus, "components": components,
+            "nodes": nodes}
 
 
 # values a mutation may put in place of any field, entry or document

@@ -11,14 +11,13 @@ permutations alone, so nothing here checks the package against itself.
 import json
 import random
 
-from graphgen import collision_limit
+from graphgen import collision_limit, graph_to_dict
 from hurwitz.cli import EXIT_OK, main
 from hurwitz.stablemap import (
     DominantComponent,
     arithmetic_genus,
     branch_divisor,
     graph_from_dict,
-    graph_to_dict,
     riemann_hurwitz_degree,
     validate,
 )

@@ -11,8 +11,10 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import hurwitz
@@ -238,10 +240,11 @@ def test_exports_are_their_modules_objects():
         for name in ("character", "intersection", "oracle", "recursion",
                      "routes", "stablemap")
     ]
-    assert len(hurwitz.__all__) == 36
+    assert len(hurwitz.__all__) == 35
     assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError",
                  "conjugate_partition", "partition_count",
-                 "disconnected_hurwitz"} & set(hurwitz.__all__))
+                 "disconnected_hurwitz", "graph_to_dict"}
+                & set(hurwitz.__all__))
     for name in hurwitz.__all__:
         if name == "ORACLE_BACKEND":
             continue
@@ -252,6 +255,35 @@ def test_exports_are_their_modules_objects():
     exec("from hurwitz import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(hurwitz.__all__)
     assert set(hurwitz.__all__) <= set(dir(hurwitz))
+
+
+def used_names(path: Path, strings: bool) -> set[str]:
+    """The NAME tokens of a source file, less the name each def or class
+    statement introduces, and with `strings` every word inside a string
+    too. Comments hold no tokens of either kind."""
+    texts = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", None)}
+    names, previous = set(), None
+    with open(path, "rb") as handle:
+        for token in tokenize.tokenize(handle.readline):
+            if token.type == tokenize.NAME and previous not in ("def",
+                                                                "class"):
+                names.add(token.string)
+            elif strings and token.type in texts:
+                names.update(re.findall(r"\w+", token.string))
+            previous = token.string
+    return names
+
+
+def test_no_export_is_only_for_tests():
+    # each public name is used by the package's own modules or by the
+    # benchmark (ORACLE_BACKEND only inside run.py's probe string)
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= used_names(path, strings=False)
+    for path in (REPO / "perfbench").glob("*.py"):
+        used |= used_names(path, strings=True)
+    assert set(hurwitz.__all__) <= used, set(hurwitz.__all__) - used
 
 
 def test_benchmark_reference_table_matches_the_routes():

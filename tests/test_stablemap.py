@@ -16,10 +16,12 @@ from pathlib import Path
 import pytest
 
 from graphgen import (
+    graph_to_dict,
     misplaced_documents,
     mutate_document,
     random_valid_graph,
 )
+from hurwitz import stablemap
 from hurwitz.cli import main
 from hurwitz.routes import branch_count
 from hurwitz.stablemap import (
@@ -32,7 +34,6 @@ from hurwitz.stablemap import (
     arithmetic_genus,
     branch_divisor,
     graph_from_dict,
-    graph_to_dict,
     load_graph,
     riemann_hurwitz_degree,
     total_degree,
@@ -623,6 +624,26 @@ class TestLoadGraph:
             path.write_text(json.dumps(graph_to_dict(graph)),
                             encoding="utf-8")
             assert load_graph(path) == reference_load(path) == graph
+
+    def test_valid_documents_are_decoded_once(self, tmp_path, monkeypatch):
+        # a valid document is built in its one decode: the second decode
+        # into a dict tree, and graph_from_dict on it, are for faults only
+        rng = random.Random(1999)
+        graphs = {path: reference_load(path)
+                  for path in sorted(FIXTURES.glob("*.json"))}
+        for k in range(50):
+            path = tmp_path / f"graph-{k}.json"
+            graphs[path] = random_valid_graph(rng)
+            path.write_text(json.dumps(graph_to_dict(graphs[path])),
+                            encoding="utf-8")
+
+        def second_decode(*args):
+            raise AssertionError("a valid document was decoded twice")
+
+        monkeypatch.setattr(stablemap, "_plain", second_decode)
+        monkeypatch.setattr(stablemap, "graph_from_dict", second_decode)
+        for path, graph in graphs.items():
+            assert load_graph(path) == graph, path.name
 
     def test_mutations_of_every_fixture(self, tmp_path):
         path = tmp_path / "mutation.json"
