@@ -121,23 +121,21 @@ def content_polynomial(n: int) -> dict[int, int]:
     return _CONTENT[n]
 
 
-def content_log(z: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Connected parts f_0, ..., f_N of integer Laurent polynomials
-    z_0 = 1, z_1, ..., z_N, given as {exponent: coefficient} dicts.
+def content_log(z: list[dict], f: list[dict]) -> list[dict]:
+    """Extend f, the connected parts f_0, f_1, ... of integer Laurent
+    polynomials z_0 = 1, z_1, ..., z_N given as {exponent: coefficient}
+    dicts, in place through f_N, and return f. `[{}]` starts a fresh log;
+    the entries already in f are taken as computed.
 
     f_0 is zero ({}); for n >= 1, f_n = z_n minus the sum over k < n of
     C(n-1, k-1) C(n, k) f_k z_{n-k}, which is the logarithm of
     sum z_n x^n / (n!)^2 scaled by (n!)^2. Zero coefficients are dropped.
+    f_n reads only f_k with k < n and is stored at index n, never
+    appended, so two threads that extend the same list store the same
+    value twice instead of shifting later entries.
     """
     if not z or z[0] != {0: 1}:
         raise ValueError("z_0 must be the constant polynomial 1")
-    return _extend_log(z, [{}])
-
-
-def _extend_log(z, f):
-    # f extended in place through f_{len(z)-1}; f_n reads only f_k, k < n.
-    # f_n is stored at index n, never appended, so two threads that extend
-    # the same list store the same value twice instead of shifting entries
     for n in range(len(f), len(z)):
         fn = dict(z[n])
         for k in range(1, n):
@@ -195,6 +193,6 @@ def connected_hurwitz(g: int, d: int) -> Fraction:
     r = 2 * g - 2 + 2 * d
     content_polynomial(d)
     # the slice keeps f from growing past d when _CONTENT is longer
-    f = _extend_log(_CONTENT[:d + 1], _CONNECTED)
+    f = content_log(_CONTENT[:d + 1], _CONNECTED)
     total = sum(m * c ** r for c, m in f[d].items())
     return Fraction(total, factorial(d) ** 2)

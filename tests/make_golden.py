@@ -3,9 +3,10 @@ hash of a fixed list of CLI runs.
 
 Each entry maps an argv, joined by spaces, to [exit code, sha256 of
 stdout]. The runs are every `--help`, `compute` by every method over a
-grid of cells and by recursion and closed form at genus 0, degree 500,
-`table` by every method over nine ranges in every format, `crosscheck`
-over eight ranges up to genus 10 and degree 30, `branch-divisor` on every
+grid of cells, by recursion and closed form at genus 0, degree 500, and
+by the default method at genus 10,000, degree 3, `table` by every
+method over nine ranges in every format, `crosscheck` over eight ranges
+up to genus 10 and degree 30, `branch-divisor` on every
 docs/fixtures/*.json in sorted order and a missing path, seeded
 mutations of docs/fixtures/elliptic_tail.json from
 graphgen.mutate_document, each keyed by its seed, and that fixture's
@@ -73,6 +74,9 @@ ARGVS = (
     # the two genus-0 routes that reach degree 500
     + [["compute", "-g", "0", "-d", "500", "--method", method]
        for method in ("recursion", "closed-form")]
+    # a value of about 9,500 digits, past the 20,000 bits above which
+    # the CLI prints through decimal
+    + [["compute", "-g", "10000", "-d", "3"]]
     + [["table", "--method", method, "--gmax", str(g), "--dmax", str(d),
         "--format", fmt]
        for method in METHODS for g, d in TABLE_RANGES

@@ -54,7 +54,7 @@ class TestContentPolynomials:
 
     def test_log_of_small_degrees(self):
         # f_2 = z_2 - C(1,0) C(2,1) z_1^2 and f_1 = z_1
-        f = content_log([content_polynomial(n) for n in range(3)])
+        f = content_log([content_polynomial(n) for n in range(3)], [{}])
         assert f == [{}, {0: 1}, {1: 1, 0: -2, -1: 1}]
 
 

@@ -4,10 +4,13 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stdout
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -184,6 +187,32 @@ def test_refusal_prints_exact_bytes(capsys, argv, error):
     assert out == (
         f'{{\n  "error": "{error}",\n  "status": "invalid-input"\n}}\n'
     )
+
+
+class TestBigValues:
+    # every value, in JSON, text and CSV, prints through cli._str, which
+    # above 20,000 bits converts through decimal instead of str()
+    def test_equals_str_on_both_sides_of_the_threshold(self):
+        rng = random.Random(32)
+        # to 332,193 bits, 10^5 digits
+        sizes = [1, 2, 63, 64, 1000, 19_999, 20_000, 20_001, 39_999,
+                 40_000, 40_001, 332_193]
+        sizes += [rng.randint(20_000, 332_193) for _ in range(4)]
+        with unlimited_digits():
+            for bits in sizes:
+                n = rng.getrandbits(bits) | 1 << (bits - 1)
+                for value in (n, -n, Fraction(-n, 2 * n + 1)):
+                    assert cli._str(value) == str(value), bits
+
+    def test_a_million_digits_print_within_seconds(self):
+        # str() took 17.5 s on Python 3.11 (2-CPU Xeon), cli._str 0.5 s
+        n = 10 ** 999_999 // 3
+        with unlimited_digits():
+            start = time.perf_counter()
+            text = cli._str(-n)
+            elapsed = time.perf_counter() - start
+        assert text == "-" + "3" * 999_999
+        assert elapsed < 5
 
 
 class TestTable:

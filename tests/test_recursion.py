@@ -273,7 +273,7 @@ class TestSharedSequences:
         twice = [[0] + [2 * reference(d) for d in range(1, d_rec + 1)]
                  for reference in (reference_h0, reference_h1, reference_h2)]
         content = [direct_content_polynomial(n) for n in range(d_char + 1)]
-        connected = content_log(content)
+        connected = content_log(content, [{}])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -257,16 +257,17 @@ def test_exports_are_their_modules_objects():
     assert set(hurwitz.__all__) <= set(dir(hurwitz))
 
 
-def used_names(path: Path, strings: bool) -> set[str]:
+def used_names(path: Path, strings: bool, skip=()) -> set[str]:
     """The NAME tokens of a source file, less the name each def or class
-    statement introduces, and with `strings` every word inside a string
-    too. Comments hold no tokens of either kind."""
+    statement introduces and those that start at a (line, column) in
+    `skip`, and with `strings` every word inside a string too. Comments
+    hold no tokens of either kind."""
     texts = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", None)}
     names, previous = set(), None
     with open(path, "rb") as handle:
         for token in tokenize.tokenize(handle.readline):
-            if token.type == tokenize.NAME and previous not in ("def",
-                                                                "class"):
+            if (token.type == tokenize.NAME and token.start not in skip
+                    and previous not in ("def", "class")):
                 names.add(token.string)
             elif strings and token.type in texts:
                 names.update(re.findall(r"\w+", token.string))
@@ -284,6 +285,36 @@ def test_no_export_is_only_for_tests():
     for path in (REPO / "perfbench").glob("*.py"):
         used |= used_names(path, strings=True)
     assert set(hurwitz.__all__) <= used, set(hurwitz.__all__) - used
+
+
+def test_no_public_name_is_only_for_tests():
+    # each public top-level def, class or assignment of a package module
+    # is exported, read by the package outside its definition, or named
+    # by the benchmark; oracle.BACKEND is exported as ORACLE_BACKEND
+    exported = set(hurwitz._EXPORTS.values())
+    used, public = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        assigned = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            public.add((path.stem, name.id))
+                            assigned.add((name.lineno, name.col_offset))
+        used |= used_names(path, strings=False, skip=assigned)
+    for path in (REPO / "perfbench").glob("*.py"):
+        used |= used_names(path, strings=True)
+    unused = sorted(f"{module}.{name}" for module, name in public
+                    if not name.startswith("_")
+                    and (module, name) not in exported and name not in used)
+    assert not unused, unused
 
 
 def test_benchmark_reference_table_matches_the_routes():
