@@ -38,8 +38,9 @@ saves 9-12 ms per process on `--help`, `compute` and `branch-divisor`
 2-CPU Xeon). `atexit` handlers and stdio flushing still run, unlike
 after `os._exit`. Once `main` returns, `run` points stdout at
 `os.devnull`, so output that a failed write left buffered cannot make
-that flush fail too. `main` itself changes nothing process-wide, so it
-can be called in-process.
+that flush fail too. `main` itself turns the collector off for the call
+and lifts the digit limit while it renders, and it restores both before
+it returns, so it can be called in-process.
 """
 
 import argparse
@@ -185,12 +186,9 @@ def _cmd_branch_divisor(args) -> dict:
 
     try:
         graph = stablemap.load_graph(args.input)
-    except FileNotFoundError:
-        return _invalid(error=f"no such file: {args.input}")
+        divisor = stablemap.branch_divisor(graph)
     except stablemap.GraphFormatError as exc:
         return _invalid(error=str(exc))
-    try:
-        divisor = stablemap.branch_divisor(graph)
     except stablemap.InvalidGraphError as exc:
         return _invalid(violations=exc.violations)
     # branch_divisor has validated the graph, connectedness included,

@@ -504,16 +504,17 @@ def _plain(text: str):
 def load_graph(path) -> StableMapGraph:
     """Read a graph document from a JSON file, pipe or FIFO.
 
-    A missing file raises FileNotFoundError; any other unreadable input
-    (a directory, a permission error, bytes that are not UTF-8, nesting
-    too deep for the parser, an integer literal over the interpreter's
-    digit limit) raises GraphFormatError.
+    Every input that cannot be read or parsed (a missing file, a
+    directory, a permission error, bytes that are not UTF-8, nesting too
+    deep for the parser, an integer literal over the interpreter's digit
+    limit) raises GraphFormatError, with the error that caused it as
+    __cause__.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except FileNotFoundError:
-        raise
+    except FileNotFoundError as exc:
+        raise GraphFormatError(f"no such file: {path}") from exc
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
     except OSError as exc:

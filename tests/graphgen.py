@@ -284,31 +284,34 @@ def _classes(points, pairs):
     return list(classes.values())
 
 
-def collision_limit(rng: random.Random, g: int, d: int):
+def collision_limit(rng: random.Random, g: int, d: int, points: int = 1):
     """The stable limit of a connected genus-g, degree-d cover of the
     line when 2 to 5 of its r = 2g + 2d - 2 simple branch points come
     together at one point "p", as a graph document, with the branch
     divisor the limit must have: k at "p" for k collided points, and 1
-    at each other branch point "q<j>". Needs d >= 2; uses no `hurwitz`
-    function.
+    at each other branch point "q<j>". With points=2 (needs r >= 4) two
+    disjoint runs collide at once, one at "p" and one at "p2", and the
+    divisor is k at "p", k' at "p2" and 1 elsewhere. Needs d >= 2; uses
+    no `hurwitz` function.
 
     The cover is a factorization t_1...t_r = 1 into transpositions that
     generate a transitive group: a spanning tree and g more
     transpositions, followed by the same list reversed, then shuffled
     by braid moves, which keep the product and the group. A block of k
     consecutive t_i collides with monodromy sigma, their product. The
-    dominant components are the orbits of sigma and the other t_j, with
-    sigma's cycle type over "p" and (2, 1, ...) over each t_j they
-    contain. Each orbit B of the block gets a bubble contracted to "p",
-    of genus h with 2h - 2 = -|B| + k_B - (cycles of sigma on B), k_B
-    the block's transpositions on B, glued by one node to the dominant
-    component of each of those cycles. Stabilizing drops a genus-0
-    bubble with one node and turns one with two nodes into a single
-    node between the two dominant branches.
+    dominant components are the orbits of each block's sigma and the
+    other t_j, with sigma's cycle type over the block's point and
+    (2, 1, ...) over each t_j they contain. Each orbit B of a block gets
+    a bubble contracted to its point, of genus h with
+    2h - 2 = -|B| + k_B - (cycles of sigma on B), k_B the block's
+    transpositions on B, glued by one node to the dominant component of
+    each of those cycles. Stabilizing drops a genus-0 bubble with one
+    node and turns one with two nodes into a single node between the two
+    dominant branches.
     """
-    points = range(d)
+    sheets = range(d)
     tree = [(x, rng.randrange(x)) for x in range(1, d)]
-    extra = [tuple(rng.sample(points, 2)) for _ in range(g)]
+    extra = [tuple(rng.sample(sheets, 2)) for _ in range(g)]
     half = tree + extra
     rng.shuffle(half)
     factors = half + half[::-1]
@@ -321,26 +324,41 @@ def collision_limit(rng: random.Random, g: int, d: int):
         c, e = factors[i + 1]
         factors[i:i + 2] = [(swap.get(c, c), swap.get(e, e)), (a, b)]
 
-    k = rng.randint(2, min(5, r))
-    start = rng.randrange(r - k + 1)
-    block = factors[start:start + k]
+    # the start and length of the run that collides at each point
+    if points == 1:
+        k = rng.randint(2, min(5, r))
+        runs = {"p": (rng.randrange(r - k + 1), k)}
+    else:
+        k = rng.randint(2, min(5, r - 2))
+        k2 = rng.randint(2, min(5, r - k))
+        # the factors before, between and after the runs
+        first, second = sorted(rng.sample(range(r - k - k2 + 2), 2))
+        runs = {"p": (first, k), "p2": (second - 1 + k, k2)}
+    blocks = {point: factors[start:start + k]
+              for point, (start, k) in runs.items()}
+    starts = {start + 1: point for point, (start, _) in runs.items()}
     others = {j: t for j, t in enumerate(factors, 1)
-              if not start < j <= start + k}
-    sigma = list(points)
-    for a, b in block:
-        sigma = [b if y == a else a if y == b else y for y in sigma]
-    cycles = _classes(points, enumerate(sigma))
+              if not any(start < j <= start + k
+                         for start, k in runs.values())}
+    cycles, joins = {}, list(others.values())
+    for point, block in blocks.items():
+        sigma = list(sheets)
+        for a, b in block:
+            sigma = [b if y == a else a if y == b else y for y in sigma]
+        cycles[point] = _classes(sheets, enumerate(sigma))
+        joins += enumerate(sigma)
 
-    orbits = _classes(points, [*others.values(), *enumerate(sigma)])
+    orbits = _classes(sheets, joins)
     owner = {x: f"A{n}" for n, orbit in enumerate(orbits, 1) for x in orbit}
     components = []
     for n, orbit in enumerate(orbits, 1):
         ramification = []
-        at_p = sorted((len(c) for c in cycles if c[0] in orbit),
-                      reverse=True)
         for j in range(1, r + 1):
-            if j == start + 1 and at_p[0] > 1:
-                ramification.append({"point": "p", "profile": at_p})
+            if j in starts:
+                at = sorted((len(c) for c in cycles[starts[j]]
+                             if c[0] in orbit), reverse=True)
+                if at[0] > 1:
+                    ramification.append({"point": starts[j], "profile": at})
             if j in others and others[j][0] in orbit:
                 profile = [2] + [1] * (len(orbit) - 2)
                 ramification.append({"point": f"q{j}", "profile": profile})
@@ -354,21 +372,24 @@ def collision_limit(rng: random.Random, g: int, d: int):
         components.append(entry)
 
     nodes = []
-    for n, bubble in enumerate(_classes(points, block), 1):
-        ends = [owner[c[0]] for c in cycles if c[0] in bubble]
-        k_b = sum(a in bubble for a, _ in block)
+    bubbles = [(point, bubble) for point, block in blocks.items()
+               for bubble in _classes(sheets, block)]
+    for n, (point, bubble) in enumerate(bubbles, 1):
+        ends = [owner[c[0]] for c in cycles[point] if c[0] in bubble]
+        k_b = sum(a in bubble for a, _ in blocks[point])
         genus = (k_b - len(bubble) - len(ends) + 2) // 2
         if genus == 0 and len(ends) == 1:
             continue
         if genus == 0 and len(ends) == 2:
-            nodes.append({"branches": ends, "image": "p"})
+            nodes.append({"branches": ends, "image": point})
             continue
         components.append({"kind": "contracted", "id": f"B{n}",
-                           "genus": genus, "image": "p"})
-        nodes += [{"branches": [f"B{n}", end], "image": "p"} for end in ends]
+                           "genus": genus, "image": point})
+        nodes += [{"branches": [f"B{n}", end], "image": point}
+                  for end in ends]
 
     divisor = {f"q{j}": 1 for j in others}
-    divisor["p"] = k
+    divisor.update((point, len(block)) for point, block in blocks.items())
     document = {"target_genus": 0, "components": components}
     if nodes:
         document["nodes"] = nodes

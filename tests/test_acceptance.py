@@ -227,5 +227,17 @@ def test_criterion_10_continuity_under_collision():
                arithmetic_genus(graph), riemann_hurwitz_degree(graph))
         if got != (expected, g, sum(expected.values())):
             failures.append(f"limit {index}: {got} != {expected}, g={g}")
+    # two runs of them collide at once, at p and at p2
+    for index in range(GRAPH_COUNT):
+        g = rng.randint(0, 3)
+        d = rng.randint(max(2, 3 - g), 7)
+        document, expected = collision_limit(rng, g, d, points=2)
+        graph = graph_from_dict(document)
+        got = (validate(graph) or branch_divisor(graph),
+               arithmetic_genus(graph), riemann_hurwitz_degree(graph))
+        if got != (expected, g, sum(expected.values())):
+            failures.append(f"two-point limit {index}: {got} != {expected}, "
+                            f"g={g}")
     _report(10, f"branch divisor continuous under collision, "
-            f"{GRAPH_COUNT} limits", failures, started)
+            f"{GRAPH_COUNT} limits at one point and {GRAPH_COUNT} at two",
+            failures, started)

@@ -2,7 +2,8 @@
 branch points of a cover come together, the stable limit's branch
 divisor has k at the collision point and still 1 at every other branch
 point, also where the dominant part ramifies less there and contracted
-components and nodes make up the rest.
+components and nodes make up the rest. Two disjoint runs may collide at
+two points at once.
 
 The limits come from graphgen.collision_limit, which builds them from
 permutations alone, so nothing here checks the package against itself.
@@ -14,6 +15,7 @@ import random
 from graphgen import collision_limit, graph_to_dict
 from hurwitz.cli import EXIT_OK, main
 from hurwitz.stablemap import (
+    ContractedComponent,
     DominantComponent,
     arithmetic_genus,
     branch_divisor,
@@ -55,6 +57,34 @@ def limits():
     for _ in range(LIMITS):
         g, d = rng.randint(0, 2), rng.randint(2, 6)
         yield (g, d, *collision_limit(rng, g, d))
+
+
+def two_point_limits():
+    """LIMITS seeded (genus, degree, document, divisor) with two
+    collision points, g <= 3, 2 <= d <= 7 and r = 2g + 2d - 2 >= 4."""
+    rng = random.Random(SEED + 2)
+    for _ in range(LIMITS):
+        g = rng.randint(0, 3)
+        d = rng.randint(max(2, 3 - g), 7)
+        yield (g, d, *collision_limit(rng, g, d, points=2))
+
+
+def test_two_points_collide_at_once():
+    both = 0
+    for g, d, document, divisor in two_point_limits():
+        graph = graph_from_dict(document)
+        r = 2 * g + 2 * d - 2
+        assert graph_from_dict(graph_to_dict(graph)) == graph, document
+        assert validate(graph) == [], document
+        assert branch_divisor(graph) == divisor, document
+        k, k2 = divisor.pop("p"), divisor.pop("p2")
+        assert 2 <= k <= 5 and 2 <= k2 <= 5, document
+        assert sorted(divisor.values()) == [1] * (r - k - k2), document
+        assert arithmetic_genus(graph) == g, document
+        assert riemann_hurwitz_degree(graph) == r, document
+        both += {c.image for c in graph.components
+                 if isinstance(c, ContractedComponent)} == {"p", "p2"}
+    assert both > 0
 
 
 def test_every_limit_has_the_collided_divisor():

@@ -12,6 +12,7 @@ import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tokenize
@@ -287,19 +288,27 @@ def test_no_export_is_only_for_tests():
     assert set(hurwitz.__all__) <= used, set(hurwitz.__all__) - used
 
 
-def test_no_public_name_is_only_for_tests():
-    # each public top-level def, class or assignment of a package module
-    # is exported, read by the package outside its definition, or named
-    # by the benchmark; oracle.BACKEND is exported as ORACLE_BACKEND
+def names_only_tests_use(package: Path) -> list[str]:
+    """The public top-level defs, classes and assignments of the modules
+    in `package` (as "module.name") that are not exported, not read by
+    the package outside their own definition and not named by the
+    benchmark; oracle.BACKEND is exported as ORACLE_BACKEND. A def's
+    calls to itself are part of its definition."""
     exported = set(hurwitz._EXPORTS.values())
     used, public = set(), set()
-    for path in PACKAGE.glob("*.py"):
+    for path in package.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        assigned = set()
+        own = set()  # positions of each definition's own names
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 public.add((path.stem, node.name))
+            if isinstance(node, ast.FunctionDef):
+                own |= {(name.lineno, name.col_offset)
+                        for statement in node.body
+                        for name in ast.walk(statement)
+                        if isinstance(name, ast.Name)
+                        and name.id == node.name}
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
@@ -307,14 +316,28 @@ def test_no_public_name_is_only_for_tests():
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name):
                             public.add((path.stem, name.id))
-                            assigned.add((name.lineno, name.col_offset))
-        used |= used_names(path, strings=False, skip=assigned)
+                            own.add((name.lineno, name.col_offset))
+        used |= used_names(path, strings=False, skip=own)
     for path in (REPO / "perfbench").glob("*.py"):
         used |= used_names(path, strings=True)
-    unused = sorted(f"{module}.{name}" for module, name in public
-                    if not name.startswith("_")
-                    and (module, name) not in exported and name not in used)
+    return sorted(f"{module}.{name}" for module, name in public
+                  if not name.startswith("_")
+                  and (module, name) not in exported and name not in used)
+
+
+def test_no_public_name_is_only_for_tests():
+    unused = names_only_tests_use(PACKAGE)
     assert not unused, unused
+
+
+def test_a_recursive_call_is_no_use_by_the_package(tmp_path):
+    # a public function that only calls itself is still only for tests
+    package = tmp_path / "hurwitz"
+    shutil.copytree(PACKAGE, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "oracle.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef spare(x):\n    return spare(x)\n")
+    assert names_only_tests_use(package) == ["oracle.spare"]
 
 
 def test_benchmark_reference_table_matches_the_routes():

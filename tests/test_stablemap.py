@@ -580,8 +580,8 @@ def reference_load(path):
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except FileNotFoundError:
-        raise
+    except FileNotFoundError as exc:
+        raise GraphFormatError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -683,7 +683,16 @@ class TestLoadGraph:
             path = tmp_path / name  # "" names the directory itself
             got = load_outcome(load_graph, path)
             assert got == load_outcome(reference_load, path), name
-            assert got[0] in (FileNotFoundError, GraphFormatError)
+            assert got[0] is GraphFormatError
+
+    def test_missing_file_is_a_format_error(self, tmp_path):
+        # every unreadable input is one exception type, worded here; the
+        # OS error stays as its cause
+        path = tmp_path / "nope.json"
+        with pytest.raises(GraphFormatError) as raised:
+            load_graph(path)
+        assert str(raised.value) == f"no such file: {path}"
+        assert isinstance(raised.value.__cause__, FileNotFoundError)
 
     def test_nesting_boundary(self, tmp_path):
         # the depth at which the parser runs out of stack depends on the
