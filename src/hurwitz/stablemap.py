@@ -310,14 +310,6 @@ def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
     return divisor
 
 
-class _Fault(Exception):
-    """A shape error, raised as text that starts with its location
-    relative to the object being parsed: ": problem" for the object
-    itself, ".ramification[1]: problem" for a part of it. Each list
-    prepends the index of the entry that failed, so no location is
-    formatted unless a check fails."""
-
-
 def _integer(value) -> bool:
     # a bool is an int, but not an integer here
     return isinstance(value, int) and value is not True and value is not False
@@ -349,25 +341,30 @@ _PROFILE = {"point": _TEXT, "profile": _INTEGERS}
 _NODE = {"branches": _PAIR, "image": _TEXT}
 
 
+# A shape fault is a GraphFormatError whose text starts with its location
+# relative to the object being parsed: ": problem" for the object itself,
+# ".ramification[1]: problem" for a part of it. Each list prepends the
+# index of the entry that failed, and the top level its own name, so no
+# location is formatted unless a check fails.
 def _check(data, fields: dict, closed: bool = True) -> list:
     # the values of an object's fields, in the order `fields` lists them,
     # or its first fault: not an object, then (in a closed check) the
     # first unknown key in document order, then each field in turn
     if not isinstance(data, dict):
-        raise _Fault(": expected an object")
+        raise GraphFormatError(": expected an object")
     if closed and not fields.keys() >= data.keys():
         key = next(key for key in data if key not in fields)
-        raise _Fault(f": unknown field '{key}'")
+        raise GraphFormatError(f": unknown field '{key}'")
     values = []
     for key, (test, text, *absent) in fields.items():
         if key not in data:
             if not absent:
-                raise _Fault(f": missing field '{key}'")
+                raise GraphFormatError(f": missing field '{key}'")
             values.append(absent[0])
         elif test(data[key]):
             values.append(data[key])
         else:
-            raise _Fault(f": field '{key}' must be {text}")
+            raise GraphFormatError(f": field '{key}' must be {text}")
     return values
 
 
@@ -376,9 +373,9 @@ def _parse_list(raw: list, parse, name: str, share) -> tuple:
     try:
         for entry in raw:
             parsed.append(parse(entry, share))
-    except _Fault as fault:
+    except GraphFormatError as fault:
         # the failing entry's index is the number parsed before it
-        raise _Fault(f"{name}[{len(parsed)}]{fault}") from None
+        raise GraphFormatError(f"{name}[{len(parsed)}]{fault}") from None
     return tuple(parsed)
 
 
@@ -400,7 +397,7 @@ def _profile_from_dict(data, share) -> tuple[str, tuple[int, ...]]:
 
 def _component_from_dict(data, share):
     if not isinstance(data, dict):
-        raise _Fault(": expected an object")
+        raise GraphFormatError(": expected an object")
     kind, cid, genus = data.get("kind"), data.get("id"), data.get("genus")
     if not (type(kind) is type(cid) is str and kind and cid and
             type(genus) is int):
@@ -419,7 +416,8 @@ def _component_from_dict(data, share):
             *_, image = _check(data, _CONTRACTED)
         return ContractedComponent(share(cid, cid), genus,
                                    share(image, image))
-    raise _Fault(f": kind must be 'dominant' or 'contracted', not {kind!r}")
+    raise GraphFormatError(
+        f": kind must be 'dominant' or 'contracted', not {kind!r}")
 
 
 def _node_from_dict(data, share) -> Node:
@@ -434,15 +432,6 @@ def _node_from_dict(data, share) -> Node:
     return Node((share(a, a), share(b, b)), share(image, image))
 
 
-def _top(data) -> list:
-    # target genus, components and nodes: the top level's checks, for
-    # both ways a document is read
-    try:
-        return _check(data, _TOP)
-    except _Fault as fault:
-        raise GraphFormatError(f"top level{fault}") from None
-
-
 def graph_from_dict(data) -> StableMapGraph:
     """Build a StableMapGraph from the documented JSON shape.
 
@@ -450,17 +439,16 @@ def graph_from_dict(data) -> StableMapGraph:
     GraphFormatError naming the first fault in document order; rule
     violations are left to `validate`.
     """
-    target_genus, raw_components, raw_nodes = _top(data)
-    share = {}.setdefault
     try:
-        return StableMapGraph(
-            target_genus,
-            _parse_list(raw_components, _component_from_dict, "components",
-                        share),
-            _parse_list(raw_nodes, _node_from_dict, "nodes", share),
-        )
-    except _Fault as fault:
-        raise GraphFormatError(str(fault)) from None
+        target_genus, raw_components, raw_nodes = _check(data, _TOP)
+    except GraphFormatError as fault:
+        raise GraphFormatError(f"top level{fault}") from None
+    share = {}.setdefault
+    return StableMapGraph(
+        target_genus,
+        _parse_list(raw_components, _component_from_dict, "components", share),
+        _parse_list(raw_nodes, _node_from_dict, "nodes", share),
+    )
 
 
 _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
@@ -481,8 +469,8 @@ def _built(text: str) -> StableMapGraph:
             return _node_from_dict(data, share)
         return data
 
-    target_genus, components, nodes = _top(
-        json.loads(text, object_hook=build))
+    target_genus, components, nodes = _check(
+        json.loads(text, object_hook=build), _TOP)
     # the graph holds every shared label and profile by now. With the
     # table gone, the copies of the lists into tuples below fit in the
     # memory the decode peaked at, though the caller still holds the text
@@ -491,7 +479,7 @@ def _built(text: str) -> StableMapGraph:
     if set(map(type, components)) <= _COMPONENT_TYPES and \
             set(map(type, nodes)) <= {Node}:
         return StableMapGraph(target_genus, tuple(components), tuple(nodes))
-    raise _Fault(": misplaced object")
+    raise GraphFormatError(": misplaced object")
 
 
 def _plain(text: str):
@@ -521,7 +509,7 @@ def load_graph(path) -> StableMapGraph:
         raise GraphFormatError(f"cannot read input: {exc}") from exc
     try:
         return _built(text)
-    except (_Fault, ValueError, RecursionError):
+    except (ValueError, RecursionError):
         # a faulty document is decoded again, into the dict tree that
         # graph_from_dict reports on, so every error text comes from one
         # place

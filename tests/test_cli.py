@@ -17,10 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hurwitz
 from hurwitz import cli, recursion
 from hurwitz.cli import EXIT_ERROR, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from hurwitz.routes import Method, applicable_methods
+from test_routes import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
@@ -650,14 +650,6 @@ class TestArgumentSpace:
         assert isinstance(payload, dict)
         assert payload["status"] == {EXIT_OK: "ok",
                                      EXIT_INVALID: "invalid-input"}[code]
-
-
-def child_env() -> dict[str, str]:
-    # a child process imports the same hurwitz package as this process
-    src = str(Path(hurwitz.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ,
-            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 class TestProcessEntry:

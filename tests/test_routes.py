@@ -18,6 +18,8 @@ import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import hurwitz
 from hurwitz import routes
 from hurwitz.routes import (
@@ -136,111 +138,76 @@ def probe(*argv: str, expected_exit: int = 0, flags: tuple = ()) -> dict:
     return report
 
 
-def loaded_modules(*argv: str, expected_exit: int = 0) -> set[str]:
-    return set(probe(*argv, expected_exit=expected_exit)["loaded"])
+ELLIPTIC = str(FIXTURES / "elliptic_tail.json")
+TABLE = ("table", "--gmax", "1", "--dmax", "3")
+SUBMODULES = {f"hurwitz.{path.stem}" for path in PACKAGE.glob("*.py")
+              if path.name != "__init__.py"}
+# only a printed Hurwitz number or a Riemann-Hurwitz message needs them
+NUMBERS = {"fractions", "decimal"}
 
 
-def test_import_loads_no_submodule():
-    loaded = loaded_modules()
-    assert "hurwitz" in loaded
-    assert not {m for m in loaded if m.startswith("hurwitz.")}
+def others(route: str) -> set[str]:
+    # the route modules that a run of `route` alone leaves unloaded
+    return ROUTE_MODULES - {f"hurwitz.{route}"}
 
 
-def test_compute_loads_neither_stablemap_nor_dataclasses():
-    loaded = loaded_modules("compute", "-g", "1", "-d", "3")
-    assert "hurwitz.routes" in loaded
-    assert "hurwitz.stablemap" not in loaded
-    assert "dataclasses" not in loaded
+# command line -> (exit code, modules the run must load, modules it must
+# not load). Only a JSON payload needs json; the probe sees it where it
+# loads. A refusal loads at most the refusing route
+STARTUP = {
+    "import": ((), 0, {"hurwitz"}, SUBMODULES),
+    "help": (("--help",), 0, set(), ROUTE_MODULES | NUMBERS | {"json"}),
+    "compute": (("compute", "-g", "1", "-d", "3"), 0,
+                {"hurwitz.routes", "hurwitz.character"},
+                others("character") | {"hurwitz.stablemap", "dataclasses"}),
+    "compute-recursion": (("compute", "-g", "1", "-d", "3", "--method",
+                           "recursion"), 0, {"hurwitz.recursion"},
+                          others("recursion")),
+    "refused-recursion": (("compute", "-g", "3", "-d", "2", "--method",
+                           "recursion"), 2, {"hurwitz.recursion"},
+                          others("recursion")),
+    "refused-closed-form": (("compute", "-g", "1", "-d", "2", "--method",
+                             "closed-form"), 2, set(), ROUTE_MODULES),
+    "table": (TABLE, 0, {"hurwitz.character"},
+              others("character") | {"json"}),
+    "table-recursion": ((*TABLE, "--method", "recursion"), 0,
+                        {"hurwitz.recursion"}, others("recursion")),
+    "table-csv": ((*TABLE, "--format", "csv"), 0, set(), {"json"}),
+    "table-json": ((*TABLE, "--format", "json"), 0, {"json"}, set()),
+    "crosscheck": (("crosscheck", "--gmax", "1", "--dmax", "3"), 0, set(),
+                   set()),
+    "branch-divisor": (("branch-divisor", "--input", ELLIPTIC), 0,
+                       {"hurwitz.stablemap"},
+                       ROUTE_MODULES | NUMBERS | {"dataclasses"}),
+    "branch-divisor-invalid": (("branch-divisor", "--input",
+                                str(FIXTURES / "unstable_tail.json")), 2,
+                               set(), NUMBERS),
+}
 
 
-def test_branch_divisor_loads_no_dataclasses():
-    loaded = loaded_modules(
-        "branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json"),
-    )
-    assert "hurwitz.stablemap" in loaded
-    assert "dataclasses" not in loaded
-
-
-def test_branch_divisor_loads_no_route():
-    loaded = loaded_modules(
-        "branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json"),
-    )
-    assert not loaded & ROUTE_MODULES
-
-
-def test_help_loads_no_route():
-    assert not loaded_modules("--help") & ROUTE_MODULES
-
-
-def test_help_and_branch_divisor_load_neither_fractions_nor_decimal():
-    # only a printed Hurwitz number or a Riemann-Hurwitz message needs them
-    assert not loaded_modules("--help") & {"fractions", "decimal"}
-    for fixture, code in (("elliptic_tail.json", 0),
-                          ("unstable_tail.json", 2)):
-        loaded = loaded_modules("branch-divisor", "--input",
-                                str(FIXTURES / fixture), expected_exit=code)
-        assert not loaded & {"fractions", "decimal"}, fixture
-
-
-def test_help_and_text_tables_load_no_json():
-    # only a JSON payload needs json; the probe sees it where it loads
-    table = ("table", "--gmax", "1", "--dmax", "3")
-    assert "json" not in loaded_modules("--help")
-    assert "json" not in loaded_modules(*table)
-    assert "json" not in loaded_modules(*table, "--format", "csv")
-    assert "json" in loaded_modules(*table, "--format", "json")
-
-
-def test_no_command_loads_future():
-    # no module of the package postpones its annotations
-    elliptic = str(FIXTURES / "elliptic_tail.json")
-    for argv in (("--help",), ("compute", "-g", "1", "-d", "3"),
-                 ("table", "--gmax", "1", "--dmax", "3"),
-                 ("crosscheck", "--gmax", "1", "--dmax", "3"),
-                 ("branch-divisor", "--input", elliptic)):
-        assert "__future__" not in loaded_modules(*argv), argv
+@pytest.mark.parametrize("argv, code, loads, avoids", STARTUP.values(),
+                         ids=STARTUP)
+def test_startup_imports(argv, code, loads, avoids):
+    # every run also leaves __future__ alone: no module of the package
+    # postpones its annotations
+    loaded = set(probe(*argv, expected_exit=code)["loaded"])
+    assert loads <= loaded, loads - loaded
+    avoided = loaded & (avoids | {"__future__"})
+    assert not avoided, avoided
 
 
 def test_branch_divisor_loads_no_typing():
     # with -S: a site that preloads typing, as a .pth file can, would
     # leave nothing for the probe to see
-    report = probe("branch-divisor", "--input",
-                   str(FIXTURES / "elliptic_tail.json"), flags=("-S",))
+    report = probe("branch-divisor", "--input", ELLIPTIC, flags=("-S",))
     assert "hurwitz.stablemap" in report["loaded"]
     assert "typing" not in report["before"]
     assert "typing" not in report["loaded"]
 
 
-def test_compute_loads_only_the_route_it_runs():
-    loaded = loaded_modules("compute", "-g", "1", "-d", "3",
-                            "--method", "recursion")
-    assert loaded & ROUTE_MODULES == {"hurwitz.recursion"}
-    loaded = loaded_modules("compute", "-g", "1", "-d", "3")
-    assert loaded & ROUTE_MODULES == {"hurwitz.character"}
-
-
-def test_table_loads_only_the_route_it_runs():
-    for method in ("character", "recursion"):
-        loaded = loaded_modules("table", "--gmax", "1", "--dmax", "3",
-                                "--method", method)
-        assert loaded & ROUTE_MODULES == {f"hurwitz.{method}"}, method
-
-
-def test_refusal_loads_at_most_the_refusing_route():
-    loaded = loaded_modules("compute", "-g", "3", "-d", "2",
-                            "--method", "recursion", expected_exit=2)
-    assert loaded & ROUTE_MODULES == {"hurwitz.recursion"}
-    loaded = loaded_modules("compute", "-g", "1", "-d", "2",
-                            "--method", "closed-form", expected_exit=2)
-    assert not loaded & ROUTE_MODULES
-
-
 def test_exports_are_their_modules_objects():
-    modules = [
-        importlib.import_module(f"hurwitz.{name}")
-        for name in ("character", "intersection", "oracle", "recursion",
-                     "routes", "stablemap")
-    ]
+    modules = [importlib.import_module(f"hurwitz.{name}")
+               for name in hurwitz._MODULE_EXPORTS]
     assert len(hurwitz.__all__) == 35
     assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError",
                  "conjugate_partition", "partition_count",
@@ -276,25 +243,15 @@ def used_names(path: Path, strings: bool, skip=()) -> set[str]:
     return names
 
 
-def test_no_export_is_only_for_tests():
-    # each public name is used by the package's own modules or by the
-    # benchmark (ORACLE_BACKEND only inside run.py's probe string)
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            used |= used_names(path, strings=False)
-    for path in (REPO / "perfbench").glob("*.py"):
-        used |= used_names(path, strings=True)
-    assert set(hurwitz.__all__) <= used, set(hurwitz.__all__) - used
-
-
 def names_only_tests_use(package: Path) -> list[str]:
     """The public top-level defs, classes and assignments of the modules
-    in `package` (as "module.name") that are not exported, not read by
-    the package outside their own definition and not named by the
-    benchmark; oracle.BACKEND is exported as ORACLE_BACKEND. A def's
-    calls to itself are part of its definition."""
-    exported = set(hurwitz._EXPORTS.values())
+    in `package` (as "module.name") that are not read by the package
+    outside their own definition and not named by the benchmark, under
+    their own name or the name they are exported as (oracle.BACKEND as
+    ORACLE_BACKEND). A def's calls to itself are part of its
+    definition."""
+    export_names = {target: name
+                    for name, target in hurwitz._EXPORTS.items()}
     used, public = set(), set()
     for path in package.glob("*.py"):
         if path.name == "__init__.py":
@@ -321,8 +278,8 @@ def names_only_tests_use(package: Path) -> list[str]:
     for path in (REPO / "perfbench").glob("*.py"):
         used |= used_names(path, strings=True)
     return sorted(f"{module}.{name}" for module, name in public
-                  if not name.startswith("_")
-                  and (module, name) not in exported and name not in used)
+                  if not name.startswith("_") and name not in used
+                  and export_names.get((module, name)) not in used)
 
 
 def test_no_public_name_is_only_for_tests():

@@ -7,6 +7,7 @@ import gc
 import json
 import os
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -566,6 +567,27 @@ class TestJsonFormat:
         data["nodes"][0]["branches"] = ["A"]
         with pytest.raises(GraphFormatError, match="branches"):
             graph_from_dict(data)
+
+    def test_every_shape_fault_names_its_location(self):
+        # each check raises GraphFormatError where it finds the fault and
+        # no boundary converts it, so this is the test that stops a text
+        # without its location from escaping
+        located = r"^(top level|components\[\d+\]|nodes\[\d+\])[.:]"
+        sources = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+                   for path in sorted(FIXTURES.glob("*.json"))}
+        faults = 0
+        for source in sources.values():
+            for seed in range(300):
+                document = mutate_document(source, random.Random(seed))
+                try:
+                    graph_from_dict(document)
+                except GraphFormatError as fault:
+                    assert re.match(located, str(fault)), str(fault)
+                    faults += 1
+        assert faults > 1000
+        for document in misplaced_documents(sources["elliptic_tail"]).values():
+            with pytest.raises(GraphFormatError, match=located):
+                graph_from_dict(document)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
