@@ -8,6 +8,7 @@ route, so it must say exactly where `hurwitz_value` succeeds.
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -127,19 +128,26 @@ def child_env() -> dict[str, str]:
             + (os.pathsep + path if path else "")}
 
 
-def probe(*argv: str, expected_exit: int = 0, flags: tuple = ()) -> dict:
-    # the probe's report, run with the interpreter's `flags`
+@functools.cache
+def child_report(argv: tuple, flags: tuple) -> dict:
+    # the probe's report, run with the interpreter's `flags`; each
+    # command line starts one child however many tests read its report
     result = subprocess.run(
         [sys.executable, *flags, "-c", PROBE, *argv],
         capture_output=True, text=True, check=True, env=child_env(),
     )
-    report = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def probe(*argv: str, expected_exit: int = 0, flags: tuple = ()) -> dict:
+    report = child_report(argv, flags)
     assert report["exit"] == expected_exit
     return report
 
 
 ELLIPTIC = str(FIXTURES / "elliptic_tail.json")
 TABLE = ("table", "--gmax", "1", "--dmax", "3")
+BRANCH_DIVISOR = ("branch-divisor", "--input", ELLIPTIC)
 SUBMODULES = {f"hurwitz.{path.stem}" for path in PACKAGE.glob("*.py")
               if path.name != "__init__.py"}
 # only a printed Hurwitz number or a Riemann-Hurwitz message needs them
@@ -176,9 +184,7 @@ STARTUP = {
     "table-json": ((*TABLE, "--format", "json"), 0, {"json"}, set()),
     "crosscheck": (("crosscheck", "--gmax", "1", "--dmax", "3"), 0, set(),
                    set()),
-    "branch-divisor": (("branch-divisor", "--input", ELLIPTIC), 0,
-                       {"hurwitz.stablemap"},
-                       ROUTE_MODULES | NUMBERS | {"dataclasses"}),
+    "branch-divisor": (BRANCH_DIVISOR, 0, {"hurwitz.stablemap"}, NUMBERS),
     "branch-divisor-invalid": (("branch-divisor", "--input",
                                 str(FIXTURES / "unstable_tail.json")), 2,
                                set(), NUMBERS),
@@ -196,10 +202,19 @@ def test_startup_imports(argv, code, loads, avoids):
     assert not avoided, avoided
 
 
+def test_branch_divisor_loads_no_dataclasses():
+    # the report of the table's branch-divisor row, not a second run
+    assert "dataclasses" not in probe(*BRANCH_DIVISOR)["loaded"]
+
+
+def test_branch_divisor_loads_no_route():
+    assert not set(probe(*BRANCH_DIVISOR)["loaded"]) & ROUTE_MODULES
+
+
 def test_branch_divisor_loads_no_typing():
     # with -S: a site that preloads typing, as a .pth file can, would
     # leave nothing for the probe to see
-    report = probe("branch-divisor", "--input", ELLIPTIC, flags=("-S",))
+    report = probe(*BRANCH_DIVISOR, flags=("-S",))
     assert "hurwitz.stablemap" in report["loaded"]
     assert "typing" not in report["before"]
     assert "typing" not in report["loaded"]
@@ -282,8 +297,17 @@ def names_only_tests_use(package: Path) -> list[str]:
                   and export_names.get((module, name)) not in used)
 
 
+EXPORTED = {f"{module}.{name}" for module, name in hurwitz._EXPORTS.values()}
+
+
+def test_no_export_is_only_for_tests():
+    # ORACLE_BACKEND is named only inside perfbench's probe string
+    unused = set(names_only_tests_use(PACKAGE)) & EXPORTED
+    assert not unused, unused
+
+
 def test_no_public_name_is_only_for_tests():
-    unused = names_only_tests_use(PACKAGE)
+    unused = set(names_only_tests_use(PACKAGE)) - EXPORTED
     assert not unused, unused
 
 
