@@ -124,8 +124,8 @@ def content_polynomial(n: int) -> dict[int, int]:
 def content_log(z: list[dict], f: list[dict]) -> list[dict]:
     """Extend f, the connected parts f_0, f_1, ... of integer Laurent
     polynomials z_0 = 1, z_1, ..., z_N given as {exponent: coefficient}
-    dicts, in place through f_N, and return f. `[{}]` starts a fresh log;
-    the entries already in f are taken as computed.
+    dicts, in place through f_N, and return f. `[]` or `[{}]` starts a
+    fresh log; the entries already in f are taken as computed.
 
     f_0 is zero ({}); for n >= 1, f_n = z_n minus the sum over k < n of
     C(n-1, k-1) C(n, k) f_k z_{n-k}, which is the logarithm of
@@ -137,7 +137,7 @@ def content_log(z: list[dict], f: list[dict]) -> list[dict]:
     if not z or z[0] != {0: 1}:
         raise ValueError("z_0 must be the constant polynomial 1")
     for n in range(len(f), len(z)):
-        fn = dict(z[n])
+        fn = dict(z[n]) if n else {}
         for k in range(1, n):
             weight = comb(n - 1, k - 1) * comb(n, k)
             for a, x in f[k].items():

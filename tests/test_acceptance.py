@@ -1,6 +1,15 @@
 """End-to-end acceptance checks for the package's headline guarantees.
 
-One test per criterion, each printing a single PASS/FAIL line (run with
+The pinned Hurwitz numbers and the ranges on which two routes must
+agree are the two tables below. `KNOWN` holds the pinned values, each
+checked by every method that covers its cell (criterion 1), and
+`AGREEMENT` holds one row per cross-check criterion, its two routes
+compared on every cell of its range. Both call each route through
+`routes.hurwitz_value`; the one exception is the oracle's unbounded
+state count in criterion 12. A new route or a wider bound is a new row
+or a wider range here, not an edit in each route's test file.
+
+Each criterion prints a single PASS/FAIL line (run with
 `pytest -s tests/test_acceptance.py` to see them). All comparisons are
 exact rational equality; there are no tolerances anywhere.
 """
@@ -8,12 +17,15 @@ exact rational equality; there are no tolerances anywhere.
 import random
 import time
 from fractions import Fraction
+from functools import cache
+
+import pytest
 
 from contentseries import content_exp
 from diagrams import conjugate
 from graphgen import collision_limit, random_valid_graph
+from hurwitz import oracle
 from hurwitz.character import (
-    connected_hurwitz,
     content_log,
     content_polynomial,
     content_sum,
@@ -21,11 +33,8 @@ from hurwitz.character import (
     factorization_count,
     irrep_dimension,
 )
-from hurwitz.intersection import elsv_genus0
-from hurwitz.oracle import oracle_connected
-from hurwitz.recursion import h0_closed, h0_recursion, h1_recursion, \
-    h2_recursion
-from hurwitz.routes import branch_count
+from hurwitz.routes import Method, applicable_methods, branch_count, \
+    hurwitz_value
 from hurwitz.stablemap import (
     InvalidGraphError,
     arithmetic_genus,
@@ -41,7 +50,62 @@ from pathlib import Path
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 GRAPH_SEED = 20260819
-GRAPH_COUNT = 200
+# random graphs for criteria 7 and 8, drawn once; collision limits per
+# point count for criterion 10
+GRAPH_COUNT = 1000
+LIMIT_COUNT = 200
+
+# H_{g,d} as pinned by hand or frozen from an independent count. Degree
+# 1: the one connected degree-1 cover is the identity of the line, so
+# H_{0,1} = 1 and H_{g,1} = 0 beyond genus 0. Degree 2: a double cover
+# is fixed by its 2g + 2 branch points up to the hyperelliptic
+# involution, so H_{g,2} = 1/2. Genus 0 is Hurwitz's d^(d-3) (2d-2)!/d!.
+# H_{1,3} = 40 and H_{2,3} = 364 come with the recursions' source, and
+# H_{1,4} = 5460 was frozen from the brute-force oracle (131040
+# transitive tuples / 4!).
+KNOWN = {
+    (0, 1): Fraction(1), (0, 2): Fraction(1, 2), (0, 3): Fraction(4),
+    (0, 4): Fraction(120), (0, 5): Fraction(8400),
+    (0, 6): Fraction(1088640),
+    (1, 1): Fraction(0), (1, 2): Fraction(1, 2), (1, 3): Fraction(40),
+    (1, 4): Fraction(5460),
+    (2, 1): Fraction(0), (2, 2): Fraction(1, 2), (2, 3): Fraction(364),
+    (3, 1): Fraction(0), (4, 1): Fraction(0), (5, 1): Fraction(0),
+    (3, 2): Fraction(1, 2),
+}
+
+
+def oracle_state_count(g, d):
+    # H_{g,d} from the oracle's unbounded state count, which the
+    # Hurwitz-number wrapper refuses past the bound
+    _, transitive = oracle.count_factorizations(d, branch_count(g, d))
+    return Fraction(transitive, factorial(d))
+
+
+def _degrees(g, low, high):
+    return [(g, d) for d in range(low, high + 1)]
+
+
+def _oracle_cells(r_low, r_high):
+    # every cell with d <= oracle.MAX_DEGREE and r_low <= r <= r_high
+    return [(g, d) for d in range(1, oracle.MAX_DEGREE + 1)
+            for g in range(r_high // 2 + 1)
+            if r_low <= branch_count(g, d) <= r_high]
+
+
+# (criterion, route a, route b, cells): a route is a Method, called
+# through routes.hurwitz_value, or a test-side count called as it is
+AGREEMENT = [
+    (2, Method.RECURSION, Method.CLOSED_FORM, _degrees(0, 1, 500)),
+    (3, Method.ELSV_G0, Method.CLOSED_FORM, _degrees(0, 3, 7)),
+    (4, Method.ORACLE, Method.CHARACTER,
+     _oracle_cells(0, oracle.MAX_BRANCH_POINTS)),
+    (5, Method.RECURSION, Method.CHARACTER, _degrees(1, 1, 24)),
+    (6, Method.RECURSION, Method.CHARACTER, _degrees(2, 1, 24)),
+    (11, Method.CHARACTER, Method.CLOSED_FORM, _degrees(0, 1, 24)),
+    (12, oracle_state_count, Method.CHARACTER,
+     _oracle_cells(oracle.MAX_BRANCH_POINTS + 1, 28)),
+]
 
 
 def _report(number, label, failures, started):
@@ -51,90 +115,48 @@ def _report(number, label, failures, started):
     assert not failures, f"criterion {number}: {failures}"
 
 
+@cache
 def _random_graphs():
     rng = random.Random(GRAPH_SEED)
-    return [random_valid_graph(rng) for _ in range(GRAPH_COUNT)]
+    return tuple(random_valid_graph(rng) for _ in range(GRAPH_COUNT))
 
 
-def test_criterion_1_degenerate_degrees():
+def _name(route):
+    return route.value if isinstance(route, Method) else route.__name__
+
+
+def _value(route, g, d):
+    if isinstance(route, Method):
+        return hurwitz_value(g, d, route)
+    return route(g, d)
+
+
+@pytest.mark.parametrize("cell", KNOWN, ids=lambda cell: "g%d-d%d" % cell)
+def test_known_value(cell):
+    started = time.monotonic_ns()
+    g, d = cell
+    methods = applicable_methods(g, d)
+    failures = [f"{method.value} gives {value}" for method in methods
+                if (value := hurwitz_value(g, d, method)) != KNOWN[cell]]
+    _report(1, f"H({g},{d}) = {KNOWN[cell]} by {len(methods)} methods",
+            failures, started)
+
+
+@pytest.mark.parametrize("criterion, a, b, cells", AGREEMENT,
+                         ids=[f"criterion-{row[0]}" for row in AGREEMENT])
+def test_agreement(criterion, a, b, cells):
+    assert cells, f"criterion {criterion} has no cells"
     started = time.monotonic_ns()
     failures = []
-    for d, expected in ((1, Fraction(1)), (2, Fraction(1, 2))):
-        for name, value in (
-            ("character", connected_hurwitz(0, d)),
-            ("closed form", h0_closed(d)),
-        ):
-            if value != expected:
-                failures.append(f"H(0,{d}) by {name} = {value}")
-    _report(1, "degenerate degrees 1 and 2", failures, started)
-
-
-def test_criterion_2_genus0_recursion_vs_closed_form():
-    started = time.monotonic_ns()
-    known = [Fraction(1), Fraction(1, 2), Fraction(4), Fraction(120),
-             Fraction(8400), Fraction(1088640)]
-    failures = []
-    for d in range(1, 501):
-        rec, closed = h0_recursion(d), h0_closed(d)
-        if rec != closed:
-            failures.append(f"d={d}: recursion {rec} != closed {closed}")
-        if d <= len(known) and rec != known[d - 1]:
-            failures.append(f"d={d}: {rec} != pinned {known[d - 1]}")
-    _report(2, "genus-0 recursion vs closed form, d <= 500", failures,
-            started)
-
-
-def test_criterion_3_genus0_intersection_route():
-    started = time.monotonic_ns()
-    failures = []
-    for d in range(3, 8):
-        via_psi, closed = elsv_genus0(d), h0_closed(d)
-        if via_psi != closed:
-            failures.append(f"d={d}: psi route {via_psi} != {closed}")
-    _report(3, "genus-0 intersection route, 3 <= d <= 7", failures, started)
-
-
-def test_criterion_4_oracle_grid():
-    started = time.monotonic_ns()
-    failures = []
-    for d in range(1, 6):
-        g = 0
-        while branch_count(g, d) <= 10:
-            expected = connected_hurwitz(g, d)
-            counted = oracle_connected(g, d)
-            if counted != expected:
-                failures.append(
-                    f"(g={g}, d={d}): oracle {counted} != {expected}"
-                )
-            g += 1
-    _report(4, "brute-force oracle grid, d <= 5 and r <= 10", failures,
-            started)
-
-
-def test_criterion_5_genus1_recursion():
-    started = time.monotonic_ns()
-    pinned = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(40)}
-    failures = []
-    for d in range(1, 25):
-        rec, char = h1_recursion(d), connected_hurwitz(1, d)
-        if rec != char:
-            failures.append(f"d={d}: recursion {rec} != character {char}")
-        if d in pinned and rec != pinned[d]:
-            failures.append(f"d={d}: {rec} != pinned {pinned[d]}")
-    _report(5, "genus-1 recursion vs character, d <= 24", failures, started)
-
-
-def test_criterion_6_genus2_recursion():
-    started = time.monotonic_ns()
-    pinned = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(364)}
-    failures = []
-    for d in range(1, 25):
-        rec, char = h2_recursion(d), connected_hurwitz(2, d)
-        if rec != char:
-            failures.append(f"d={d}: recursion {rec} != character {char}")
-        if d in pinned and rec != pinned[d]:
-            failures.append(f"d={d}: {rec} != pinned {pinned[d]}")
-    _report(6, "genus-2 recursion vs character, d <= 24", failures, started)
+    for g, d in cells:
+        x, y = _value(a, g, d), _value(b, g, d)
+        if x != y:
+            failures.append(f"H({g},{d}): {_name(a)} {x} != {_name(b)} {y}")
+    genera, degrees = zip(*cells)
+    span = (f"g {min(genera)}..{max(genera)}, "
+            f"d {min(degrees)}..{max(degrees)}")
+    _report(criterion, f"{_name(a)} vs {_name(b)} on {len(cells)} cells, "
+            f"{span}", failures, started)
 
 
 def test_criterion_7_branch_degree_law():
@@ -218,7 +240,7 @@ def test_criterion_10_continuity_under_collision():
     started = time.monotonic_ns()
     failures = []
     rng = random.Random(GRAPH_SEED)
-    for index in range(GRAPH_COUNT):
+    for index in range(LIMIT_COUNT):
         g, d = rng.randint(0, 2), rng.randint(2, 6)
         document, expected = collision_limit(rng, g, d)
         graph = graph_from_dict(document)
@@ -228,7 +250,7 @@ def test_criterion_10_continuity_under_collision():
         if got != (expected, g, sum(expected.values())):
             failures.append(f"limit {index}: {got} != {expected}, g={g}")
     # two runs of them collide at once, at p and at p2
-    for index in range(GRAPH_COUNT):
+    for index in range(LIMIT_COUNT):
         g = rng.randint(0, 3)
         d = rng.randint(max(2, 3 - g), 7)
         document, expected = collision_limit(rng, g, d, points=2)
@@ -239,5 +261,5 @@ def test_criterion_10_continuity_under_collision():
             failures.append(f"two-point limit {index}: {got} != {expected}, "
                             f"g={g}")
     _report(10, f"branch divisor continuous under collision, "
-            f"{GRAPH_COUNT} limits at one point and {GRAPH_COUNT} at two",
+            f"{LIMIT_COUNT} limits at one point and {LIMIT_COUNT} at two",
             failures, started)

@@ -63,9 +63,9 @@ def test_state_count_matches_tuple_walk():
 
 
 def test_identity_count_matches_character_route():
-    # every cell of the bound, d <= 5 and r <= 10
-    for d in range(1, 6):
-        for r in range(0, 11):
+    # every cell of the bound, d <= MAX_DEGREE and r <= MAX_BRANCH_POINTS
+    for d in range(1, oracle.MAX_DEGREE + 1):
+        for r in range(oracle.MAX_BRANCH_POINTS + 1):
             identity, _ = oracle.count_factorizations(d, r)
             assert identity == character.factorization_count(d, r), (d, r)
 

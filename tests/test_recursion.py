@@ -1,12 +1,10 @@
 """Closed form, low-genus recursions, method dispatch, and tables.
 
-Every recursion is checked against the character route, which is
-computed from an entirely different formula; the genus-0 closed form
-doubles as a third opinion. Frozen small values: the degenerate degrees
-are pinned by hand (a degree-1 or -2 cover is determined by its branch
-points up to the hyperelliptic involution), H_{1,3} = 40 and
-H_{2,3} = 364 come with the recursions' source, and H_{1,4} = 5460 was
-frozen from the brute-force oracle (131040 transitive tuples / 4!).
+Pinned values, with where each comes from, are `KNOWN` in
+test_acceptance.py, and the ranges on which the recursions must agree
+with the character route and the closed form are rows of its
+`AGREEMENT` (criteria 2, 5, 6 and 11): that is the one place to widen
+them. The per-genus checks below state smaller ranges of the same rows.
 The integer recursions are also checked against the Fraction recursions
 they replaced, copied below as a reference.
 """

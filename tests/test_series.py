@@ -88,6 +88,7 @@ class TestExpLog:
                             for _ in range(rng.randint(0, 7))]
             z = [{c: m for c, m in zn.items() if m} for zn in z]
             whole = content_log(z, [{}])
+            assert content_log(z, []) == whole, trial
             for k in range(1, len(z) + 1):
                 partial = content_log(z[:k], [{}])
                 assert content_log(z, partial) == whole, (trial, k)
