@@ -112,37 +112,6 @@ def reference_h2(d):
 
 
 class TestGenusZero:
-    def test_closed_form_known_values(self):
-        assert h0_closed(1) == 1
-        assert h0_closed(2) == Fraction(1, 2)
-        assert h0_closed(4) == 120
-        for d, value in enumerate(H0_KNOWN, start=1):
-            assert h0_closed(d) == value
-
-    def test_recursion_base_and_first_step(self):
-        assert h0_recursion(1) == 1
-        assert h0_recursion(3) == 4
-
-    def test_recursion_matches_closed_form_up_to_12(self):
-        for d in range(1, 13):
-            assert h0_recursion(d) == h0_closed(d), d
-
-    def test_matches_character_route_up_to_6(self):
-        for d in range(1, 7):
-            assert h0_closed(d) == connected_hurwitz(0, d), d
-
-    def test_matches_character_route_from_7_to_14(self):
-        for d in range(7, 15):
-            assert h0_recursion(d) == connected_hurwitz(0, d), d
-
-    def test_character_route_matches_closed_form_up_to_20(self):
-        for d in range(1, 21):
-            assert connected_hurwitz(0, d) == h0_closed(d), d
-
-    def test_character_route_matches_closed_form_from_21_to_24(self):
-        for d in range(21, 25):
-            assert connected_hurwitz(0, d) == h0_closed(d), d
-
     def test_bad_degree_rejected(self):
         for func in (h0_closed, h0_recursion):
             with pytest.raises(ValueError):
