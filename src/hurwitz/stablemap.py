@@ -161,9 +161,10 @@ def _walk(graph: StableMapGraph) -> tuple[list[str], dict[str, int]]:
     if components and not _is_connected(graph):
         violations.append("dual graph is disconnected")
 
-    if components and total_degree(graph) < 1:
+    if components and (total := total_degree(graph)) < 1:
         violations.append(
-            "total degree is 0: at least one dominant component is required"
+            f"total degree is {_full(total)}: at least one dominant "
+            "component is required"
         )
 
     two_h = 2 * graph.target_genus

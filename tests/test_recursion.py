@@ -4,9 +4,8 @@ Pinned values, with where each comes from, are `KNOWN` in
 test_acceptance.py, and the ranges on which the recursions must agree
 with the character route and the closed form are rows of its
 `AGREEMENT` (criteria 2, 5, 6 and 11): that is the one place to widen
-them. The per-genus checks below state smaller ranges of the same rows.
-The integer recursions are also checked against the Fraction recursions
-they replaced, copied below as a reference.
+them. The integer recursions are also checked against the Fraction
+recursions they replaced, copied below as a reference.
 """
 
 import random
@@ -31,11 +30,6 @@ from hurwitz.routes import (
     build_table,
     hurwitz_value,
 )
-
-H0_KNOWN = [
-    Fraction(1), Fraction(1, 2), Fraction(4), Fraction(120),
-    Fraction(8400), Fraction(1088640),
-]
 
 # the private lists of 2*H_{g,d} behind the public recursions, as the
 # module seeds them
@@ -118,36 +112,7 @@ class TestGenusZero:
                 func(0)
 
 
-class TestGenusOne:
-    def test_known_values(self):
-        assert h1_recursion(1) == 0
-        assert h1_recursion(2) == Fraction(1, 2)
-        assert h1_recursion(3) == 40
-        assert h1_recursion(4) == 5460
-
-    def test_matches_character_route_up_to_6(self):
-        for d in range(1, 7):
-            assert h1_recursion(d) == connected_hurwitz(1, d), d
-
-    def test_matches_character_route_from_7_to_14(self):
-        for d in range(7, 15):
-            assert h1_recursion(d) == connected_hurwitz(1, d), d
-
-
 class TestGenusTwo:
-    def test_known_values(self):
-        assert h2_recursion(1) == 0
-        assert h2_recursion(2) == Fraction(1, 2)
-        assert h2_recursion(3) == 364
-
-    def test_matches_character_route_up_to_6(self):
-        for d in range(1, 7):
-            assert h2_recursion(d) == connected_hurwitz(2, d), d
-
-    def test_matches_character_route_from_7_to_14(self):
-        for d in range(7, 15):
-            assert h2_recursion(d) == connected_hurwitz(2, d), d
-
     def test_values_are_nonnegative(self):
         for d in range(1, 9):
             assert h2_recursion(d) >= 0

@@ -270,6 +270,10 @@ class TestValidation:
                             DominantComponent("A", 0, 1)),
                         (Node(("A", "A"), "q"),)),
          ["duplicate component id 'A'", "dual graph is disconnected"]),
+        # the total is printed as computed, below zero too
+        (StableMapGraph(0, (DominantComponent("A", 0, -1),), ()),
+         ["total degree is -1: at least one dominant component is "
+          "required", "component 'A': degree must be at least 1"]),
     ])
     def test_single_violations_are_worded_exactly(self, graph, expected):
         assert validate(graph) == expected
