@@ -16,9 +16,9 @@ output. Exit codes: 0 for ok, 1 for routes that disagree (from
 (`"status": "error"`, with the exception's type and message; the
 traceback goes to stderr), which includes a branch divisor that breaks
 the degree law or is not effective and a value that JSON cannot
-render, and for output that could not be written, a closed pipe or a
-full device (one line on stderr, no traceback). Help text goes through
-the same write, so the same holds for `--help`.
+render, and for output that could not be written, a closed pipe, a
+closed descriptor or a full device (one line on stderr, no traceback).
+Help text goes through the same write, so the same holds for `--help`.
 
 Every command runs with the cyclic garbage collector off, until its
 output is printed: a run makes no reference cycles, so the collector's
@@ -44,6 +44,7 @@ it returns, so it can be called in-process.
 """
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -274,8 +275,10 @@ def _parser() -> argparse.ArgumentParser:
 def _write(text: str, code: int) -> int:
     # code once text is on stdout; EXIT_ERROR if it could not be written
     try:
+        if sys.stdout is None:  # descriptor 1 was closed before the start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(text, flush=True)
-    except OSError as exc:  # a closed pipe or a full device
+    except OSError as exc:  # a closed pipe or descriptor, or a full device
         print(f"hurwitz: output not written: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -7,7 +7,6 @@ with the character route are `KNOWN` and criteria 4 and 12 of
 `AGREEMENT` in test_acceptance.py.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -83,12 +82,6 @@ class TestOracleConnected:
             oracle_connected(4, 3)  # r = 12 too large
         # OracleBoundError is a ValueError, so callers can catch broadly
         assert issubclass(OracleBoundError, ValueError)
-
-    def test_edge_of_the_bound_is_admissible(self):
-        # r = 10 exactly: ten copies of the lone transposition on two
-        # letters multiply to the identity, giving H = 1/2
-        assert oracle_connected(3, 2) == Fraction(1, 2)
-        assert oracle_connected(3, 2) == character.connected_hurwitz(3, 2)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -248,24 +248,6 @@ class TestSharedSequences:
 
 
 class TestDispatch:
-    def test_every_method_on_an_easy_cell(self):
-        for method in Method:
-            assert hurwitz_value(0, 3, method) == 4, method
-
-    def test_degenerate_degrees_reach_every_genus_zero_method(self):
-        for method in (Method.CLOSED_FORM, Method.ELSV_G0,
-                       Method.RECURSION, Method.CHARACTER, Method.ORACLE):
-            assert hurwitz_value(0, 1, method) == 1, method
-            assert hurwitz_value(0, 2, method) == Fraction(1, 2), method
-
-    def test_genus_restrictions(self):
-        with pytest.raises(MethodNotApplicableError):
-            hurwitz_value(3, 2, Method.RECURSION)
-        with pytest.raises(MethodNotApplicableError):
-            hurwitz_value(1, 2, Method.CLOSED_FORM)
-        with pytest.raises(MethodNotApplicableError):
-            hurwitz_value(1, 2, Method.ELSV_G0)
-
     def test_oracle_bound_is_refused_with_its_cause(self):
         with pytest.raises(MethodNotApplicableError) as refused:
             hurwitz_value(0, 6, Method.ORACLE)
@@ -278,9 +260,6 @@ class TestDispatch:
         cause = refused.value.__cause__
         assert isinstance(cause, intersection.IntersectionBoundError)
         assert str(refused.value) == str(cause)
-
-    def test_method_accepts_plain_strings(self):
-        assert hurwitz_value(1, 2, "recursion") == Fraction(1, 2)
 
     def test_applicable_methods(self):
         assert applicable_methods(0, 2) == [
