@@ -28,7 +28,17 @@ class Method(str, Enum):
 
 
 class MethodNotApplicableError(ValueError):
-    """The requested method does not cover the requested (genus, degree)."""
+    """The requested method does not cover the requested (genus, degree),
+    or a table's range has more cells than MAX_CELLS."""
+
+
+# the most cells one table or cross-check may hold. The largest range run
+# today has 600 (recursion to genus 3 and degree 150), and the planned
+# cross-check along genus, to genus 100 and degree 8, has 808. The cell
+# list and one call per cell, built before any value, then stay far
+# below a megabyte. Past it a range is refused on its two ends alone,
+# before anything as long as the range is built
+MAX_CELLS = 1000
 
 
 def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
@@ -133,11 +143,16 @@ def build_table(
     applicable_methods order.
 
     Methods stay separate within a cell, so a cross-check compares
-    independent computations. One method must cover the whole range:
-    the first cell in (g, d) order that it does not cover raises
-    MethodNotApplicableError before any value is computed.
+    independent computations. A range of more than MAX_CELLS cells, and
+    one that the method does not cover in full, raises
+    MethodNotApplicableError before any value is computed; the second
+    names the first cell in (g, d) order that the method does not cover.
     """
     _check_cell(g_max, d_max)
+    if (g_max + 1) * d_max > MAX_CELLS:
+        raise MethodNotApplicableError(
+            f"cell bound exceeded: g <= {g_max}, d <= {d_max} "
+            f"(limit: {MAX_CELLS} cells)")
     cells = [(g, d) for g in range(g_max + 1) for d in range(1, d_max + 1)]
     if method is None:
         calls = {cell: _covering(*cell) for cell in cells}

@@ -153,7 +153,13 @@ class TestCompute:
         assert "Traceback" in captured.err
 
 
-# every way a method refuses a cell, with the exact stdout it prints
+# a range of 10^12 cells, past routes.MAX_CELLS
+HUGE_RANGE = ("--gmax", "1000000", "--dmax", "1000000")
+CELL_BOUND = ("cell bound exceeded: g <= 1000000, d <= 1000000 "
+              "(limit: 1000 cells)")
+
+# every way a method refuses a cell or a range, with the exact stdout it
+# prints
 REFUSALS = {
     "recursion-genus-3": (
         ("compute", "-g", "3", "-d", "2", "--method", "recursion"),
@@ -188,12 +194,19 @@ REFUSALS = {
         ("table", "--method", "elsv-g0", "--gmax", "1", "--dmax", "3"),
         "the intersection formula is genus 0 only",
     ),
+    # by every method, and in a cross-check, before the range is built
+    **{f"table-cells-{method.value}": (
+        ("table", "--method", method.value, *HUGE_RANGE), CELL_BOUND)
+       for method in Method},
+    "crosscheck-cells": (("crosscheck", *HUGE_RANGE), CELL_BOUND),
 }
 
 
 @pytest.mark.parametrize("argv, error", REFUSALS.values(), ids=REFUSALS)
 def test_refusal_prints_exact_bytes(capsys, argv, error):
+    start = time.perf_counter()
     code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == EXIT_INVALID
     assert out == (
         f'{{\n  "error": "{error}",\n  "status": "invalid-input"\n}}\n'
@@ -630,6 +643,8 @@ class TestArgumentSpace:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_compute_argv(), _table_argv(), _crosscheck_argv(),
                      st.sampled_from(_BRANCH_DIVISOR_ARGV)))
+    @example(["table", *HUGE_RANGE])
+    @example(["crosscheck", *HUGE_RANGE])
     @_every_branch_divisor_example
     def test_every_run_ends_in_a_documented_exit(self, argv):
         # a caller with the collector on, as an interpreter starts; the
