@@ -62,65 +62,6 @@ def unlimited_digits():
 
 
 class TestCompute:
-    def test_character_value(self, capsys):
-        code, payload = run_json(
-            capsys, "compute", "--genus", "2", "--degree", "3",
-            "--method", "character",
-        )
-        assert code == EXIT_OK
-        assert payload["status"] == "ok"
-        assert payload["value"] == "364"
-        assert payload["branch_points"] == 8
-
-    def test_short_flags_and_default_method(self, capsys):
-        code, payload = run_json(capsys, "compute", "-g", "0", "-d", "3")
-        assert code == EXIT_OK
-        assert payload["method"] == "character"
-        assert payload["value"] == "4"
-
-    def test_rational_serialization(self, capsys):
-        code, payload = run_json(
-            capsys, "compute", "-g", "0", "-d", "2",
-            "--method", "closed-form",
-        )
-        assert code == EXIT_OK
-        assert payload["value"] == "1/2"
-
-    def test_degenerate_degrees_route_through_elsv(self, capsys):
-        code, payload = run_json(
-            capsys, "compute", "-g", "0", "-d", "2", "--method", "elsv-g0",
-        )
-        assert code == EXIT_OK
-        assert payload["value"] == "1/2"
-
-    def test_recursion_beyond_genus_two_is_invalid_input(self, capsys):
-        code, payload = run_json(
-            capsys, "compute", "--genus", "3", "--degree", "2",
-            "--method", "recursion",
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        assert "genus" in payload["error"]
-
-    def test_oracle_bound_is_invalid_input(self, capsys):
-        code, payload = run_json(
-            capsys, "compute", "-g", "0", "-d", "6", "--method", "oracle",
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-
-    def test_negative_genus_is_invalid_input(self, capsys):
-        code, payload = run_json(capsys, "compute", "-g", "-1", "-d", "2")
-        assert code == EXIT_INVALID
-
-    def test_elsv_bound_is_invalid_input(self, capsys):
-        code, payload = run_json(
-            capsys, "compute", "-g", "0", "-d", "41", "--method", "elsv-g0",
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        assert "d <= 40" in payload["error"]
-
     def test_values_of_any_size_print(self, capsys):
         # H_{0,740} has more digits than str(int) converts by default
         code, payload = run_json(
@@ -135,7 +76,6 @@ class TestCompute:
             assert int(payload["value"]) == recursion.h0_closed(740)
         finally:
             sys.set_int_max_str_digits(limit)
-
 
     @pytest.mark.parametrize("broken, error", [
         (_broken_route, "RuntimeError: broken route"),
