@@ -1,14 +1,19 @@
 """Command-line interface: payloads, exit codes, and determinism.
 
-Every refusal of a cell or a range prints the exact bytes of its row in
-`REFUSALS`, and every other CLI byte is pinned by the exit code and
-stdout hash of its run in tests/golden_outputs.json (test_golden.py).
-One readable exact-bytes test stays for each payload kind:
-`TestTable::test_csv_golden_output`, `TestCrosscheck::test_golden_output`
-and `TestBranchDivisor::test_golden_output`. The violation and fault
-wordings `branch-divisor` prints are pinned in the tables of
-test_stablemap.py. A new refusal is a row of `REFUSALS`, and a new
-output a run in the golden file.
+Every check of a CLI output lives in one place. Every refusal of a cell
+or a range prints the exact bytes of its row in `REFUSALS`, and every
+other CLI byte is pinned by the exit code and stdout hash of its run in
+tests/golden_outputs.json (test_golden.py). The other tests here check
+what neither can: one readable exact-bytes test for each payload kind
+(`TestTable::test_csv_golden_output`, `TestCrosscheck::test_golden_output`
+and `TestBranchDivisor::test_golden_output`), properties across commands
+and drawn arguments, faults put in by monkeypatch, values past the digit
+limit, and child processes, whose command lines are rows of
+`TestProcessEntry::test_process_matches_main`.
+The violation and fault wordings `branch-divisor` prints, and every
+unreadable input, are pinned in the tables of test_stablemap.py. A new
+refusal is a row of `REFUSALS`, and a new output a run in the golden
+file.
 """
 
 import gc
@@ -203,55 +208,9 @@ class TestTable:
         assert lines[2].split() == ["0", "2", "2", "1/2"]
         assert len(lines) == 5
 
-    def test_json_format(self, capsys):
-        code, payload = run_json(
-            capsys, "table", "--gmax", "2", "--dmax", "3",
-            "--method", "recursion", "--format", "json",
-        )
-        assert code == EXIT_OK
-        cells = {(c["genus"], c["degree"]): c["value"]
-                 for c in payload["cells"]}
-        assert len(cells) == 9
-        assert cells[(1, 3)] == "40"
-        assert cells[(2, 3)] == "364"
-
-    def test_method_out_of_range_is_invalid_input(self, capsys):
-        code, payload = run_json(
-            capsys, "table", "--gmax", "3", "--dmax", "2",
-            "--method", "recursion",
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-
-    def test_bad_range_is_invalid_input(self, capsys):
-        code, payload = run_json(capsys, "table", "--gmax", "0",
-                                 "--dmax", "0")
-        assert code == EXIT_INVALID
 
 
 class TestCrosscheck:
-    def test_canonical_range_agrees(self, capsys):
-        code, payload = run_json(
-            capsys, "crosscheck", "--gmax", "1", "--dmax", "4",
-        )
-        assert code == EXIT_OK
-        assert payload["status"] == "ok"
-        assert len(payload["cells"]) == 8
-        for cell in payload["cells"]:
-            assert cell["agree"] is True
-            # every cell in this range is covered by several methods
-            assert len(cell["values"]) >= 2
-
-    def test_values_match_known_table(self, capsys):
-        _code, payload = run_json(
-            capsys, "crosscheck", "--gmax", "1", "--dmax", "4",
-        )
-        by_cell = {(c["genus"], c["degree"]): c for c in payload["cells"]}
-        assert by_cell[(0, 4)]["values"]["closed-form"] == "120"
-        assert by_cell[(1, 3)]["values"]["recursion"] == "40"
-        assert by_cell[(1, 4)]["values"]["character"] == "5460"
-        assert by_cell[(0, 2)]["values"]["oracle"] == "1/2"
-
     def test_disagreeing_route_is_a_mismatch(self, capsys, monkeypatch):
         closed = recursion.h0_closed
         monkeypatch.setattr(recursion, "h0_closed",
@@ -362,20 +321,6 @@ class TestSharedCell:
 
 
 class TestBranchDivisor:
-    def test_elliptic_tail_fixture(self, capsys):
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input",
-            str(FIXTURES / "elliptic_tail.json"),
-        )
-        assert code == EXIT_OK
-        assert payload["status"] == "ok"
-        assert payload["divisor"] == {"p": 2, "q1": 1, "q2": 1}
-        assert payload["divisor_degree"] == 4
-        assert payload["expected_degree"] == 4
-        assert payload["degree_check"] == "ok"
-        assert payload["source_genus"] == 1
-        assert payload["effective"] is True
-
     def test_golden_output(self, capsys):
         code, out = run_cli(
             capsys, "branch-divisor", "--input",
@@ -399,93 +344,6 @@ class TestBranchDivisor:
   "target_genus": 0
 }
 """
-
-    def test_identity_fixture(self, capsys):
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input",
-            str(FIXTURES / "identity_map.json"),
-        )
-        assert code == EXIT_OK
-        assert payload["divisor"] == {}
-        assert payload["divisor_degree"] == 0
-
-    def test_unstable_fixture_is_invalid_input(self, capsys):
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input",
-            str(FIXTURES / "unstable_tail.json"),
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        assert any("contracted genus-0" in v for v in payload["violations"])
-
-    def test_missing_file_is_invalid_input(self, capsys, tmp_path):
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input",
-            str(tmp_path / "nope.json"),
-        )
-        assert code == EXIT_INVALID
-
-    def test_malformed_json_is_invalid_input(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"target_genus": 0', encoding="utf-8")
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input", str(path),
-        )
-        assert code == EXIT_INVALID
-        assert "JSON" in payload["error"]
-
-    def test_directory_is_invalid_input(self, capsys, tmp_path):
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input", str(tmp_path),
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        assert "cannot read input" in payload["error"]
-
-    def test_binary_file_is_invalid_input(self, capsys, tmp_path):
-        path = tmp_path / "noise.bin"
-        path.write_bytes(bytes([0xff, 0xfe, 0x00, 0x9c, 0x80]) * 64)
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input", str(path),
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        assert "UTF-8" in payload["error"]
-
-    def test_oversized_integer_is_invalid_input(self, capsys, tmp_path):
-        digits = "9" * (sys.get_int_max_str_digits() + 1)
-        path = tmp_path / "huge.json"
-        path.write_text('{"target_genus": ' + digits + "}", encoding="utf-8")
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input", str(path),
-        )
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        assert "digits" in payload["error"]
-
-
-    def test_huge_genus_violation_prints_in_full(self, capsys, tmp_path):
-        # the largest genus the JSON parser accepts; 2g-2 has one digit
-        # more than str(int) converts by default
-        limit = sys.get_int_max_str_digits()
-        path = tmp_path / "huge.json"
-        with unlimited_digits():
-            path.write_text(json.dumps({
-                "target_genus": 0,
-                "components": [{"kind": "dominant", "id": "A",
-                                "genus": int("9" * limit), "degree": 1}],
-            }), encoding="utf-8")
-        code, payload = run_json(
-            capsys, "branch-divisor", "--input", str(path),
-        )
-        assert sys.get_int_max_str_digits() == limit
-        assert code == EXIT_INVALID
-        assert payload["status"] == "invalid-input"
-        two_g_minus_2 = "1" + "9" * (limit - 1) + "6"
-        assert payload["violations"] == [
-            f"component 'A': Riemann-Hurwitz fails (2g-2 = {two_g_minus_2}, "
-            "degree and profiles give -2)"
-        ]
 
     def test_huge_genus_values_print_in_full(self, capsys, tmp_path):
         # a valid graph: two contracted tails of the largest genus the
@@ -618,8 +476,10 @@ class TestProcessEntry:
         ("compute", "-g", "2", "-d", "20", "--method", "recursion"),
         ("compute", "-g", "3", "-d", "2", "--method", "recursion"),
         ("compute", "-g", "one", "-d", "2"),
+        ("crosscheck", "--gmax", "0", "--dmax", "2"),
         ("branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json")),
-    ], ids=["help", "compute", "refused", "usage-error", "branch-divisor"])
+    ], ids=["help", "compute", "refused", "usage-error", "crosscheck",
+            "branch-divisor"])
     def test_process_matches_main(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")  # help text in both runs
         try:
@@ -735,20 +595,6 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
-
-    def test_console_script_smoke(self):
-        # `python -m hurwitz.cli` in a child process: cli.run, the entry
-        # that the `hurwitz` console script calls too. CI compares the
-        # installed script with this run on the fixtures and a few
-        # commands
-        result = subprocess.run(
-            [sys.executable, "-m", "hurwitz.cli", "crosscheck",
-             "--gmax", "0", "--dmax", "2"],
-            capture_output=True, text=True, check=False, env=child_env(),
-        )
-        assert result.returncode == EXIT_OK
-        payload = json.loads(result.stdout)
-        assert payload["status"] == "ok"
 
     def test_mismatch_exit_code_is_distinct(self):
         assert EXIT_OK == 0

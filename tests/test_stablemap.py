@@ -2,13 +2,16 @@
 format. Randomized structure checks live at the end; the acceptance
 suite reruns them at full volume.
 
-Each rule's exact wording is pinned in one table: every validity
+Every check lives in one table, one reference comparison or the golden
+file. Each rule's exact wording is pinned in one table: every validity
 violation in `TestValidation::test_single_violations_are_worded_exactly`
 and `::test_violations_come_in_rule_order`, every format fault in
 `FORMAT_ERRORS`, `FIRST_FAULTS` and `TYPE_RULES`, and every input that
-cannot be read in `TestLoadGraph::test_unreadable_files`. A new case is
-one more row or input there, not a new test. The CLI bytes of each
-fixture are in tests/golden_outputs.json.
+cannot be read in `TestLoadGraph::test_unreadable_files`. The divisor of
+every fixture and of random valid graphs is compared with a reference in
+`TestBranchDivisor::test_matches_the_reference_on_valid_graphs`, and
+the CLI bytes of each fixture are in tests/golden_outputs.json. A new
+case is one more row or input there, not a new test.
 """
 
 import gc
@@ -74,10 +77,11 @@ def two_sheets(tail_genus=None):
 
 class TestValidation:
     @pytest.mark.parametrize("genus_field", ["genus", "target_genus"])
-    def test_riemann_hurwitz_failure_prints_in_full(self, tmp_path,
+    def test_riemann_hurwitz_failure_prints_in_full(self, capsys, tmp_path,
                                                     genus_field):
         # the largest genus the JSON parser accepts; 2g-2 has one digit
-        # more than str(int) converts by default
+        # more than str(int) converts by default. `branch-divisor` prints
+        # the same list
         limit = sys.get_int_max_str_digits()
         genera = {"genus": "0", "target_genus": "0", genus_field: "9" * limit}
         path = tmp_path / "huge.json"
@@ -95,6 +99,8 @@ class TestValidation:
             f"component 'A': Riemann-Hurwitz fails (2g-2 = {lhs}, "
             f"degree and profiles give {rhs})"
         ]
+        assert main(["branch-divisor", "--input", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == problems
 
     def test_self_node_counts_two_branches(self):
         # one self-node plus one ordinary node: three branches, stable
