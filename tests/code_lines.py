@@ -1,4 +1,5 @@
-"""Count the code lines of each module in src/hurwitz, and their total.
+"""Count the code lines of each module in src/hurwitz, and their total,
+then the total of tests/*.py.
 
 A code line is a line that holds a token of code: blank lines,
 comment-only lines and the lines of a docstring (module, class or
@@ -13,7 +14,8 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hurwitz"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hurwitz"
 
 # tokens that hold no code of their own
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
@@ -35,14 +37,17 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def counts(directory: Path) -> dict[str, int]:
+    return {path.stem: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
+
+
 def main() -> None:
-    counts = {
-        path.stem: code_lines(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
-    for module, count in sorted(counts.items(), key=lambda kv: -kv[1]):
+    package = counts(PACKAGE)
+    for module, count in sorted(package.items(), key=lambda kv: -kv[1]):
         print(f"{module:<14}{count:>5}")
-    print(f"{'total':<14}{sum(counts.values()):>5}")
+    print(f"{'total':<14}{sum(package.values()):>5}")
+    print(f"{'tests/*.py':<14}{sum(counts(TESTS).values()):>5}")
 
 
 if __name__ == "__main__":

@@ -938,9 +938,9 @@ FIRST_FAULTS = [
 ]
 
 
-# a bool is not an integer, an empty string is not a nonempty string, and
-# a bool is not a list (kept after the lists above, whose parameter ids
-# are numbered by position)
+# a bool or a float is not an integer, an empty string is not a nonempty
+# string, and a bool is not a list (kept after the lists above, whose
+# parameter ids are numbered by position)
 TYPE_RULES = [
     (edited(lambda d: dominant(d).update(genus=True)),
      "components[0]: field 'genus' must be an integer"),
@@ -961,6 +961,8 @@ TYPE_RULES = [
      "top level: field 'nodes' must be a list"),
     (edited(lambda d: dominant(d).update(ramification=False)),
      "components[0]: field 'ramification' must be a list"),
+    (edited(lambda d: entry(d).update(profile=[2.0])),
+     f"components[0].ramification[1]: {PROFILE}"),
 ]
 
 
