@@ -151,7 +151,7 @@ def build_table(
     _check_cell(g_max, d_max)
     if (g_max + 1) * d_max > MAX_CELLS:
         raise MethodNotApplicableError(
-            f"cell bound exceeded: g <= {g_max}, d <= {d_max} "
+            f"cell bound exceeded: (gmax + 1) * dmax > {MAX_CELLS} "
             f"(limit: {MAX_CELLS} cells)")
     cells = [(g, d) for g in range(g_max + 1) for d in range(1, d_max + 1)]
     if method is None:

@@ -100,7 +100,7 @@ class TestCompute:
 
 # a range of 10^12 cells, past routes.MAX_CELLS
 HUGE_RANGE = ("--gmax", "1000000", "--dmax", "1000000")
-CELL_BOUND = ("cell bound exceeded: g <= 1000000, d <= 1000000 "
+CELL_BOUND = ("cell bound exceeded: (gmax + 1) * dmax > 1000 "
               "(limit: 1000 cells)")
 
 # every way a method refuses a cell or a range, with the exact stdout it
