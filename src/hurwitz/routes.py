@@ -29,7 +29,8 @@ class Method(str, Enum):
 
 class MethodNotApplicableError(ValueError):
     """The requested method does not cover the requested (genus, degree),
-    or a table's range has more cells than MAX_CELLS."""
+    its value would take more than MAX_VALUE_BITS bits, or a table's
+    range has more cells than MAX_CELLS."""
 
 
 # the most cells one table or cross-check may hold. The largest range run
@@ -39,6 +40,13 @@ class MethodNotApplicableError(ValueError):
 # below a megabyte. Past it a range is refused on its two ends alone,
 # before anything as long as the range is built
 MAX_CELLS = 1000
+
+# the most bits a cell's value may take, r * bit_length(C(d, 2)): the
+# transitive count behind H_{g,d} is at most C(d, 2)^r, the number of
+# r-tuples of transpositions. It bounds size, not time: (50000, 30) is
+# far inside it and takes seconds. (1000000, 3) takes 4,000,008 bits,
+# and (0, 1000), the largest cell a range may hold, 37,962
+MAX_VALUE_BITS = 2**22
 
 
 def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
@@ -66,7 +74,13 @@ def _route(g: int, d: int, method: Method):
     # the zero-argument call that computes H_{g,d} by `method`, importing
     # only that route and computing nothing, or MethodNotApplicableError.
     # The genus rules live here alone; each bound lives in its route's
-    # check_bound, whose error gives the refusal its text and __cause__
+    # check_bound, whose error gives the refusal its text and __cause__.
+    # The value bound comes first, and prints no number of the cell,
+    # which may have more digits than str() converts
+    if branch_count(g, d) * (d * (d - 1) // 2).bit_length() > MAX_VALUE_BITS:
+        raise MethodNotApplicableError(
+            f"value bound exceeded: r * bit_length(d*(d-1)/2) > "
+            f"{MAX_VALUE_BITS} (limit: {MAX_VALUE_BITS} bits)")
     if method is Method.CHARACTER:
         from .character import connected_hurwitz
         return partial(connected_hurwitz, g, d)

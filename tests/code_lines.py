@@ -1,5 +1,5 @@
 """Count the code lines of each module in src/hurwitz, and their total,
-then the total of tests/*.py.
+then the total of tests/*.py and each of its modules.
 
 A code line is a line that holds a token of code: blank lines,
 comment-only lines and the lines of a docstring (module, class or
@@ -47,7 +47,10 @@ def main() -> None:
     for module, count in sorted(package.items(), key=lambda kv: -kv[1]):
         print(f"{module:<14}{count:>5}")
     print(f"{'total':<14}{sum(package.values()):>5}")
-    print(f"{'tests/*.py':<14}{sum(counts(TESTS).values()):>5}")
+    tests = counts(TESTS)
+    print(f"{'tests/*.py':<14}{sum(tests.values()):>5}")
+    for module, count in sorted(tests.items(), key=lambda kv: -kv[1]):
+        print(f"  {module:<18}{count:>5}")
 
 
 if __name__ == "__main__":

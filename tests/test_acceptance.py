@@ -8,6 +8,9 @@ compared on every cell of its range. Both call each route through
 `routes.hurwitz_value`; the one exception is the oracle's unbounded
 state count in criterion 12. A new route or a wider bound is a new row
 or a wider range here, not an edit in each route's test file.
+Criteria 7, 8 and 10 check the branch divisor: its degree law and its
+effectivity on 1,000 random graphs, and its continuity under collision
+on the limits that test_collision.py draws.
 
 Each criterion prints a single PASS/FAIL line (run with
 `pytest -s tests/test_acceptance.py` to see them). All comparisons are
@@ -18,42 +21,28 @@ import random
 import time
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import pytest
 
-from contentseries import content_exp
-from diagrams import conjugate
-from graphgen import collision_limit, random_valid_graph
+from graphgen import graph_to_dict, random_valid_graph
 from hurwitz import oracle
-from hurwitz.character import (
-    content_log,
-    content_polynomial,
-    content_sum,
-    enumerate_partitions,
-    factorization_count,
-    irrep_dimension,
-)
 from hurwitz.routes import Method, applicable_methods, branch_count, \
     hurwitz_value
 from hurwitz.stablemap import (
-    InvalidGraphError,
+    ContractedComponent,
     arithmetic_genus,
     branch_divisor,
     graph_from_dict,
-    load_graph,
     riemann_hurwitz_degree,
+    total_degree,
     validate,
 )
-from math import factorial
-from pathlib import Path
-
-FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+from test_collision import LIMITS, limits, structures, two_point_limits
 
 GRAPH_SEED = 20260819
-# random graphs for criteria 7 and 8, drawn once; collision limits per
-# point count for criterion 10
+# random graphs for criteria 7 and 8, drawn once
 GRAPH_COUNT = 1000
-LIMIT_COUNT = 200
 
 # H_{g,d} as pinned by hand or frozen from an independent count. Degree
 # 1: the one connected degree-1 cover is the identity of the line, so
@@ -160,18 +149,27 @@ def test_agreement(criterion, a, b, cells):
 
 
 def test_criterion_7_branch_degree_law():
+    # the divisor's degree, riemann_hurwitz_degree and branch_count of the
+    # graph's genus and degree agree, over targets of genus 0, 1 and 2
     started = time.monotonic_ns()
     failures = []
+    target_genera = set()
     for index, graph in enumerate(_random_graphs()):
+        target_genera.add(graph.target_genus)
         degree = sum(branch_divisor(graph).values())
-        expected = riemann_hurwitz_degree(graph)
-        if degree != expected:
-            failures.append(f"graph {index}: degree {degree} != {expected}")
+        law = riemann_hurwitz_degree(graph)
+        expected = branch_count(arithmetic_genus(graph), total_degree(graph),
+                                graph.target_genus)
+        if not degree == law == expected:
+            failures.append(f"graph {index}: degree {degree}, law {law}, "
+                            f"branch count {expected}")
+    if sorted(target_genera) != [0, 1, 2]:
+        failures.append(f"target genera {sorted(target_genera)}")
     _report(7, f"branch divisor degree law on {GRAPH_COUNT} random graphs",
             failures, started)
 
 
-def test_criterion_8_effectivity_and_rejection():
+def test_criterion_8_effectivity():
     started = time.monotonic_ns()
     failures = []
     for index, graph in enumerate(_random_graphs()):
@@ -180,86 +178,40 @@ def test_criterion_8_effectivity_and_rejection():
             failures.append(
                 f"graph {index}: negative coefficient in {divisor}"
             )
-    unstable = load_graph(FIXTURES / "unstable_tail.json")
-    if not validate(unstable):
-        failures.append("unstable fixture passed validation")
-    try:
-        branch_divisor(unstable)
-    except InvalidGraphError:
-        pass
-    else:
-        failures.append("unstable fixture was evaluated")
-    _report(8, "effectivity and rejection of the unstable fixture",
-            failures, started)
-
-
-def test_criterion_9_property_suite():
-    started = time.monotonic_ns()
-    failures = []
-
-    # Burnside: the squared dimensions sum to the group order
-    for d in range(1, 13):
-        total = sum(irrep_dimension(p) ** 2 for p in enumerate_partitions(d))
-        if total != factorial(d):
-            failures.append(f"Burnside fails at d={d}")
-
-    # parity: no odd-length factorization of the identity
-    for d in range(1, 7):
-        for r in range(1, 10, 2):
-            if factorization_count(d, r) != 0:
-                failures.append(f"parity fails at d={d}, r={r}")
-
-    # log/exp round trip: the package's connected content polynomials
-    # rebuild its disconnected ones, and seeded random integer Laurent
-    # polynomials with z_0 = 1 survive log then exp
-    z = [content_polynomial(n) for n in range(13)]
-    if content_exp(content_log(z, [{}])) != z:
-        failures.append("connected content polynomials do not rebuild z")
-    rng = random.Random(GRAPH_SEED)
-    for trial in range(25):
-        z = [{0: 1}]
-        for _ in range(rng.randint(1, 7)):
-            z.append({rng.randint(-4, 4): rng.randint(-9, 9)
-                      for _ in range(rng.randint(0, 4))})
-        z = [{c: m for c, m in zn.items() if m} for zn in z]
-        if content_exp(content_log(z, [{}])) != z:
-            failures.append(f"log/exp round trip fails on trial {trial}")
-
-    # content sums are antisymmetric under conjugation
-    for d in range(0, 11):
-        for shape in enumerate_partitions(d):
-            if content_sum(conjugate(shape)) != -content_sum(shape):
-                failures.append(f"content antisymmetry fails at {shape}")
-
-    _report(9, "property suite", failures, started)
+    _report(8, f"effectivity on {GRAPH_COUNT} random graphs", failures,
+            started)
 
 
 def test_criterion_10_continuity_under_collision():
-    # k of the branch points of a seeded cover collide at p: the stable
-    # limit's divisor is k at p and 1 at every other branch point
+    # k of the branch points of a seeded cover collide at p, or two runs
+    # of them at p and p2, 2 <= k <= 5 each: the stable limit's divisor
+    # is k at each collision point and 1 at every other branch point.
+    # The one-point limits show every structure a smooth cover lacks, and
+    # some two-point limits have contracted components over both points
     started = time.monotonic_ns()
-    failures = []
-    rng = random.Random(GRAPH_SEED)
-    for index in range(LIMIT_COUNT):
-        g, d = rng.randint(0, 2), rng.randint(2, 6)
-        document, expected = collision_limit(rng, g, d)
-        graph = graph_from_dict(document)
-        # the violations in place of the divisor, where there are any
-        got = (validate(graph) or branch_divisor(graph),
-               arithmetic_genus(graph), riemann_hurwitz_degree(graph))
-        if got != (expected, g, sum(expected.values())):
-            failures.append(f"limit {index}: {got} != {expected}, g={g}")
-    # two runs of them collide at once, at p and at p2
-    for index in range(LIMIT_COUNT):
-        g = rng.randint(0, 3)
-        d = rng.randint(max(2, 3 - g), 7)
-        document, expected = collision_limit(rng, g, d, points=2)
-        graph = graph_from_dict(document)
-        got = (validate(graph) or branch_divisor(graph),
-               arithmetic_genus(graph), riemann_hurwitz_degree(graph))
-        if got != (expected, g, sum(expected.values())):
-            failures.append(f"two-point limit {index}: {got} != {expected}, "
-                            f"g={g}")
-    _report(10, f"branch divisor continuous under collision, "
-            f"{LIMIT_COUNT} limits at one point and {LIMIT_COUNT} at two",
-            failures, started)
+    failures, seen, both = [], set(), 0
+    for points, draw in (("p",), limits), (("p", "p2"), two_point_limits):
+        for index, (g, d, document, expected) in enumerate(draw()):
+            graph = graph_from_dict(document)
+            r = 2 * g + 2 * d - 2
+            collided = sorted(expected[point] for point in points)
+            # the violations in place of the divisor, where there are any
+            got = (graph_from_dict(graph_to_dict(graph)) == graph,
+                   validate(graph) or branch_divisor(graph),
+                   arithmetic_genus(graph), riemann_hurwitz_degree(graph))
+            if (got != (True, expected, g, r)
+                    or not 2 <= collided[0] <= collided[-1] <= 5
+                    or sorted(expected.values())
+                    != [1] * (r - sum(collided)) + collided):
+                failures.append(f"limit {index} at {points}: {got} != "
+                                f"{expected}, g={g}")
+            if len(points) == 1:
+                seen |= structures(graph)
+            both += {c.image for c in graph.components if isinstance(
+                c, ContractedComponent)} == {"p", "p2"}
+    if len(seen) != 4:
+        failures.append(f"one-point limits show only {sorted(seen)}")
+    if not both:
+        failures.append("no two-point limit contracts over both points")
+    _report(10, f"branch divisor continuous under collision, {LIMITS} "
+            f"limits at one point and {LIMITS} at two", failures, started)

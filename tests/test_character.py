@@ -1,27 +1,90 @@
-"""Factorization counts and Hurwitz numbers from the character sum.
+"""The character route and the statistics it was built from: partitions,
+irreducible dimensions and content sums, the content polynomials z_n,
+their logarithm, factorization counts and connected Hurwitz numbers.
 
-The independent oracle in this file is a direct product scan over all
-r-tuples of transpositions; it shares no code with the package kernels
-or the character route. The frozen value 27 for (d, r) = (3, 4) was
-produced by that scan. The route's pinned Hurwitz numbers and its
-agreement with the other routes are `KNOWN` and `AGREEMENT` in
-test_acceptance.py.
+Each check here compares the package with something it shares no code
+with: partition counts with Euler's pentagonal-number recurrence,
+dimensions with direct standard-tableau counting, content sums with the
+conjugate diagram written out below, the logarithm with the exponential
+of tests/contentseries.py, and factorization counts with a direct
+product scan over all r-tuples of transpositions. The frozen value 27
+for (d, r) = (3, 4) was produced by that scan.
+
+A family z_0 = 1, z_1, ..., z_N of integer Laurent polynomials stands
+for sum z_n x^n / (n!)^2; `content_log(z, [{}])` returns the family f
+with f_0 = 0 whose series is its logarithm, and `content_log(z, f)`
+extends a log f of a shorter family in place, as the character route
+does. The route's pinned Hurwitz numbers and its agreement with the
+other routes are `KNOWN` and `AGREEMENT` in test_acceptance.py.
 """
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from contentseries import content_exp, series_product
 from hurwitz.character import (
     connected_hurwitz,
     content_log,
     content_polynomial,
+    content_sum,
+    enumerate_partitions,
     factorization_count,
+    irrep_dimension,
 )
 from hurwitz.routes import branch_count
+
+
+def conjugate(shape):
+    # the transpose of a Young diagram, one weakly decreasing tuple of
+    # rows: strip the first column off until no cell is left; the length
+    # of each stripped column is one row of the transpose
+    rows, columns = list(shape), []
+    while rows:
+        columns.append(len(rows))
+        rows = [row - 1 for row in rows if row > 1]
+    return tuple(columns)
+
+
+def pentagonal_counts(limit):
+    # p(n) = sum over k >= 1 of (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
+    p = [1]
+    for n in range(1, limit + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = -1 if k % 2 == 0 else 1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
+def count_standard_tableaux(shape):
+    # grow the diagram cell by cell; rows must stay weakly decreasing
+    rows = len(shape)
+    filled = [0] * rows
+
+    def place(remaining):
+        if remaining == 0:
+            return 1
+        total = 0
+        for i in range(rows):
+            if filled[i] < shape[i] and (i == 0 or filled[i] < filled[i - 1]):
+                filled[i] += 1
+                total += place(remaining - 1)
+                filled[i] -= 1
+        return total
+
+    return place(sum(shape))
 
 
 def products_scan(d, r):
@@ -36,6 +99,120 @@ def products_scan(d, r):
         if perm == identity:
             count += 1
     return count
+
+
+partitions_strategy = st.lists(
+    st.integers(min_value=1, max_value=8), min_size=1, max_size=8
+).map(lambda parts: tuple(sorted(parts, reverse=True)))
+
+laurent = st.dictionaries(
+    st.integers(-4, 4), st.integers(-9, 9).filter(bool), max_size=4
+)
+
+
+def families(constant, length):
+    return st.lists(laurent, min_size=length, max_size=length).map(
+        lambda tail: [constant] + tail
+    )
+
+
+unit_families = st.integers(0, 7).flatmap(lambda n: families({0: 1}, n))
+zero_families = st.integers(0, 6).flatmap(lambda n: families({}, n))
+unit_family_pairs = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(families({0: 1}, n), families({0: 1}, n))
+)
+
+
+class TestEnumeration:
+    def test_reverse_lexicographic_order_for_d4(self):
+        assert enumerate_partitions(4) == [
+            (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
+        ]
+
+    def test_ends_of_the_list(self):
+        for d in range(1, 9):
+            parts = enumerate_partitions(d)
+            assert parts[0] == (d,)
+            assert parts[-1] == (1,) * d
+            assert all(sum(p) == d and min(p) >= 1 for p in parts)
+            assert all(list(p) == sorted(p, reverse=True) for p in parts)
+            assert len(set(parts)) == len(parts)
+
+    def test_zero_has_the_empty_partition(self):
+        assert enumerate_partitions(0) == [()]
+
+    def test_counts_match_pentagonal_recurrence_up_to_30(self):
+        expected = pentagonal_counts(30)
+        for d in range(31):
+            assert len(enumerate_partitions(d)) == expected[d]
+
+    def test_negative_d_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_partitions(-1)
+
+
+class TestDimension:
+    def test_known_small_dimensions(self):
+        assert irrep_dimension((2, 1)) == 2
+        assert irrep_dimension((2, 2)) == 2
+        assert irrep_dimension((3, 1)) == 3
+        for d in range(1, 9):
+            assert irrep_dimension((d,)) == 1
+            assert irrep_dimension((1,) * d) == 1
+
+    def test_matches_standard_tableau_count_up_to_d6(self):
+        for d in range(1, 7):
+            for shape in enumerate_partitions(d):
+                assert irrep_dimension(shape) == count_standard_tableaux(shape)
+
+    def test_burnside_sum_of_squares_up_to_d12(self):
+        for d in range(1, 13):
+            total = sum(
+                irrep_dimension(shape) ** 2
+                for shape in enumerate_partitions(d)
+            )
+            assert total == factorial(d)
+
+    def test_conjugate_shape_has_equal_dimension(self):
+        for d in range(1, 9):
+            for shape in enumerate_partitions(d):
+                assert irrep_dimension(shape) == \
+                    irrep_dimension(conjugate(shape))
+
+    def test_rejects_non_partitions(self):
+        for bad in ((1, 2), (0,), (-1,), (2, 0)):
+            with pytest.raises(ValueError):
+                irrep_dimension(bad)
+
+
+class TestContent:
+    def test_known_values(self):
+        assert content_sum((3,)) == 3
+        assert content_sum((1, 1, 1)) == -3
+        assert content_sum((2, 1)) == 0
+        assert content_sum(()) == 0
+
+    def test_antisymmetric_under_conjugation_up_to_d10(self):
+        for d in range(11):
+            for shape in enumerate_partitions(d):
+                assert content_sum(conjugate(shape)) == \
+                    -content_sum(shape)
+
+    @given(partitions_strategy)
+    def test_antisymmetric_under_conjugation_random(self, shape):
+        assert content_sum(conjugate(shape)) == -content_sum(shape)
+
+
+class TestConjugate:
+    def test_examples(self):
+        assert conjugate((4,)) == (1, 1, 1, 1)
+        assert conjugate((2, 2)) == (2, 2)
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate(()) == ()
+
+    @given(partitions_strategy)
+    def test_involution(self, shape):
+        assert conjugate(conjugate(shape)) == shape
 
 
 class TestContentPolynomials:
@@ -60,6 +237,70 @@ class TestContentPolynomials:
         assert f == [{}, {0: 1}, {1: 1, 0: -2, -1: 1}]
 
 
+class TestConstruction:
+    def test_zero_coefficients_are_dropped(self):
+        # z = 1, 1, 2 is exp(x) up to x^2: f_2 = 2 - C(1,0) C(2,1) = 0
+        assert content_log([{0: 1}, {0: 1}, {0: 2}], [{}]) == [{}, {0: 1}, {}]
+
+    def test_negative_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            content_polynomial(-1)
+
+
+class TestExpLog:
+    def test_log_needs_unit_constant(self):
+        with pytest.raises(ValueError):
+            content_log([], [{}])
+        with pytest.raises(ValueError):
+            content_log([{0: 2}, {0: 1}], [{}])
+
+    def test_single_variable_exp(self):
+        # z_n = n! q^(sn) is exp(q^s x), whose logarithm is q^s x
+        for s in (0, 1, -2):
+            z = [{s * n: factorial(n)} for n in range(7)]
+            assert content_log(z, [{}]) == [{}, {s: 1}] + [{}] * 5
+
+    @given(unit_family_pairs)
+    def test_exp_turns_sums_into_products(self, pair):
+        a, b = pair
+        fa, fb = content_log(a, [{}]), content_log(b, [{}])
+        sums = []
+        for x, y in zip(fa, fb):
+            total = dict(x)
+            for c, m in y.items():
+                total[c] = total.get(c, 0) + m
+            sums.append({c: m for c, m in total.items() if m})
+        assert content_log(series_product(a, b), [{}]) == sums
+
+    @given(unit_families)
+    def test_log_then_exp_round_trip(self, z):
+        assert content_exp(content_log(z, [{}])) == z
+
+    def test_content_polynomials_to_d12_round_trip(self):
+        # the connected polynomials the route would take from z_0..z_12
+        # rebuild them
+        z = [content_polynomial(n) for n in range(13)]
+        assert content_exp(content_log(z, [{}])) == z
+
+    @given(zero_families)
+    def test_exp_then_log_round_trip(self, f):
+        assert content_log(content_exp(f), [{}]) == f
+
+    def test_a_partial_log_extends_to_the_whole_log(self):
+        # the route extends the f it keeps to each larger degree asked for
+        rng = random.Random(0)
+        for trial in range(40):
+            z = [{0: 1}] + [{rng.randint(-4, 4): rng.randint(-9, 9)
+                             for _ in range(rng.randint(0, 4))}
+                            for _ in range(rng.randint(0, 7))]
+            z = [{c: m for c, m in zn.items() if m} for zn in z]
+            whole = content_log(z, [{}])
+            assert content_log(z, []) == whole, trial
+            for k in range(1, len(z) + 1):
+                partial = content_log(z[:k], [{}])
+                assert content_log(z, partial) == whole, (trial, k)
+
+
 class TestFactorizationCount:
     def test_known_values(self):
         assert factorization_count(2, 2) == 1
@@ -82,7 +323,7 @@ class TestFactorizationCount:
 
     def test_parity_vanishing_for_odd_r(self):
         for d in range(1, 9):
-            for r in (1, 3, 5, 7):
+            for r in (1, 3, 5, 7, 9):
                 assert factorization_count(d, r) == 0
 
     def test_bad_inputs_rejected(self):
@@ -144,28 +385,3 @@ class TestValuesKept:
         finally:
             tracemalloc.stop()
         assert kept < 16 * 1024, kept
-
-
-class TestBranchCount:
-    def test_rational_target(self):
-        assert branch_count(0, 1) == 0
-        assert branch_count(0, 3) == 4
-        assert branch_count(2, 2) == 6
-
-    def test_general_target(self):
-        # an unramified cover of an elliptic curve needs no branch points
-        assert branch_count(1, 3, target_genus=1) == 0
-        assert branch_count(3, 2, target_genus=2) == 0
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            branch_count(-1, 2)
-        with pytest.raises(ValueError):
-            branch_count(0, 0)
-        with pytest.raises(ValueError):
-            branch_count(0, 2, target_genus=-1)
-        # Riemann-Hurwitz: no connected cover has negative branching
-        with pytest.raises(ValueError):
-            branch_count(0, 2, target_genus=1)
-        with pytest.raises(ValueError):
-            branch_count(1, 2, target_genus=2)

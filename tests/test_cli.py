@@ -102,6 +102,10 @@ class TestCompute:
 HUGE_RANGE = ("--gmax", "1000000", "--dmax", "1000000")
 CELL_BOUND = ("cell bound exceeded: (gmax + 1) * dmax > 1000 "
               "(limit: 1000 cells)")
+# a cell of 4 * 10^12 bits by the count of routes.MAX_VALUE_BITS
+HUGE_CELL = ("compute", "-g", "1000000000000", "-d", "3")
+VALUE_BOUND = ("value bound exceeded: r * bit_length(d*(d-1)/2) > 4194304 "
+               "(limit: 4194304 bits)")
 
 # every way a method refuses a cell or a range, with the exact stdout it
 # prints
@@ -144,6 +148,10 @@ REFUSALS = {
         ("table", "--method", method.value, *HUGE_RANGE), CELL_BOUND)
        for method in Method},
     "crosscheck-cells": (("crosscheck", *HUGE_RANGE), CELL_BOUND),
+    # by every method; the start-up table shows that no route loads
+    **{f"value-bits-{method.value}": (
+        (*HUGE_CELL, "--method", method.value), VALUE_BOUND)
+       for method in Method},
 }
 
 
@@ -443,6 +451,7 @@ class TestArgumentSpace:
                      st.sampled_from(_BRANCH_DIVISOR_ARGV)))
     @example(["table", *HUGE_RANGE])
     @example(["crosscheck", *HUGE_RANGE])
+    @example(list(HUGE_CELL))
     @_every_branch_divisor_example
     def test_every_run_ends_in_a_documented_exit(self, argv):
         # a caller with the collector on, as an interpreter starts; the
