@@ -9,8 +9,9 @@ compared on every cell of its range. Both call each route through
 state count in criterion 12. A new route or a wider bound is a new row
 or a wider range here, not an edit in each route's test file.
 Criteria 7, 8 and 10 check the branch divisor: its degree law and its
-effectivity on 1,000 random graphs, and its continuity under collision
-on the limits that test_collision.py draws.
+effectivity on 1,000 random graphs, its refusal on the unstable fixture,
+and its continuity under collision on the limits that test_collision.py
+draws.
 
 Each criterion prints a single PASS/FAIL line (run with
 `pytest -s tests/test_acceptance.py` to see them). All comparisons are
@@ -22,6 +23,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -31,15 +33,18 @@ from hurwitz.routes import Method, applicable_methods, branch_count, \
     hurwitz_value
 from hurwitz.stablemap import (
     ContractedComponent,
+    InvalidGraphError,
     arithmetic_genus,
     branch_divisor,
     graph_from_dict,
+    load_graph,
     riemann_hurwitz_degree,
     total_degree,
     validate,
 )
 from test_collision import LIMITS, limits, structures, two_point_limits
 
+FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 GRAPH_SEED = 20260819
 # random graphs for criteria 7 and 8, drawn once
 GRAPH_COUNT = 1000
@@ -169,7 +174,7 @@ def test_criterion_7_branch_degree_law():
             failures, started)
 
 
-def test_criterion_8_effectivity():
+def test_criterion_8_effectivity_and_rejection():
     started = time.monotonic_ns()
     failures = []
     for index, graph in enumerate(_random_graphs()):
@@ -178,8 +183,18 @@ def test_criterion_8_effectivity():
             failures.append(
                 f"graph {index}: negative coefficient in {divisor}"
             )
-    _report(8, f"effectivity on {GRAPH_COUNT} random graphs", failures,
-            started)
+    # the unstable fixture is refused, with the violations validate finds
+    unstable = load_graph(FIXTURES / "unstable_tail.json")
+    try:
+        branch_divisor(unstable)
+    except InvalidGraphError as exc:
+        if not exc.violations == validate(unstable) != []:
+            failures.append(f"unstable fixture refused with "
+                            f"{exc.violations}")
+    else:
+        failures.append("unstable fixture was evaluated")
+    _report(8, f"effectivity on {GRAPH_COUNT} random graphs and rejection "
+            f"of the unstable fixture", failures, started)
 
 
 def test_criterion_10_continuity_under_collision():

@@ -1,5 +1,6 @@
-"""Closed form, the low-genus recursions, and the sequences that the
-recursion and character routes keep across calls.
+"""Closed form, the low-genus recursions, the sequences that the
+recursion and character routes keep across calls, method dispatch, and
+tables.
 
 Pinned values, with where each comes from, are `KNOWN` in
 test_acceptance.py, and the ranges on which the recursions must agree
@@ -18,11 +19,19 @@ from math import comb
 
 import pytest
 
-from hurwitz import character, recursion
+from hurwitz import character, intersection, oracle, recursion
 from hurwitz.character import connected_hurwitz, content_log, \
     factorization_count
+from hurwitz.oracle import OracleBoundError
 from hurwitz.recursion import RECURSIONS, h0_closed, h0_recursion, \
     h1_recursion, h2_recursion
+from hurwitz.routes import (
+    Method,
+    MethodNotApplicableError,
+    applicable_methods,
+    build_table,
+    hurwitz_value,
+)
 
 # the private lists of 2*H_{g,d} behind the public recursions, as the
 # module seeds them
@@ -238,3 +247,78 @@ class TestSharedSequences:
         for func, reference in zip(RECURSIONS, references):
             for d in range(60, 0, -1):
                 assert func(d) == reference(d), (func.__name__, d)
+
+
+class TestDispatch:
+    def test_oracle_bound_is_refused_with_its_cause(self):
+        with pytest.raises(MethodNotApplicableError) as refused:
+            hurwitz_value(0, 6, Method.ORACLE)
+        assert isinstance(refused.value.__cause__, OracleBoundError)
+        assert str(refused.value) == str(refused.value.__cause__)
+
+    def test_intersection_bound_is_refused_with_its_cause(self):
+        with pytest.raises(MethodNotApplicableError) as refused:
+            hurwitz_value(0, 41, Method.ELSV_G0)
+        cause = refused.value.__cause__
+        assert isinstance(cause, intersection.IntersectionBoundError)
+        assert str(refused.value) == str(cause)
+
+    def test_applicable_methods(self):
+        assert applicable_methods(0, 2) == [
+            Method.CHARACTER, Method.RECURSION, Method.CLOSED_FORM,
+            Method.ELSV_G0, Method.ORACLE,
+        ]
+        # r = 8 keeps the oracle in; genus 3 drops the recursions
+        assert applicable_methods(3, 2) == [Method.CHARACTER, Method.ORACLE]
+        # degree 12 is far outside the oracle bound
+        assert applicable_methods(0, 12) == [
+            Method.CHARACTER, Method.RECURSION, Method.CLOSED_FORM,
+            Method.ELSV_G0,
+        ]
+
+
+class TestTable:
+    def test_build_and_read_back(self):
+        table = build_table(1, 4, Method.RECURSION)
+        assert table[(0, 4)][Method.RECURSION] == 120
+        assert table[(1, 2)][Method.RECURSION] == Fraction(1, 2)
+        assert len(table) == 8
+
+    def test_methods_do_not_collide(self):
+        cell = build_table(0, 3)[(0, 3)]
+        assert list(cell) == applicable_methods(0, 3)
+        assert set(cell.values()) == {Fraction(4)}
+
+    def test_range_errors(self):
+        with pytest.raises(MethodNotApplicableError):
+            build_table(3, 2, Method.RECURSION)
+        with pytest.raises(MethodNotApplicableError):
+            build_table(1, 2, Method.CLOSED_FORM)
+        with pytest.raises(ValueError):
+            build_table(-1, 2, Method.CHARACTER)
+        with pytest.raises(ValueError):
+            build_table(0, 0, Method.CHARACTER)
+
+    # the first cell in (g, d) order that each method refuses comes after
+    # cells it covers, so a table that computed before refusing would
+    # call the route first. The refusal texts are the `REFUSALS` row
+    # table-oracle and the golden runs of the other two ranges
+    @pytest.mark.parametrize("g_max, d_max, method", [
+        (0, 7, Method.ORACLE),
+        (0, 41, Method.ELSV_G0),
+        (3, 150, Method.RECURSION),
+    ], ids=["oracle", "elsv-g0", "recursion"])
+    def test_refuses_before_computing(self, monkeypatch, g_max, d_max,
+                                      method):
+        calls = []
+        monkeypatch.setattr(oracle, "count_factorizations",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(intersection, "psi_integral_genus0",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(recursion, "h0_closed",
+                            lambda *args: calls.append(args))
+        reset_recursion_lists()
+        with pytest.raises(MethodNotApplicableError):
+            build_table(g_max, d_max, method)
+        assert calls == []
+        assert recursion._TWICE == SEEDS

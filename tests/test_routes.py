@@ -1,5 +1,5 @@
 """The method dispatch: route independence, the coverage it states,
-its refusals and bounds, tables, and `branch_count`.
+the value bound, and `branch_count`.
 
 The cross-check means something only while the routes share no code,
 so the import structure is pinned here, together with what each command
@@ -7,9 +7,10 @@ loads at start-up. `applicable_methods` decides
 which routes a cross-check runs and which cells a table may ask of one
 route, so it must say exactly where `hurwitz_value` succeeds. The exact
 text of each refusal of a cell or a range is a row of `REFUSALS` in
-test_cli.py or a golden run; the tests here pin what the CLI cannot
-show: the refusal's cause, that nothing is computed before it, and how
-the bounds fit together.
+test_cli.py or a golden run; the tests here pin how the value bound
+fits the range bound. A refusal's cause, and that a table computes
+nothing before it refuses, are `TestDispatch` and `TestTable` in
+test_recursion.py.
 """
 
 import ast
@@ -23,29 +24,19 @@ import subprocess
 import sys
 import time
 import tokenize
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hurwitz
-from hurwitz import intersection, oracle, recursion, routes
-from hurwitz.oracle import OracleBoundError
+from hurwitz import routes
 from hurwitz.routes import (
     Method,
     MethodNotApplicableError,
     applicable_methods,
     branch_count,
-    build_table,
     hurwitz_value,
 )
-from hurwitz.stablemap import (
-    ContractedComponent,
-    DominantComponent,
-    StableMapGraph,
-    riemann_hurwitz_degree,
-)
-from test_recursion import SEEDS, reset_recursion_lists
 
 PACKAGE = Path(hurwitz.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
@@ -371,20 +362,7 @@ def test_applicable_methods_are_exactly_where_values_exist():
             assert covered == (method in applicable), (g, d, method)
 
 
-class TestDispatch:
-    def test_oracle_bound_is_refused_with_its_cause(self):
-        with pytest.raises(MethodNotApplicableError) as refused:
-            hurwitz_value(0, 6, Method.ORACLE)
-        assert isinstance(refused.value.__cause__, OracleBoundError)
-        assert str(refused.value) == str(refused.value.__cause__)
-
-    def test_intersection_bound_is_refused_with_its_cause(self):
-        with pytest.raises(MethodNotApplicableError) as refused:
-            hurwitz_value(0, 41, Method.ELSV_G0)
-        cause = refused.value.__cause__
-        assert isinstance(cause, intersection.IntersectionBoundError)
-        assert str(refused.value) == str(cause)
-
+class TestValueBound:
     def test_value_bound_refuses_huge_cells_at_once(self):
         # a genus or a degree of 5,000 digits, more than str() converts:
         # every method refuses it with the one refusal type, at once
@@ -406,53 +384,6 @@ class TestDispatch:
                 routes._route(g, d, Method.CHARACTER)
 
 
-class TestTable:
-    def test_build_and_read_back(self):
-        table = build_table(1, 4, Method.RECURSION)
-        assert table[(0, 4)][Method.RECURSION] == 120
-        assert table[(1, 2)][Method.RECURSION] == Fraction(1, 2)
-        assert len(table) == 8
-
-    def test_methods_do_not_collide(self):
-        cell = build_table(0, 3)[(0, 3)]
-        assert list(cell) == applicable_methods(0, 3)
-        assert set(cell.values()) == {Fraction(4)}
-
-    def test_range_errors(self):
-        with pytest.raises(MethodNotApplicableError):
-            build_table(3, 2, Method.RECURSION)
-        with pytest.raises(MethodNotApplicableError):
-            build_table(1, 2, Method.CLOSED_FORM)
-        with pytest.raises(ValueError):
-            build_table(-1, 2, Method.CHARACTER)
-        with pytest.raises(ValueError):
-            build_table(0, 0, Method.CHARACTER)
-
-    # the first cell in (g, d) order that each method refuses comes after
-    # cells it covers, so a table that computed before refusing would
-    # call the route first. The refusal texts are the `REFUSALS` row
-    # table-oracle and the golden runs of the other two ranges
-    @pytest.mark.parametrize("g_max, d_max, method", [
-        (0, 7, Method.ORACLE),
-        (0, 41, Method.ELSV_G0),
-        (3, 150, Method.RECURSION),
-    ], ids=["oracle", "elsv-g0", "recursion"])
-    def test_refuses_before_computing(self, monkeypatch, g_max, d_max,
-                                      method):
-        calls = []
-        monkeypatch.setattr(oracle, "count_factorizations",
-                            lambda *args: calls.append(args))
-        monkeypatch.setattr(intersection, "psi_integral_genus0",
-                            lambda *args: calls.append(args))
-        monkeypatch.setattr(recursion, "h0_closed",
-                            lambda *args: calls.append(args))
-        reset_recursion_lists()
-        with pytest.raises(MethodNotApplicableError):
-            build_table(g_max, d_max, method)
-        assert calls == []
-        assert recursion._TWICE == SEEDS
-
-
 class TestBranchCount:
     def test_rational_target(self):
         assert branch_count(0, 1) == 0
@@ -470,23 +401,17 @@ OUT_OF_DOMAIN = "genus and target_genus must be >= 0, degree >= 1"
 NO_COVER = "no connected cover: 2*genus - 2 < degree*(2*target_genus - 2)"
 
 
-# branch_count's two refusals, and riemann_hurwitz_degree passing them on
-# for a connected graph, whose genus arithmetic_genus gives
-@pytest.mark.parametrize("function, args, message", [
-    (branch_count, (-1, 2), OUT_OF_DOMAIN),
-    (branch_count, (0, 0), OUT_OF_DOMAIN),
-    (branch_count, (0, 2, -1), OUT_OF_DOMAIN),
-    (branch_count, (0, 2, 1), NO_COVER),
-    (branch_count, (1, 2, 2), NO_COVER),
-    (riemann_hurwitz_degree,
-     (StableMapGraph(0, (ContractedComponent("B", 1, "p"),), ()),),
-     OUT_OF_DOMAIN),
-    (riemann_hurwitz_degree,
-     (StableMapGraph(2, (DominantComponent("A", 0, 1),), ()),), NO_COVER),
+# branch_count's two refusals; riemann_hurwitz_degree passes them on, in
+# test_stablemap.py::TestRandomizedStructure
+@pytest.mark.parametrize("args, message", [
+    ((-1, 2), OUT_OF_DOMAIN),
+    ((0, 0), OUT_OF_DOMAIN),
+    ((0, 2, -1), OUT_OF_DOMAIN),
+    ((0, 2, 1), NO_COVER),
+    ((1, 2, 2), NO_COVER),
 ], ids=["negative-genus", "degree-0", "negative-target-genus",
-        "genus-0-over-elliptic", "genus-1-over-genus-2",
-        "no-dominant-component", "negative-count"])
-def test_branch_count_refusals(function, args, message):
+        "genus-0-over-elliptic", "genus-1-over-genus-2"])
+def test_branch_count_refusals(args, message):
     with pytest.raises(ValueError) as refused:
-        function(*args)
+        branch_count(*args)
     assert str(refused.value) == message
