@@ -186,36 +186,15 @@ def _cmd_branch_divisor(args) -> dict:
     from . import stablemap  # the only command that needs it
 
     try:
-        graph = stablemap.load_graph(args.input)
-        divisor = stablemap.branch_divisor(graph)
+        evaluation = stablemap.evaluate(args.input)
     except stablemap.GraphFormatError as exc:
         return _invalid(error=str(exc))
     except stablemap.InvalidGraphError as exc:
         return _invalid(violations=exc.violations)
-    # branch_divisor has validated the graph, connectedness included,
-    # so the genus formula applies without a second check, and the
-    # degree law's inputs are in its domain. Every valid graph meets the
-    # law and is effective (docs/branch_divisor_format.md says why), so a
-    # failure of either is a fault in the program
-    source_genus = stablemap._genus(graph)
-    map_degree = stablemap.total_degree(graph)
-    expected = branch_count(source_genus, map_degree, graph.target_genus)
-    degree = sum(divisor.values())
-    if degree != expected or min(divisor.values(), default=0) < 0:
-        raise ArithmeticError(
-            f"branch divisor of degree {stablemap._full(degree)} is not an "
-            f"effective divisor of degree {stablemap._full(expected)}")
-    return {
-        "status": "ok",
-        "target_genus": graph.target_genus,
-        "map_degree": map_degree,
-        "source_genus": source_genus,
-        "divisor": divisor,
-        "divisor_degree": degree,
-        "expected_degree": expected,
-        "degree_check": "ok",
-        "effective": True,
-    }
+    # evaluate has checked the degree law and effectivity; a failure of
+    # either is a fault in the program, an ArithmeticError
+    return {"status": "ok", **evaluation._asdict(), "degree_check": "ok",
+            "effective": True}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,8 +34,16 @@ def check_bound(d: int) -> None:
     MAX_DEGREE."""
     if d > MAX_DEGREE:
         raise IntersectionBoundError(
-            f"intersection bound exceeded: d={d} (limit: d <= {MAX_DEGREE})"
+            f"intersection bound exceeded: d={_full(d)} "
+            f"(limit: d <= {MAX_DEGREE})"
         )
+
+
+def _full(n: int) -> str:
+    # str(n) refuses more digits than sys.get_int_max_str_digits(); an
+    # integral Decimal prints in full
+    from decimal import Decimal
+    return str(Decimal(n))
 
 
 def psi_integral_genus0(exponents: tuple[int, ...]) -> int:

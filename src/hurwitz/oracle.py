@@ -33,9 +33,16 @@ def check_bound(d: int, r: int) -> None:
     and r <= MAX_BRANCH_POINTS."""
     if d > MAX_DEGREE or r > MAX_BRANCH_POINTS:
         raise OracleBoundError(
-            f"oracle bound exceeded: d={d}, r={r} "
+            f"oracle bound exceeded: d={_full(d)}, r={_full(r)} "
             f"(limits: d <= {MAX_DEGREE}, r <= {MAX_BRANCH_POINTS})"
         )
+
+
+def _full(n: int) -> str:
+    # str(n) refuses more digits than sys.get_int_max_str_digits(); an
+    # integral Decimal prints in full
+    from decimal import Decimal
+    return str(Decimal(n))
 
 
 def count_factorizations(d: int, r: int) -> tuple[int, int]:

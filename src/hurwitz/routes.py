@@ -75,8 +75,9 @@ def _route(g: int, d: int, method: Method):
     # only that route and computing nothing, or MethodNotApplicableError.
     # The genus rules live here alone; each bound lives in its route's
     # check_bound, whose error gives the refusal its text and __cause__.
-    # The value bound comes first, and prints no number of the cell,
-    # which may have more digits than str() converts
+    # The value bound comes first, and prints no number of the cell. Past
+    # it, g and r may still have more digits than str() converts, since
+    # the bound admits d = 1 at any genus, so refusals print them in full
     if branch_count(g, d) * (d * (d - 1) // 2).bit_length() > MAX_VALUE_BITS:
         raise MethodNotApplicableError(
             f"value bound exceeded: r * bit_length(d*(d-1)/2) > "
@@ -88,7 +89,7 @@ def _route(g: int, d: int, method: Method):
         from . import recursion
         if g > (top := recursion.MAX_RECURSION_GENUS):
             raise MethodNotApplicableError(
-                f"no recursion is available for genus {g} "
+                f"no recursion is available for genus {_full(g)} "
                 f"(recursions stop at genus {top})"
             )
         return partial(recursion.RECURSIONS[g], d)
@@ -108,6 +109,13 @@ def _route(g: int, d: int, method: Method):
     from . import oracle
     _within(oracle, oracle.OracleBoundError, d, branch_count(g, d))
     return partial(oracle.oracle_connected, g, d)
+
+
+def _full(n: int) -> str:
+    # str(n) refuses more digits than sys.get_int_max_str_digits(); an
+    # integral Decimal prints in full
+    from decimal import Decimal
+    return str(Decimal(n))
 
 
 def _within(route, bound_error: type, *bound) -> None:

@@ -16,24 +16,33 @@ graph the divisor is effective, and its degree is the Riemann-Hurwitz
 count `routes.branch_count` gives for the source genus, the map degree
 and the target genus.
 
-Cost: validation and evaluation share one walk over the components,
-profile entries and nodes, which adds each term of the divisor in the
-loop that checks the rules it comes from; with parsing and the one
-union-find pass for connectedness, the work is linear in their number.
-`load_graph` decodes its input into the graph directly: each component
-and node becomes its named tuple as soon as the parser has read it, so
-the document's dict tree never exists whole, and one table per load
+Cost: validation and evaluation are one fold over the records. A step
+for each component and one for each node check the rules that record
+takes part in and add its terms of the divisor; a finish takes the
+target genus and lists the violations in their documented order. The
+fold keeps state per component id (a union-find table, which also
+finds duplicates and unknown references, each contracted component's
+image and node branches, and each dominant component's
+Riemann-Hurwitz inputs until the target genus is known), never a
+record, so the work is linear in the number of records. `validate`,
+`branch_divisor` and `arithmetic_genus` drive it from a graph.
+`evaluate`, which the CLI runs, drives it from the JSON decoder: each
+component and node is parsed as soon as the parser has read it, folded
+and dropped, so neither the graph nor the document's dict tree ever
+exists whole. `load_graph` builds the graph the same way, each record
+becoming its named tuple as it is read, with one table per load that
 makes equal labels one string and equal profiles one tuple (equal
-strings still name the same point; nothing is kept between loads). The
-input is read once, so it may be a pipe or a FIFO; a faulty document
-is decoded a second time, into dicts, and `graph_from_dict` reports
-the fault. docs/branch_divisor_format.md gives the measured time and
-peak memory; the CLI runs every command with the cyclic garbage
-collector off, whose passes over the growing heap free nothing.
+strings still name the same point; nothing is kept between loads).
+Both read their input once, so it may be a pipe or a FIFO; a faulty
+document is decoded a second time, into dicts, and `graph_from_dict`
+reports the fault. docs/branch_divisor_format.md gives the measured
+time and peak memory; the CLI runs every command with the cyclic
+garbage collector off, whose passes over the growing heap free
+nothing.
 """
 
 import json
-from collections import Counter, defaultdict, namedtuple
+from collections import defaultdict, namedtuple
 from operator import countOf, ge
 
 
@@ -101,27 +110,6 @@ def total_degree(graph: StableMapGraph) -> int:
     )
 
 
-def _is_connected(graph: StableMapGraph) -> bool:
-    # union-find over the component ids, merging along each node whose
-    # branches both name components; the graph is connected when one
-    # class is left. A duplicate id counts as a component that no node
-    # can reach, so duplicates always read as disconnected.
-    parent = {c.id: c.id for c in graph.components}
-    classes = len(graph.components)
-    for node in graph.nodes:
-        a, b = node.branches
-        if a not in parent or b not in parent:
-            continue
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            classes -= 1
-    return classes == 1
-
-
 def _full(value, text=str) -> str:
     # str(int) refuses more digits than sys.get_int_max_str_digits(); an
     # integral Decimal prints in full. Other values print as text does.
@@ -129,121 +117,178 @@ def _full(value, text=str) -> str:
     return str(Decimal(value)) if type(value) is int else text(value)
 
 
-def _walk(graph: StableMapGraph) -> tuple[list[str], dict[str, int]]:
-    # the rule violations, and the branch divisor's nonzero coefficients.
-    # Each term of the divisor is added in the loop that checks the rules
-    # it comes from; the coefficients mean something only when the
-    # violation list is empty
-    violations: list[str] = []
-    coeffs: defaultdict[str, int] = defaultdict(int)
-    components, nodes = graph.components, graph.nodes
+class _Fold:
+    # the rule violations and the branch divisor, settled one record at a
+    # time: `component` for every component, then `node` for every node,
+    # then `finish` with the target genus. Each term of the divisor is
+    # added in the step that checks the rules it comes from. What a check
+    # needs of records still to come is kept until they have come: each
+    # dominant component's Riemann-Hurwitz inputs until the target genus,
+    # each contracted component's genus and image until the nodes. The
+    # state grows with the number of components, never with the records
+    __slots__ = ("parent", "duplicates", "components", "classes", "nodes",
+                 "genus", "degree", "coeffs", "images", "branches",
+                 "pending", "unknown", "misfits")
 
-    if graph.target_genus < 0:
-        violations.append("target genus must be nonnegative")
+    def __init__(self):
+        # union-find over the component ids: the table answers duplicates
+        # and unknown references too. A repeated id counts as a class that
+        # no node can reach, so duplicates always read as disconnected
+        self.parent: dict[str, str] = {}
+        self.duplicates: set[str] = set()
+        self.components = self.classes = self.nodes = 0
+        self.genus = 1  # of the glued source, as the records come
+        self.degree = 0  # of the map
+        self.coeffs: defaultdict[str, int] = defaultdict(int)
+        # the image of each id whose last component is contracted, and the
+        # node branches on each contracted genus-0 or genus-1 id
+        self.images: dict[str, str] = {}
+        self.branches: dict[str, int] = {}
+        # each component's violations and deferred checks, in their order;
+        # then each node's references to unknown ids, and each node off
+        # the image of a contracted branch
+        self.pending: list = []
+        self.unknown: list[str] = []
+        self.misfits: list[str] = []
 
-    if not components:
-        violations.append("graph has no components")
-    by_id = {c.id: c for c in components}
-    if len(by_id) != len(components):
-        for cid, count in sorted(Counter(c.id for c in components).items()):
-            if count > 1:
-                violations.append(f"duplicate component id '{cid}'")
-
-    branch_counts = Counter([cid for node in nodes for cid in node.branches])
-    if not by_id.keys() >= branch_counts.keys():
-        for idx, node in enumerate(nodes):
-            for cid in node.branches:
-                if cid not in by_id:
-                    violations.append(
-                        f"node {idx} references unknown component '{cid}'"
-                    )
-
-    if components and not _is_connected(graph):
-        violations.append("dual graph is disconnected")
-
-    if components and (total := total_degree(graph)) < 1:
-        violations.append(
-            f"total degree is {_full(total)}: at least one dominant "
-            "component is required"
-        )
-
-    two_h = 2 * graph.target_genus
-
-    for comp in components:
-        if comp.genus < 0:
-            violations.append(
-                f"component '{comp.id}': genus must be nonnegative"
-            )
-        if isinstance(comp, DominantComponent):
-            degree = comp.degree
-            if degree < 1:
-                violations.append(
-                    f"component '{comp.id}': degree must be at least 1"
+    def component(self, comp) -> None:
+        cid, genus = comp.id, comp.genus
+        if cid in self.parent:
+            self.duplicates.add(cid)
+            self.images.pop(cid, None)  # the last component decides
+        else:
+            self.parent[cid] = cid
+        self.components += 1
+        self.classes += 1
+        self.genus += genus - 1
+        pending, coeffs = self.pending, self.coeffs
+        if genus < 0:
+            pending.append(f"component '{cid}': genus must be nonnegative")
+        if not isinstance(comp, DominantComponent):
+            self.images[cid] = comp.image
+            coeffs[comp.image] += 2 * genus - 2
+            if genus == 0 or genus == 1:  # stability, once nodes are in
+                self.branches[cid] = 0
+                pending.append((cid, genus))
+            return
+        degree = comp.degree
+        self.degree += degree
+        if degree < 1:
+            pending.append(f"component '{cid}': degree must be at least 1")
+            return
+        profiles_ok = True
+        extra = 0
+        seen_points = set()
+        for point, profile in comp.ramification:
+            if point in seen_points:
+                pending.append(
+                    f"component '{cid}': point '{point}' listed more than "
+                    "once"
                 )
-                continue
-            profiles_ok = True
-            extra = 0
-            seen_points = set()
-            for point, profile in comp.ramification:
-                if point in seen_points:
+                profiles_ok = False
+            seen_points.add(point)
+            # a partition of the degree: a weakly decreasing tuple of
+            # positive entries summing to it
+            total = sum(profile)
+            if total != degree or profile and (
+                    profile[-1] < 1 or
+                    not all(map(ge, profile, profile[1:]))):
+                profile_text = ", ".join(_full(e, repr) for e in profile)
+                pending.append(
+                    f"component '{cid}': profile [{profile_text}] over "
+                    f"point '{point}' is not a partition of {_full(degree)}"
+                )
+                profiles_ok = False
+            extra += total - len(profile)
+            coeffs[point] += total - len(profile)
+        if profiles_ok and genus >= 0:  # Riemann-Hurwitz, once h is known
+            pending.append((cid, 2 * genus - 2, degree, extra))
+
+    def node(self, node) -> None:
+        index = self.nodes
+        self.nodes += 1
+        self.genus += 1
+        image = node.image
+        self.coeffs[image] += 2
+        parent = self.parent
+        a, b = node.branches
+        if a in parent and b in parent:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                self.classes -= 1
+        for cid in node.branches:
+            if cid not in parent:
+                self.unknown.append(
+                    f"node {index} references unknown component '{cid}'")
+            if cid in self.branches:
+                self.branches[cid] += 1
+            if self.images.get(cid, image) != image:
+                self.misfits.append(
+                    f"node {index} lies over '{image}' but its branch on "
+                    f"'{cid}' is contracted to '{self.images[cid]}'"
+                )
+
+    def finish(self, target_genus: int) -> tuple[list[str], dict[str, int]]:
+        # the violations in validate's order, and the divisor's nonzero
+        # coefficients, which mean something only when there are none
+        violations = []
+        if target_genus < 0:
+            violations.append("target genus must be nonnegative")
+        if not self.components:
+            violations.append("graph has no components")
+        for cid in sorted(self.duplicates):
+            violations.append(f"duplicate component id '{cid}'")
+        violations += self.unknown
+        if self.components and self.classes != 1:
+            violations.append("dual graph is disconnected")
+        if self.components and self.degree < 1:
+            violations.append(
+                f"total degree is {_full(self.degree)}: at least one "
+                "dominant component is required"
+            )
+        two_h = 2 * target_genus
+        for check in self.pending:
+            if type(check) is str:
+                violations.append(check)
+            elif len(check) == 2:
+                cid, genus = check
+                branches = self.branches[cid]
+                if genus == 0 and branches < 3:
                     violations.append(
-                        f"component '{comp.id}': point '{point}' listed "
-                        "more than once"
+                        f"component '{cid}': contracted genus-0 component "
+                        f"has {branches} node branch"
+                        f"{'es' if branches != 1 else ''}, needs at least 3"
                     )
-                    profiles_ok = False
-                seen_points.add(point)
-                # a partition of the degree: a weakly decreasing tuple of
-                # positive entries summing to it
-                total = sum(profile)
-                if total != degree or profile and (
-                        profile[-1] < 1 or
-                        not all(map(ge, profile, profile[1:]))):
-                    profile_text = ", ".join(
-                        _full(e, repr) for e in profile)
+                elif genus == 1 and branches < 1:
                     violations.append(
-                        f"component '{comp.id}': profile [{profile_text}] "
-                        f"over point '{point}' is not a partition of "
-                        f"{_full(degree)}"
+                        f"component '{cid}': contracted genus-1 component "
+                        "has no node branches, needs at least 1"
                     )
-                    profiles_ok = False
-                extra += total - len(profile)
-                coeffs[point] += total - len(profile)
-            if profiles_ok and comp.genus >= 0:
-                lhs = 2 * comp.genus - 2
+            else:
+                cid, lhs, degree, extra = check
                 rhs = degree * (two_h - 2) + extra
                 if lhs != rhs:
                     violations.append(
-                        f"component '{comp.id}': Riemann-Hurwitz fails "
+                        f"component '{cid}': Riemann-Hurwitz fails "
                         f"(2g-2 = {_full(lhs)}, degree and profiles give "
                         f"{_full(rhs)})"
                     )
-        else:
-            coeffs[comp.image] += 2 * comp.genus - 2
-            branches = branch_counts[comp.id]
-            if comp.genus == 0 and branches < 3:
-                violations.append(
-                    f"component '{comp.id}': contracted genus-0 component "
-                    f"has {branches} node branch"
-                    f"{'es' if branches != 1 else ''}, needs at least 3"
-                )
-            elif comp.genus == 1 and branches < 1:
-                violations.append(
-                    f"component '{comp.id}': contracted genus-1 component "
-                    "has no node branches, needs at least 1"
-                )
+        violations += self.misfits
+        return violations, {point: c for point, c in self.coeffs.items() if c}
 
-    for idx, node in enumerate(nodes):
-        coeffs[node.image] += 2
-        for cid in node.branches:
-            comp = by_id.get(cid)
-            if isinstance(comp, ContractedComponent) and \
-                    comp.image != node.image:
-                violations.append(
-                    f"node {idx} lies over '{node.image}' but its branch "
-                    f"on '{cid}' is contracted to '{comp.image}'"
-                )
 
-    return violations, {point: c for point, c in coeffs.items() if c}
+def _over(graph: StableMapGraph) -> _Fold:
+    # the fold driven from a graph: its components, then its nodes
+    fold = _Fold()
+    for comp in graph.components:
+        fold.component(comp)
+    for node in graph.nodes:
+        fold.node(node)
+    return fold
 
 
 def validate(graph: StableMapGraph) -> list[str]:
@@ -257,16 +302,7 @@ def validate(graph: StableMapGraph) -> list[str]:
     least three node branches, genus 1 at least one), and agreement of
     node images with contracted-branch images.
     """
-    return _walk(graph)[0]
-
-
-def _genus(graph: StableMapGraph) -> int:
-    return (
-        sum(c.genus for c in graph.components)
-        + len(graph.nodes)
-        - len(graph.components)
-        + 1
-    )
+    return _over(graph).finish(graph.target_genus)[0]
 
 
 def arithmetic_genus(graph: StableMapGraph) -> int:
@@ -275,9 +311,10 @@ def arithmetic_genus(graph: StableMapGraph) -> int:
 
     Requires a connected dual graph; disconnected input is an error.
     """
-    if not _is_connected(graph):
+    fold = _over(graph)
+    if fold.classes != 1:
         raise ValueError("dual graph is disconnected")
-    return _genus(graph)
+    return fold.genus
 
 
 def riemann_hurwitz_degree(graph: StableMapGraph) -> int:
@@ -305,7 +342,7 @@ def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
     image of each node. Invalid graphs raise InvalidGraphError carrying
     the full violation list; their divisor is never returned.
     """
-    violations, divisor = _walk(graph)
+    violations, divisor = _over(graph).finish(graph.target_genus)
     if violations:
         raise InvalidGraphError(violations)
     return divisor
@@ -483,22 +520,19 @@ def _built(text: str) -> StableMapGraph:
     raise GraphFormatError(": misplaced object")
 
 
-def _plain(text: str):
-    # the dict tree, decoded one frame below load_graph as json.load did:
-    # the depth at which the parser runs out of stack is part of what it
-    # reports
-    return json.loads(text)
+# a faulty document's second decode, into the dict tree graph_from_dict
+# reports on. It is json.loads itself, called from the frame that read the
+# text, so the parser runs out of stack at the depth json.load reaches
+# from the reader's caller: that depth is part of what a fault reports
+_plain = json.loads
 
 
-def load_graph(path) -> StableMapGraph:
-    """Read a graph document from a JSON file, pipe or FIFO.
-
-    Every input that cannot be read or parsed (a missing file, a
-    directory, a permission error, bytes that are not UTF-8, nesting too
-    deep for the parser, an integer literal over the interpreter's digit
-    limit) raises GraphFormatError, with the error that caused it as
-    __cause__.
-    """
+def _load(path, decode, then):
+    # decode(text) of the document at `path`, read once, so that it may be
+    # a pipe or a FIFO. A document that decode refuses is decoded again,
+    # into dicts, and graph_from_dict names its fault, so every error text
+    # comes from one place. Its graph, where the only fault was in a value
+    # that a repeated key replaced, goes to `then` in place of decode
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -509,11 +543,8 @@ def load_graph(path) -> StableMapGraph:
     except OSError as exc:
         raise GraphFormatError(f"cannot read input: {exc}") from exc
     try:
-        return _built(text)
+        return decode(text)
     except (ValueError, RecursionError):
-        # a faulty document is decoded again, into the dict tree that
-        # graph_from_dict reports on, so every error text comes from one
-        # place
         pass
     try:
         data = _plain(text)
@@ -525,4 +556,109 @@ def load_graph(path) -> StableMapGraph:
         # int() refuses literals over sys.get_int_max_str_digits() digits
         raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
     del text  # graph_from_dict needs only the tree
-    return graph_from_dict(data)
+    return then(graph_from_dict(data))
+
+
+def load_graph(path) -> StableMapGraph:
+    """Read a graph document from a JSON file, pipe or FIFO.
+
+    Every input that cannot be read or parsed (a missing file, a
+    directory, a permission error, bytes that are not UTF-8, nesting too
+    deep for the parser, an integer literal over the interpreter's digit
+    limit) raises GraphFormatError, with the error that caused it as
+    __cause__.
+    """
+    return _load(path, _built, lambda graph: graph)
+
+
+# what a folded record leaves in its list, so that a record out of its
+# place still fails a check
+_FOLDED_COMPONENT, _FOLDED_NODE = object(), object()
+
+
+class _Reordered(Exception):
+    """A component decoded after a node, which the fold cannot take."""
+
+
+def _same(key, value):
+    # the parsers' share where nothing is kept: the fold holds no record
+    return value
+
+
+def _folded(text: str) -> tuple[_Fold, int]:
+    # the fold of the records as the text decodes, and the target genus;
+    # no record outlives its step. A document the fold cannot take in
+    # order is built into its graph instead, which raises any fault, and
+    # the fold walks the graph: a component after a node, and a record
+    # that is not in the one list its kind belongs to, or is in a list
+    # that a repeated key replaced
+    fold = _Fold()
+
+    def step(data: dict):
+        # json's object_hook, dispatching as _built's does
+        if "kind" in data:
+            if fold.nodes:
+                raise _Reordered
+            fold.component(_component_from_dict(data, _same))
+            return _FOLDED_COMPONENT
+        if "branches" in data:
+            fold.node(_node_from_dict(data, _same))
+            return _FOLDED_NODE
+        return data
+
+    try:
+        target_genus, components, nodes = _check(
+            json.loads(text, object_hook=step), _TOP)
+    except _Reordered:
+        pass
+    else:
+        if fold.components == components.count(_FOLDED_COMPONENT) == \
+                len(components) and \
+                fold.nodes == nodes.count(_FOLDED_NODE) == len(nodes):
+            return fold, target_genus
+    del fold, step  # gone before the graph is built
+    return _walked(_built(text))
+
+
+def _walked(graph: StableMapGraph) -> tuple[_Fold, int]:
+    return _over(graph), graph.target_genus
+
+
+class Evaluation(namedtuple("Evaluation", "target_genus map_degree "
+                           "source_genus divisor divisor_degree "
+                           "expected_degree")):
+    """What `evaluate` finds for a valid graph: its target genus, the
+    map degree, the source genus, the branch divisor as
+    {point: coefficient} without zero coefficients, the divisor's degree
+    and the degree `routes.branch_count` expects, which are equal."""
+
+    __slots__ = ()
+
+
+def evaluate(path) -> Evaluation:
+    """The branch divisor of the graph document at `path`, read as
+    `load_graph` reads it, with the same faults, but folded record by
+    record as the text decodes, so the graph is never held whole.
+
+    Raises GraphFormatError as `load_graph` does, and InvalidGraphError
+    with `validate`'s list. Every valid graph meets the degree law and
+    has an effective divisor (docs/branch_divisor_format.md says why),
+    so a divisor that fails either raises ArithmeticError: a fault in
+    the program.
+    """
+    from . import routes  # the degree law is stated there alone
+
+    fold, target_genus = _load(path, _folded, _walked)
+    violations, divisor = fold.finish(target_genus)
+    if violations:
+        raise InvalidGraphError(violations)
+    # validated, connectedness included, so the genus formula applies and
+    # the degree law's inputs are in its domain
+    expected = routes.branch_count(fold.genus, fold.degree, target_genus)
+    degree = sum(divisor.values())
+    if degree != expected or min(divisor.values(), default=0) < 0:
+        raise ArithmeticError(
+            f"branch divisor of degree {_full(degree)} is not an "
+            f"effective divisor of degree {_full(expected)}")
+    return Evaluation(target_genus, fold.degree, fold.genus, divisor,
+                      degree, expected)

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz import cli, recursion
+from hurwitz import cli, recursion, routes
 from hurwitz.cli import EXIT_ERROR, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from hurwitz.routes import Method, applicable_methods
 from test_routes import child_env
@@ -388,8 +388,8 @@ class TestBranchDivisor:
                                                     monkeypatch):
         # every valid graph meets the degree law, so a divisor that breaks
         # it is a fault in the program, not a mismatch (exit 1)
-        count = cli.branch_count
-        monkeypatch.setattr(cli, "branch_count",
+        count = routes.branch_count
+        monkeypatch.setattr(routes, "branch_count",
                             lambda *args: count(*args) + 1)
         code = main(["branch-divisor", "--input",
                      str(FIXTURES / "elliptic_tail.json")])

@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import routes
+from hurwitz import intersection, oracle, routes
 from hurwitz.routes import (
     Method,
     MethodNotApplicableError,
@@ -373,6 +373,37 @@ class TestValueBound:
                 with pytest.raises(MethodNotApplicableError):
                     hurwitz_value(g, d, method)
                 assert time.perf_counter() - start < 1, (method, g == 0)
+
+    @pytest.mark.parametrize("method, digits", [
+        (Method.CHARACTER, None),  # H_{g,1} = 0 for g > 0
+        (Method.RECURSION, "1" + "0" * 5000),  # the genus
+        (Method.CLOSED_FORM, ""),
+        (Method.ELSV_G0, ""),
+        (Method.ORACLE, "2" + "0" * 5000),  # r = 2g - 2 + 2d
+    ], ids=["character", "recursion", "closed-form", "elsv-g0", "oracle"])
+    def test_degree_one_at_any_genus(self, method, digits):
+        # the value bound admits d = 1 at every genus, so a genus of 5,001
+        # digits reaches each route's own rule; a refusal prints the
+        # genus, or r, in full
+        huge = 10 ** 5000
+        if digits is None:
+            assert hurwitz_value(huge, 1, method) == 0
+            return
+        with pytest.raises(MethodNotApplicableError) as refused:
+            hurwitz_value(huge, 1, method)
+        assert digits in str(refused.value)
+
+    @pytest.mark.parametrize("call, error, digits", [
+        (lambda: intersection.elsv_genus0(10 ** 5000),
+         intersection.IntersectionBoundError, "1" + "0" * 5000),
+        (lambda: oracle.oracle_connected(10 ** 5000, 1),
+         oracle.OracleBoundError, "2" + "0" * 5000),
+    ], ids=["elsv-g0", "oracle"])
+    def test_direct_calls_print_their_bound_in_full(self, call, error,
+                                                    digits):
+        with pytest.raises(error) as refused:
+            call()
+        assert digits in str(refused.value)
 
     def test_every_cell_a_range_may_hold_is_inside_the_value_bound(self):
         # a range inside MAX_CELLS holds only cells with

@@ -632,6 +632,80 @@ class TestLoadGraph:
                 gc.enable()
         assert load <= 1.1 * reference, (load, reference)
 
+    def test_cli_never_holds_the_graph(self, capsys, tmp_path):
+        # branch-divisor folds each component and node as it decodes and
+        # keeps state per component id, never the graph. Peaks measured
+        # with the collector off, as the CLI runs, after one call of each
+        # has loaded every module and cache it uses
+        union, path = union_document(tmp_path, connected=True)
+        assert validate(union) == []
+        argv = ["branch-divisor", "--input", str(path)]
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            load_graph(path)
+            cli = traced_peak(lambda: main(argv))
+            load = traced_peak(lambda: load_graph(path))
+        finally:
+            if collecting:
+                gc.enable()
+        capsys.readouterr()
+        assert cli <= 0.75 * load, (cli, load)
+
+    @pytest.mark.parametrize("name, change, code", [
+        ("collision_limit", None, 0),
+        # two rules: stability, and Riemann-Hurwitz, which waits for the
+        # target genus
+        ("unstable_tail", lambda d: d.update(target_genus=1), 2),
+        # a node's fault is read first when the nodes come first; the
+        # component's is named
+        ("elliptic_tail", lambda d: d["nodes"][0].update(image="")
+         or d["components"][1].update(genus="1"), 2),
+    ], ids=["valid", "violations", "format-fault"])
+    def test_key_order_changes_no_byte(self, capsys, tmp_path, name, change,
+                                       code):
+        # the target genus last makes the fold wait for it; the nodes
+        # first make the CLI build the graph, and fold it in order
+        data = json.loads(
+            (FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+        if change:
+            change(data)
+        outputs = set()
+        for order in (("target_genus", "components", "nodes"),
+                      ("components", "nodes", "target_genus"),
+                      ("nodes", "components", "target_genus")):
+            path = tmp_path / ("-".join(order) + ".json")
+            path.write_text(json.dumps({key: data[key] for key in order}),
+                            encoding="utf-8")
+            outputs.add((main(["branch-divisor", "--input", str(path)]),
+                         capsys.readouterr().out))
+        assert len(outputs) == 1
+        assert outputs.pop()[0] == code
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_genus", '{"kind": "dominant", "id": "X", "genus": 0, '
+                         '"degree": 1}'),
+        ("components", '[{"kind": "dominant", "id": "X", "genus": 0, '
+                       '"degree": 1}]'),
+        ("nodes", '[{"branches": ["A", "X"], "image": "r"}]'),
+        # a replaced record that fails to parse faults the first decode;
+        # the dict tree, decoded again, holds the graph
+        ("target_genus", '{"kind": "dominant"}'),
+    ], ids=["target-genus", "components", "nodes", "faulty-record"])
+    def test_a_replaced_record_is_not_folded(self, capsys, tmp_path, key,
+                                            value):
+        # json keeps the last value of a repeated key, so a record that
+        # decoded in the value it replaced is no part of the graph
+        source = FIXTURES / "elliptic_tail.json"
+        path = tmp_path / "repeated.json"
+        path.write_text(source.read_text(encoding="utf-8").replace(
+            f'"{key}": ', f'"{key}": {value}, "{key}": ', 1),
+            encoding="utf-8")
+        outputs = [(main(["branch-divisor", "--input", str(name)]),
+                    capsys.readouterr().out) for name in (path, source)]
+        assert outputs[0] == outputs[1]
+
     def test_retained_size_with_shared_labels(self, tmp_path):
         # the same graph with every label and profile a fresh object
         # weighs about twice what the load keeps
@@ -699,19 +773,28 @@ class TestLoadGraph:
             assert graph_from_dict(subclassed(data)) == graph_from_dict(data)
 
 
-def union_document(tmp_path):
+def union_document(tmp_path, connected=False):
     """The disjoint union of random graphs, about 2,500 components, with
     component ids made distinct and point labels left as drawn; the
-    graph and the path of its JSON document."""
+    graph and the path of its JSON document. With `connected`, only
+    graphs over the line are drawn, and a node over "join" ties a
+    dominant component of each to one of the first: a valid graph."""
     rng = random.Random(2500)
     components, nodes = [], []
     while len(components) < 2500:
         graph, k = random_valid_graph(rng), len(components)
+        if connected and graph.target_genus:
+            continue
         components += [c._replace(id=f"{c.id}.{k}")
                        for c in graph.components]
         nodes += [n._replace(branches=tuple(f"{b}.{k}"
                                             for b in n.branches))
                   for n in graph.nodes]
+        if connected and k:
+            hub, spoke = (next(c.id for c in comps
+                               if isinstance(c, DominantComponent))
+                          for comps in (components, components[k:]))
+            nodes.append(Node((hub, spoke), "join"))
     union = StableMapGraph(0, tuple(components), tuple(nodes))
     path = tmp_path / "union.json"
     path.write_text(json.dumps(graph_to_dict(union)), encoding="utf-8")
