@@ -16,33 +16,35 @@ graph the divisor is effective, and its degree is the Riemann-Hurwitz
 count `routes.branch_count` gives for the source genus, the map degree
 and the target genus.
 
-Cost: validation and evaluation are one fold over the records. A step
-for each component and one for each node check the rules that record
-takes part in and add its terms of the divisor; a finish takes the
-target genus and lists the violations in their documented order. The
-fold keeps state per component id (a union-find table, which also
-finds duplicates and unknown references, each contracted component's
-image and node branches, and each dominant component's
-Riemann-Hurwitz inputs until the target genus is known), never a
-record, so the work is linear in the number of records. `validate`,
-`branch_divisor` and `arithmetic_genus` drive it from a graph.
-`evaluate`, which the CLI runs, drives it from the JSON decoder: each
-component and node is parsed as soon as the parser has read it, folded
-and dropped, so neither the graph nor the document's dict tree ever
-exists whole. `load_graph` builds the graph the same way, each record
-becoming its named tuple as it is read, with one table per load that
-makes equal labels one string and equal profiles one tuple (equal
-strings still name the same point; nothing is kept between loads).
-Both read their input once, so it may be a pipe or a FIFO; a faulty
-document is decoded a second time, into dicts, and `graph_from_dict`
-reports the fault. docs/branch_divisor_format.md gives the measured
-time and peak memory; the CLI runs every command with the cyclic
-garbage collector off, whose passes over the growing heap free
-nothing.
+Cost: validation and evaluation are one fold over the records. The
+fold is given the target genus, then takes a step for each component
+and one for each node, each checking the rules that record takes part
+in (Riemann-Hurwitz among them) and adding its terms of the divisor; a
+finish lists the violations in their documented order. The fold keeps
+state per component id (a union-find table, which also finds duplicates
+and unknown references, and each contracted component's image and node
+branches), never a record, so the work is linear in the number of
+records. `validate`, `branch_divisor` and `arithmetic_genus` drive it
+from a graph. `evaluate`, which the CLI runs, drives it from the file:
+a regular file whose keys come in the documented order is read 65,536
+characters at a time, and each component and node is scanned, parsed,
+folded and dropped, so neither the graph nor the document's text ever
+exists whole. Any other input (a pipe or a FIFO, another key order, a
+repeated key, anything that is not JSON) is read whole in one read,
+from its start, the way `load_graph` reads every input: each record becomes its named
+tuple as the text decodes, with one table per load that makes equal
+labels one string and equal profiles one tuple (equal strings still
+name the same point; nothing is kept between loads). A faulty document
+is decoded a second time, into dicts, and `graph_from_dict` reports
+the fault. docs/branch_divisor_format.md gives the measured time and
+peak memory; the CLI runs every command with the cyclic garbage
+collector off, whose passes over the growing heap free nothing.
 """
 
 import json
+import re
 from collections import defaultdict, namedtuple
+from contextlib import suppress
 from operator import countOf, ge
 
 
@@ -104,10 +106,8 @@ class StableMapGraph(namedtuple("StableMapGraph",
 
 def total_degree(graph: StableMapGraph) -> int:
     """Degree of the map: sum of the dominant components' degrees."""
-    return sum(
-        c.degree for c in graph.components
-        if isinstance(c, DominantComponent)
-    )
+    return sum(c.degree for c in graph.components
+               if isinstance(c, DominantComponent))
 
 
 def _full(value, text=str) -> str:
@@ -120,46 +120,41 @@ def _full(value, text=str) -> str:
 class _Fold:
     # the rule violations and the branch divisor, settled one record at a
     # time: `component` for every component, then `node` for every node,
-    # then `finish` with the target genus. Each term of the divisor is
-    # added in the step that checks the rules it comes from. What a check
-    # needs of records still to come is kept until they have come: each
-    # dominant component's Riemann-Hurwitz inputs until the target genus,
+    # then `finish`. Each term of the divisor is added in the step that
+    # checks the rules it comes from, and Riemann-Hurwitz in the step of
+    # its component, since the target genus is known from the start. What
+    # a check needs of records still to come is kept until they have come:
     # each contracted component's genus and image until the nodes. The
     # state grows with the number of components, never with the records
-    __slots__ = ("parent", "duplicates", "components", "classes", "nodes",
-                 "genus", "degree", "coeffs", "images", "branches",
-                 "pending", "unknown", "misfits")
+    __slots__ = ("target_genus", "parent", "duplicates", "components",
+                 "merges", "nodes", "genus", "degree", "coeffs", "images",
+                 "branches", "pending", "unknown", "misfits")
 
-    def __init__(self):
+    def __init__(self, target_genus: int):
+        self.target_genus = target_genus
         # union-find over the component ids: the table answers duplicates
         # and unknown references too. A repeated id counts as a class that
         # no node can reach, so duplicates always read as disconnected
-        self.parent: dict[str, str] = {}
-        self.duplicates: set[str] = set()
-        self.components = self.classes = self.nodes = 0
+        self.parent, self.duplicates = {}, set()
+        self.components = self.merges = self.nodes = 0
         self.genus = 1  # of the glued source, as the records come
         self.degree = 0  # of the map
         self.coeffs: defaultdict[str, int] = defaultdict(int)
         # the image of each id whose last component is contracted, and the
         # node branches on each contracted genus-0 or genus-1 id
-        self.images: dict[str, str] = {}
-        self.branches: dict[str, int] = {}
-        # each component's violations and deferred checks, in their order;
-        # then each node's references to unknown ids, and each node off
-        # the image of a contracted branch
-        self.pending: list = []
-        self.unknown: list[str] = []
-        self.misfits: list[str] = []
+        self.images, self.branches = {}, {}
+        # each component's violations and stability checks, in their
+        # order; then each node's references to unknown ids, and each node
+        # off the image of a contracted branch
+        self.pending, self.unknown, self.misfits = [], [], []
 
     def component(self, comp) -> None:
         cid, genus = comp.id, comp.genus
         if cid in self.parent:
             self.duplicates.add(cid)
             self.images.pop(cid, None)  # the last component decides
-        else:
-            self.parent[cid] = cid
+        self.parent[cid] = cid  # a root: no node has come yet
         self.components += 1
-        self.classes += 1
         self.genus += genus - 1
         pending, coeffs = self.pending, self.coeffs
         if genus < 0:
@@ -169,22 +164,18 @@ class _Fold:
             coeffs[comp.image] += 2 * genus - 2
             if genus == 0 or genus == 1:  # stability, once nodes are in
                 self.branches[cid] = 0
-                pending.append((cid, genus))
+                pending.append((cid, genus == 1))
             return
         degree = comp.degree
         self.degree += degree
         if degree < 1:
             pending.append(f"component '{cid}': degree must be at least 1")
             return
-        profiles_ok = True
-        extra = 0
-        seen_points = set()
+        profiles_ok, extra, seen_points = True, 0, set()
         for point, profile in comp.ramification:
             if point in seen_points:
-                pending.append(
-                    f"component '{cid}': point '{point}' listed more than "
-                    "once"
-                )
+                pending.append(f"component '{cid}': point '{point}' listed "
+                               "more than once")
                 profiles_ok = False
             seen_points.add(point)
             # a partition of the degree: a weakly decreasing tuple of
@@ -194,15 +185,18 @@ class _Fold:
                     profile[-1] < 1 or
                     not all(map(ge, profile, profile[1:]))):
                 profile_text = ", ".join(_full(e, repr) for e in profile)
-                pending.append(
-                    f"component '{cid}': profile [{profile_text}] over "
-                    f"point '{point}' is not a partition of {_full(degree)}"
-                )
+                pending.append(f"component '{cid}': profile [{profile_text}] "
+                               f"over point '{point}' is not a partition of "
+                               f"{_full(degree)}")
                 profiles_ok = False
             extra += total - len(profile)
             coeffs[point] += total - len(profile)
-        if profiles_ok and genus >= 0:  # Riemann-Hurwitz, once h is known
-            pending.append((cid, 2 * genus - 2, degree, extra))
+        if profiles_ok and genus >= 0:  # Riemann-Hurwitz
+            rhs = degree * (2 * self.target_genus - 2) + extra
+            if 2 * genus - 2 != rhs:
+                pending.append(f"component '{cid}': Riemann-Hurwitz fails "
+                               f"(2g-2 = {_full(2 * genus - 2)}, degree and "
+                               f"profiles give {_full(rhs)})")
 
     def node(self, node) -> None:
         index = self.nodes
@@ -219,7 +213,7 @@ class _Fold:
                 parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
-                self.classes -= 1
+                self.merges += 1
         for cid in node.branches:
             if cid not in parent:
                 self.unknown.append(
@@ -227,63 +221,44 @@ class _Fold:
             if cid in self.branches:
                 self.branches[cid] += 1
             if self.images.get(cid, image) != image:
-                self.misfits.append(
-                    f"node {index} lies over '{image}' but its branch on "
-                    f"'{cid}' is contracted to '{self.images[cid]}'"
-                )
+                self.misfits.append(f"node {index} lies over '{image}' but "
+                                    f"its branch on '{cid}' is contracted to "
+                                    f"'{self.images[cid]}'")
 
-    def finish(self, target_genus: int) -> tuple[list[str], dict[str, int]]:
+    def finish(self) -> tuple[list[str], dict[str, int]]:
         # the violations in validate's order, and the divisor's nonzero
         # coefficients, which mean something only when there are none
         violations = []
-        if target_genus < 0:
+        if self.target_genus < 0:
             violations.append("target genus must be nonnegative")
         if not self.components:
             violations.append("graph has no components")
         for cid in sorted(self.duplicates):
             violations.append(f"duplicate component id '{cid}'")
         violations += self.unknown
-        if self.components and self.classes != 1:
+        if self.components and self.components - self.merges != 1:
             violations.append("dual graph is disconnected")
         if self.components and self.degree < 1:
-            violations.append(
-                f"total degree is {_full(self.degree)}: at least one "
-                "dominant component is required"
-            )
-        two_h = 2 * target_genus
+            violations.append(f"total degree is {_full(self.degree)}: at "
+                              "least one dominant component is required")
         for check in self.pending:
             if type(check) is str:
                 violations.append(check)
-            elif len(check) == 2:
-                cid, genus = check
-                branches = self.branches[cid]
-                if genus == 0 and branches < 3:
-                    violations.append(
-                        f"component '{cid}': contracted genus-0 component "
-                        f"has {branches} node branch"
-                        f"{'es' if branches != 1 else ''}, needs at least 3"
-                    )
-                elif genus == 1 and branches < 1:
-                    violations.append(
-                        f"component '{cid}': contracted genus-1 component "
-                        "has no node branches, needs at least 1"
-                    )
-            else:
-                cid, lhs, degree, extra = check
-                rhs = degree * (two_h - 2) + extra
-                if lhs != rhs:
-                    violations.append(
-                        f"component '{cid}': Riemann-Hurwitz fails "
-                        f"(2g-2 = {_full(lhs)}, degree and profiles give "
-                        f"{_full(rhs)})"
-                    )
+                continue
+            cid, one = check  # a contracted genus-1 component, or genus-0
+            branches, need = self.branches[cid], 1 if one else 3
+            if branches < need:
+                violations.append(
+                    f"component '{cid}': contracted genus-{int(one)} "
+                    f"component has {'no' if one else branches} node branch"
+                    f"{'es' if branches != 1 else ''}, needs at least {need}")
         violations += self.misfits
         return violations, {point: c for point, c in self.coeffs.items() if c}
 
 
 def _over(graph: StableMapGraph) -> _Fold:
     # the fold driven from a graph: its components, then its nodes
-    fold = _Fold()
+    fold = _Fold(graph.target_genus)
     for comp in graph.components:
         fold.component(comp)
     for node in graph.nodes:
@@ -302,7 +277,7 @@ def validate(graph: StableMapGraph) -> list[str]:
     least three node branches, genus 1 at least one), and agreement of
     node images with contracted-branch images.
     """
-    return _over(graph).finish(graph.target_genus)[0]
+    return _over(graph).finish()[0]
 
 
 def arithmetic_genus(graph: StableMapGraph) -> int:
@@ -312,7 +287,7 @@ def arithmetic_genus(graph: StableMapGraph) -> int:
     Requires a connected dual graph; disconnected input is an error.
     """
     fold = _over(graph)
-    if fold.classes != 1:
+    if fold.components - fold.merges != 1:
         raise ValueError("dual graph is disconnected")
     return fold.genus
 
@@ -342,7 +317,7 @@ def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
     image of each node. Invalid graphs raise InvalidGraphError carrying
     the full violation list; their divisor is never returned.
     """
-    violations, divisor = _over(graph).finish(graph.target_genus)
+    violations, divisor = _over(graph).finish()
     if violations:
         raise InvalidGraphError(violations)
     return divisor
@@ -417,6 +392,10 @@ def _parse_list(raw: list, parse, name: str, share) -> tuple:
     return tuple(parsed)
 
 
+# a named tuple from its fields with no call of its Python-level __new__
+_new = tuple.__new__
+
+
 # Each parser tests a group of fields for exact types and a key count
 # that leaves no room for an unknown key. Only when that fails does it
 # run the ordered check of the group's schema, which raises the first
@@ -446,14 +425,15 @@ def _component_from_dict(data, share):
         if not (type(degree) is int and (
                 keys == 4 or keys == 5 and type(raw) is list)):
             *_, degree, raw = _check(data, _DOMINANT)
-        return DominantComponent(share(cid, cid), genus, degree, _parse_list(
-            raw, _profile_from_dict, ".ramification", share))
+        return _new(DominantComponent, (
+            share(cid, cid), genus, degree,
+            _parse_list(raw, _profile_from_dict, ".ramification", share)))
     if kind == "contracted":
         image = data.get("image")
         if not (keys == 4 and type(image) is str and image):
             *_, image = _check(data, _CONTRACTED)
-        return ContractedComponent(share(cid, cid), genus,
-                                   share(image, image))
+        return _new(ContractedComponent, (share(cid, cid), genus,
+                                          share(image, image)))
     raise GraphFormatError(
         f": kind must be 'dominant' or 'contracted', not {kind!r}")
 
@@ -467,7 +447,7 @@ def _node_from_dict(data, share) -> Node:
             all(branches) and type(image) is str and image):
         branches, image = _check(data, _NODE)
     a, b = branches
-    return Node((share(a, a), share(b, b)), share(image, image))
+    return _new(Node, ((share(a, a), share(b, b)), share(image, image)))
 
 
 def graph_from_dict(data) -> StableMapGraph:
@@ -482,11 +462,9 @@ def graph_from_dict(data) -> StableMapGraph:
     except GraphFormatError as fault:
         raise GraphFormatError(f"top level{fault}") from None
     share = {}.setdefault
-    return StableMapGraph(
-        target_genus,
-        _parse_list(raw_components, _component_from_dict, "components", share),
-        _parse_list(raw_nodes, _node_from_dict, "nodes", share),
-    )
+    return StableMapGraph(target_genus, _parse_list(
+        raw_components, _component_from_dict, "components", share),
+        _parse_list(raw_nodes, _node_from_dict, "nodes", share))
 
 
 _COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
@@ -527,14 +505,19 @@ def _built(text: str) -> StableMapGraph:
 _plain = json.loads
 
 
-def _load(path, decode, then):
-    # decode(text) of the document at `path`, read once, so that it may be
-    # a pipe or a FIFO. A document that decode refuses is decoded again,
-    # into dicts, and graph_from_dict names its fault, so every error text
-    # comes from one place. Its graph, where the only fault was in a value
-    # that a repeated key replaced, goes to `then` in place of decode
+def _load(path, then, stream=None):
+    # stream(handle) where `path` is a regular file that stream reads to
+    # its end without raising; otherwise then(graph) of the document, read
+    # once whole (from its start again), so that it may be a pipe or a
+    # FIFO. A document that _built refuses is decoded again, into dicts,
+    # and graph_from_dict names its fault, so every error text comes from
+    # one place and one frame
     try:
         with open(path, encoding="utf-8") as handle:
+            if stream and handle.seekable():
+                with suppress(ValueError, RecursionError):
+                    return stream(handle)
+                handle.seek(0)
             text = handle.read()
     except FileNotFoundError as exc:
         raise GraphFormatError(f"no such file: {path}") from exc
@@ -542,10 +525,8 @@ def _load(path, decode, then):
         raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise GraphFormatError(f"cannot read input: {exc}") from exc
-    try:
-        return decode(text)
-    except (ValueError, RecursionError):
-        pass
+    with suppress(ValueError, RecursionError):
+        return then(_built(text))
     try:
         data = _plain(text)
     except json.JSONDecodeError as exc:
@@ -568,60 +549,94 @@ def load_graph(path) -> StableMapGraph:
     limit) raises GraphFormatError, with the error that caused it as
     __cause__.
     """
-    return _load(path, _built, lambda graph: graph)
+    return _load(path, lambda graph: graph)
 
 
-# what a folded record leaves in its list, so that a record out of its
-# place still fails a check
-_FOLDED_COMPONENT, _FOLDED_NODE = object(), object()
+# The streamed reader. Between its records a document in the documented
+# order is matched by the patterns below, in which a space stands for
+# JSON's white space: the target genus first, as an integer literal, then
+# the components, then the nodes, which may be empty or left out. Each
+# pattern that leads into a record asks for its opening brace, so white
+# space that a window's edge cut is matched again whole. An empty list of
+# components, which no valid graph has, is not streamed
+def _grammar(pattern: str):
+    return re.compile(pattern.replace(" ", "[ \t\n\r]*")).match
 
 
-class _Reordered(Exception):
-    """A component decoded after a node, which the fold cannot take."""
+_OPEN = _grammar(r' \{ "target_genus" : (-?(?:0|[1-9][0-9]*)) , '
+                 r'"components" : \[ (?=\{)')
+_NEXT = _grammar(r" (?:(,) (?=\{)|\])")
+_NODES = _grammar(r' (?:, "nodes" : \[ (?:(?=(\{))|\] \} \Z)|\} \Z)')
+_CLOSE = _grammar(r" \} \Z")
+_WINDOW = 1 << 16  # characters in each read
+# a record with more opening brackets than this may nest deep enough for
+# the parser's depth limit to decide its outcome, which the whole text
+# reaches at another depth: such a record takes the whole-text path
+_NESTED = 1 << 7
+_scan = json.JSONDecoder().scan_once  # a JSON value at an index, and its end
+# the parsers' share where nothing is kept, since the fold holds no
+# record: an empty table's get gives back the value it is passed
+_same = {}.get
 
 
-def _same(key, value):
-    # the parsers' share where nothing is kept: the fold holds no record
-    return value
+class _Window:
+    # a regular file read a window at a time through its text handle.
+    # `text[at:]` is what is not yet scanned, so a window is kept until its
+    # last record has been; what is off the documented shape raises
+    def __init__(self, handle):
+        self.handle, self.text, self.at = handle, "", 0
+
+    def more(self, at: int) -> None:
+        # the text from `at` on and as much again of the file, a window at
+        # least, so that a record the edge cut is scanned again whole
+        window = self.handle.read(max(_WINDOW, len(self.text) - at))
+        if not window:
+            raise ValueError("off the streamed shape")
+        self.text, self.at = self.text[at:] + window, 0
+
+    def match(self, grammar):
+        # the grammar's match where the reader is, passed. Where it fails,
+        # the edge may have cut what it matches: it is tried with more
+        while not (found := grammar(self.text, self.at)):
+            self.more(self.at)
+        self.at = found.end()
+        return found
+
+    def each(self, parse, step) -> None:
+        # step(parse(element)) for each element of the array the reader is
+        # in, up to its "]"
+        text, at = self.text, self.at
+        while True:
+            try:
+                data, end = _scan(text, at)
+            except (ValueError, StopIteration):  # cut by the edge, maybe
+                self.more(at)
+            else:
+                if end - at > 2 * _NESTED and text.count("[", at, end) + \
+                        text.count("{", at, end) > _NESTED:
+                    raise ValueError("a record nested deeply")
+                step(parse(data, _same))
+                if text.startswith(", {", end):  # as json.dumps separates
+                    at = end + 2
+                    continue
+                self.at = end
+                if not self.match(_NEXT)[1]:
+                    return
+            text, at = self.text, self.at
 
 
-def _folded(text: str) -> tuple[_Fold, int]:
-    # the fold of the records as the text decodes, and the target genus;
-    # no record outlives its step. A document the fold cannot take in
-    # order is built into its graph instead, which raises any fault, and
-    # the fold walks the graph: a component after a node, and a record
-    # that is not in the one list its kind belongs to, or is in a list
-    # that a repeated key replaced
-    fold = _Fold()
-
-    def step(data: dict):
-        # json's object_hook, dispatching as _built's does
-        if "kind" in data:
-            if fold.nodes:
-                raise _Reordered
-            fold.component(_component_from_dict(data, _same))
-            return _FOLDED_COMPONENT
-        if "branches" in data:
-            fold.node(_node_from_dict(data, _same))
-            return _FOLDED_NODE
-        return data
-
-    try:
-        target_genus, components, nodes = _check(
-            json.loads(text, object_hook=step), _TOP)
-    except _Reordered:
-        pass
-    else:
-        if fold.components == components.count(_FOLDED_COMPONENT) == \
-                len(components) and \
-                fold.nodes == nodes.count(_FOLDED_NODE) == len(nodes):
-            return fold, target_genus
-    del fold, step  # gone before the graph is built
-    return _walked(_built(text))
-
-
-def _walked(graph: StableMapGraph) -> tuple[_Fold, int]:
-    return _over(graph), graph.target_genus
+def _streamed(handle) -> _Fold:
+    # the fold of a document in the documented order, its keys each once,
+    # each record folded as soon as it is scanned
+    window = _Window(handle)
+    fold = _Fold(int(window.match(_OPEN)[1]))
+    window.each(_component_from_dict, fold.component)
+    if window.match(_NODES)[1]:
+        window.each(_node_from_dict, fold.node)
+        window.match(_CLOSE)
+    if handle.read().strip(" \t\n\r"):  # white space alone may follow
+        raise ValueError("data after the document")
+    return fold
 
 
 class Evaluation(namedtuple("Evaluation", "target_genus map_degree "
@@ -636,9 +651,11 @@ class Evaluation(namedtuple("Evaluation", "target_genus map_degree "
 
 
 def evaluate(path) -> Evaluation:
-    """The branch divisor of the graph document at `path`, read as
-    `load_graph` reads it, with the same faults, but folded record by
-    record as the text decodes, so the graph is never held whole.
+    """The branch divisor of the graph document at `path`, with the
+    faults `load_graph` finds, folded record by record as it is read,
+    so the graph is never held whole. Nor is the text of a regular file
+    whose keys come in the documented order: it is read a window at a
+    time.
 
     Raises GraphFormatError as `load_graph` does, and InvalidGraphError
     with `validate`'s list. Every valid graph meets the degree law and
@@ -648,17 +665,17 @@ def evaluate(path) -> Evaluation:
     """
     from . import routes  # the degree law is stated there alone
 
-    fold, target_genus = _load(path, _folded, _walked)
-    violations, divisor = fold.finish(target_genus)
+    fold = _load(path, _over, _streamed)
+    violations, divisor = fold.finish()
     if violations:
         raise InvalidGraphError(violations)
     # validated, connectedness included, so the genus formula applies and
     # the degree law's inputs are in its domain
-    expected = routes.branch_count(fold.genus, fold.degree, target_genus)
+    expected = routes.branch_count(fold.genus, fold.degree, fold.target_genus)
     degree = sum(divisor.values())
     if degree != expected or min(divisor.values(), default=0) < 0:
         raise ArithmeticError(
             f"branch divisor of degree {_full(degree)} is not an "
             f"effective divisor of degree {_full(expected)}")
-    return Evaluation(target_genus, fold.degree, fold.genus, divisor,
+    return Evaluation(fold.target_genus, fold.degree, fold.genus, divisor,
                       degree, expected)

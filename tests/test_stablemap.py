@@ -446,6 +446,20 @@ def reference_load(path):
     return graph_from_dict(data)
 
 
+def evaluation(graph):
+    """Reference: what evaluate finds for `graph`, from the functions that
+    walk a graph."""
+    divisor = branch_divisor(graph)
+    return stablemap.Evaluation(
+        graph.target_genus, total_degree(graph), arithmetic_genus(graph),
+        divisor, sum(divisor.values()), riemann_hurwitz_degree(graph))
+
+
+def reference_evaluation(path):
+    """Reference: what evaluate finds for the graph reference_load reads."""
+    return evaluation(reference_load(path))
+
+
 def load_outcome(load, path):
     """The graph `load` returns, or the type and text of what it raised."""
     try:
@@ -454,12 +468,13 @@ def load_outcome(load, path):
         return type(exc), str(exc)
 
 
-def nested_document(depth):
+def nested_document(depth, repeated=False):
     """A document whose only component has `depth` nested empty lists as
-    its genus: a genus fault, or too deep for the parser."""
+    its genus: a genus fault, or too deep for the parser. With `repeated`,
+    a genus of 0 follows, which JSON keeps: a valid graph, or too deep."""
     return ('{"target_genus": 0, "components": [{"kind": "dominant", '
             '"id": "A", "genus": ' + "[" * depth + "]" * depth
-            + ', "degree": 1}]}')
+            + (', "genus": 0' if repeated else '') + ', "degree": 1}]}')
 
 
 class TestLoadGraph:
@@ -545,31 +560,42 @@ class TestLoadGraph:
         # frames below it, so a second decode from another frame would
         # move it. Run in a thread, whose stack starts nearly empty, the
         # boundary lies inside this window on Python 3.11; from 3.12 the
-        # parser has a limit of its own, above it
+        # parser has a limit of its own, above it. evaluate scans a record
+        # alone, nearer the start of the stack than the whole text, so
+        # the nesting under a repeated key must send it to the whole text
         limit = sys.getrecursionlimit()
         paths = []
         for depth in range(limit - 45, limit + 6):
-            paths.append(tmp_path / f"deep-{depth}.json")
-            paths[-1].write_text(nested_document(depth), encoding="utf-8")
+            for repeated in (False, True):
+                paths.append(tmp_path / f"deep-{depth}-{repeated}.json")
+                paths[-1].write_text(nested_document(depth, repeated),
+                                     encoding="utf-8")
         results = []
         thread = threading.Thread(target=lambda: results.extend(
             (load_outcome(load_graph, path),
-             load_outcome(reference_load, path)) for path in paths))
+             load_outcome(reference_load, path),
+             load_outcome(stablemap.evaluate, path)) for path in paths))
         thread.start()
         thread.join()
         assert len(results) == len(paths)
-        for depth, (got, expected) in enumerate(results, limit - 45):
-            assert got == expected, depth
-        texts = {got[1].split(":")[0] for got, _ in results}
+        for path, (got, expected, evaluated) in zip(paths, results):
+            assert got == expected, path.name
+            if isinstance(expected, StableMapGraph):
+                expected = evaluation(expected)
+            assert evaluated == expected, path.name
+        texts = {got[1].split(":")[0] for got, _, _ in results
+                 if type(got) is tuple}
         assert "components[0]" in texts
+        assert any(isinstance(got, StableMapGraph) for got, _, _ in results)
         if sys.version_info < (3, 12):
             assert "JSON nested too deeply" in texts
 
-    def test_fifo_reads_as_a_file(self, tmp_path):
-        # a FIFO gives its bytes to one reader once, so the load must read
-        # it once to give the file's graph or error. A second open would
-        # wait for a writer that never comes: the load runs in a thread
-        # too, and a test that fails leaves it waiting
+    def test_fifo_reads_as_a_file(self, capsys, tmp_path):
+        # a FIFO gives its bytes to one reader once, so the load, and the
+        # CLI's evaluation, must read it once to give the file's graph or
+        # error. A second open would wait for a writer that never comes:
+        # the reader runs in a thread too, and a test that fails leaves it
+        # waiting
         source = (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8")
         faulty = json.loads(source)
         faulty["components"][-1]["genus"] = "1"
@@ -578,22 +604,37 @@ class TestLoadGraph:
             "shape fault": json.dumps(faulty).encode(),
             "broken JSON": b'{"target_genus": 0, "comp',
             "not UTF-8": b"\xff\xfe\x00\x9c" * 64,
+            "valid, target genus last": json.dumps({
+                key: json.loads(source)[key]
+                for key in ("components", "nodes", "target_genus")}).encode(),
         }
         path, fifo = tmp_path / "graph.json", tmp_path / "graph.fifo"
         os.mkfifo(fifo)
-        for name, data in documents.items():
-            path.write_bytes(data)
+
+        def through_fifo(read, data):
             got = []
             threads = [threading.Thread(target=fifo.write_bytes, args=(data,),
                                         daemon=True),
-                       threading.Thread(target=lambda: got.append(
-                           load_outcome(load_graph, fifo)), daemon=True)]
+                       threading.Thread(target=lambda: got.append(read(fifo)),
+                                        daemon=True)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
+            return got
+
+        def cli(name):
+            code = main(["branch-divisor", "--input", str(name)])
+            return code, capsys.readouterr().out
+
+        for name, data in documents.items():
+            path.write_bytes(data)
+            got = through_fifo(lambda name: load_outcome(load_graph, name),
+                               data)
             assert got == [load_outcome(load_graph, path)], name
-            assert isinstance(got[0], StableMapGraph) == (name == "valid")
+            assert isinstance(got[0], StableMapGraph) == \
+                name.startswith("valid")
+            assert through_fifo(cli, data) == [cli(path)], name
 
     def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
         # the union's dict tree outweighs its graph, and built while
@@ -652,6 +693,101 @@ class TestLoadGraph:
                 gc.enable()
         capsys.readouterr()
         assert cli <= 0.75 * load, (cli, load)
+
+    def test_cli_never_holds_the_text(self, capsys, tmp_path):
+        # a regular file is read a window at a time, each record folded as
+        # it is scanned, so branch-divisor peaks below the text of the
+        # document read whole, with the bytes that decode to it
+        _, path = union_document(tmp_path, connected=True)
+        argv = ["branch-divisor", "--input", str(path)]
+
+        def read():
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            cli = traced_peak(lambda: main(argv))
+            text = traced_peak(read)
+        finally:
+            if collecting:
+                gc.enable()
+        capsys.readouterr()
+        assert cli < 0.75 * text, (cli, text)
+
+    def test_window_edges_change_nothing(self, tmp_path, monkeypatch):
+        # evaluate reads a regular file a few characters at a time here,
+        # so a window's edge cuts every key, number and record somewhere.
+        # Every document in the documented order, in each rendering, is
+        # folded as it is read, never decoded whole, and evaluates as the
+        # graph the reference reads does
+        rng = random.Random(4343)
+        sources = [json.loads(path.read_text(encoding="utf-8"))
+                   for path in sorted(FIXTURES.glob("*.json"))]
+        sources += [graph_to_dict(random_valid_graph(rng))
+                    for _ in range(100)]
+        renderings = [(json.dumps, "\n"),
+                      (lambda data: json.dumps(data, indent=1), "\n"),
+                      (lambda data: json.dumps(data, indent=1), "\r\n")]
+        paths = {}
+        for k, data in enumerate(sources):
+            for r, (render, newline) in enumerate(renderings):
+                path = tmp_path / f"graph-{k}-{r}.json"
+                path.write_text(render(data), encoding="utf-8",
+                                newline=newline)
+                paths[path] = load_outcome(reference_evaluation, path)
+        # a target genus of 25 digits, which the edges cut in every place
+        genus = 10 ** 24 + 12345
+        path = tmp_path / "long-genus.json"
+        path.write_text(json.dumps(graph_to_dict(StableMapGraph(
+            genus, (DominantComponent("A", genus, 1),), ()))),
+            encoding="utf-8")
+        paths[path] = stablemap.Evaluation(genus, 1, genus, {}, 0, 0)
+        assert load_outcome(reference_evaluation, path) == paths[path]
+
+        def whole_text(*args):
+            raise AssertionError("a streamed document was read whole")
+
+        monkeypatch.setattr(stablemap, "_built", whole_text)
+        for window in (1, 3, 7):
+            monkeypatch.setattr(stablemap, "_WINDOW", window)
+            for path, expected in paths.items():
+                got = load_outcome(stablemap.evaluate, path)
+                assert got == expected, (window, path.name)
+
+    @pytest.mark.parametrize("change", [
+        lambda text: "\ufeff" + text,
+        lambda text: text + " x",
+        lambda text: text + "\n{}",
+        lambda text: text + " \r\n\t",
+        lambda text: text.replace('"target_genus": 0', '"target_genus": 00'),
+        lambda text: text.replace('"target_genus": 0',
+                                  '"target_genus": 5, "target_genus": 0'),
+        lambda text: text.replace('"nodes": ', '"nodes": [], "nodes": '),
+        lambda text: text.replace('"nodes": ', '"components": [], "nodes": '),
+        lambda text: text.replace(", \"nodes\": []", ""),
+        lambda text: text.replace("[{", "[ \n{").replace("}]", "}\n ]"),
+    ], ids=["bom", "trailing-data", "second-document", "trailing-space",
+            "leading-zero", "repeated-target-genus", "repeated-nodes", "repeated-components",
+            "no-nodes", "spaced-lists"])
+    def test_irregular_documents_read_as_the_reference(self, tmp_path,
+                                                        monkeypatch, change):
+        # what the streamed reader does not take is read whole, from the
+        # start again, after it has folded some or all of the records.
+        # Windows of 1 to 32 characters move the edges through the
+        # document's end, where a fault can lie beyond the text read so far
+        path = tmp_path / "changed.json"
+        for source in ("elliptic_tail", "identity_map"):
+            data = json.loads(
+                (FIXTURES / f"{source}.json").read_text(encoding="utf-8"))
+            path.write_text(change(json.dumps(data)), encoding="utf-8")
+            expected = load_outcome(reference_evaluation, path)
+            for window in (*range(1, 33), 1 << 16):
+                monkeypatch.setattr(stablemap, "_WINDOW", window)
+                assert load_outcome(stablemap.evaluate, path) == expected, \
+                    (source, window)
 
     @pytest.mark.parametrize("name, change, code", [
         ("collision_limit", None, 0),
