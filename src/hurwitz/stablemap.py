@@ -25,20 +25,27 @@ state per component id (a union-find table, which also finds duplicates
 and unknown references, and each contracted component's image and node
 branches), never a record, so the work is linear in the number of
 records. `validate`, `branch_divisor` and `arithmetic_genus` drive it
-from a graph. `evaluate`, which the CLI runs, drives it from the file:
-a regular file whose keys come in the documented order is read 65,536
-characters at a time, and each component and node is scanned, parsed,
-folded and dropped, so neither the graph nor the document's text ever
-exists whole. Any other input (a pipe or a FIFO, another key order, a
-repeated key, anything that is not JSON) is read whole in one read,
-from its start, the way `load_graph` reads every input: each record becomes its named
-tuple as the text decodes, with one table per load that makes equal
-labels one string and equal profiles one tuple (equal strings still
-name the same point; nothing is kept between loads). A faulty document
-is decoded a second time, into dicts, and `graph_from_dict` reports
-the fault. docs/branch_divisor_format.md gives the measured time and
-peak memory; the CLI runs every command with the cyclic garbage
-collector off, whose passes over the growing heap free nothing.
+from a graph.
+
+A document is read by one of two paths, shared by `evaluate` (which the
+CLI runs, and which passes each record to the fold) and `load_graph`
+(which keeps each record for the graph). A document whose keys come in
+the documented order is streamed: a regular file 65,536 characters at a
+time, and a pipe or a FIFO, which gives its text once, from that text
+read whole; each component and node is scanned, parsed and passed on as
+it is read. So `evaluate` never holds the graph, and neither function
+holds a dict tree or a regular file's text. Anything else (another key
+order, a repeated or unknown key, anything that is not JSON, any shape
+fault) is read whole, from its start, and decoded into dicts, from which
+`graph_from_dict` builds the graph or words the fault. That costs
+memory: on the 10,000-component benchmark graph with `components` first
+both functions peak at 20.5 MB traced, against 5.2 MB (`load_graph`) and
+1.8 MB (`evaluate`) streamed. Each load keeps one table that makes equal
+labels one string and equal profiles one tuple (equal strings still name
+the same point; nothing is kept between loads).
+docs/branch_divisor_format.md gives the measured time and peak memory;
+the CLI runs every command with the cyclic garbage collector off, whose
+passes over the growing heap free nothing.
 """
 
 import json
@@ -256,14 +263,15 @@ class _Fold:
         return violations, {point: c for point, c in self.coeffs.items() if c}
 
 
-def _over(graph: StableMapGraph) -> _Fold:
-    # the fold driven from a graph: its components, then its nodes
-    fold = _Fold(graph.target_genus)
+def _over(graph: StableMapGraph, sink=_Fold):
+    # the sink (see _Records) driven from a graph: its components, then
+    # its nodes
+    records = sink(graph.target_genus)
     for comp in graph.components:
-        fold.component(comp)
+        records.component(comp)
     for node in graph.nodes:
-        fold.node(node)
-    return fold
+        records.node(node)
+    return records
 
 
 def validate(graph: StableMapGraph) -> list[str]:
@@ -450,6 +458,20 @@ def _node_from_dict(data, share) -> Node:
     return _new(Node, ((share(a, a), share(b, b)), share(image, image)))
 
 
+class _Records:
+    # the sink that keeps every record in order, for the graph. A sink is
+    # built from the target genus, then takes `component` for every
+    # component and `node` for every node, as _Fold does; _load returns
+    # the sink it builds, filled
+    def __init__(self, target_genus: int):
+        self.target_genus, self.components, self.nodes = target_genus, [], []
+        self.component, self.node = self.components.append, self.nodes.append
+
+    def graph(self) -> StableMapGraph:
+        return StableMapGraph(self.target_genus, tuple(self.components),
+                              tuple(self.nodes))
+
+
 def graph_from_dict(data) -> StableMapGraph:
     """Build a StableMapGraph from the documented JSON shape.
 
@@ -465,91 +487,6 @@ def graph_from_dict(data) -> StableMapGraph:
     return StableMapGraph(target_genus, _parse_list(
         raw_components, _component_from_dict, "components", share),
         _parse_list(raw_nodes, _node_from_dict, "nodes", share))
-
-
-_COMPONENT_TYPES = frozenset({DominantComponent, ContractedComponent})
-
-
-def _built(text: str) -> StableMapGraph:
-    # the graph built while the text decodes. Anything wrong raises, and
-    # a named tuple where the document wants a dict (or a dict left where
-    # it wants a named tuple) fails a check here or in the parser
-    share = {}.setdefault
-
-    def build(data: dict):
-        # json's object_hook. Profile dicts are parsed by their
-        # component's call; any other dict is returned as it is
-        if "kind" in data:
-            return _component_from_dict(data, share)
-        if "branches" in data:
-            return _node_from_dict(data, share)
-        return data
-
-    target_genus, components, nodes = _check(
-        json.loads(text, object_hook=build), _TOP)
-    # the graph holds every shared label and profile by now. With the
-    # table gone, the copies of the lists into tuples below fit in the
-    # memory the decode peaked at, though the caller still holds the text
-    del share
-    # one type check per list at C speed, not a Python call per entry
-    if set(map(type, components)) <= _COMPONENT_TYPES and \
-            set(map(type, nodes)) <= {Node}:
-        return StableMapGraph(target_genus, tuple(components), tuple(nodes))
-    raise GraphFormatError(": misplaced object")
-
-
-# a faulty document's second decode, into the dict tree graph_from_dict
-# reports on. It is json.loads itself, called from the frame that read the
-# text, so the parser runs out of stack at the depth json.load reaches
-# from the reader's caller: that depth is part of what a fault reports
-_plain = json.loads
-
-
-def _load(path, then, stream=None):
-    # stream(handle) where `path` is a regular file that stream reads to
-    # its end without raising; otherwise then(graph) of the document, read
-    # once whole (from its start again), so that it may be a pipe or a
-    # FIFO. A document that _built refuses is decoded again, into dicts,
-    # and graph_from_dict names its fault, so every error text comes from
-    # one place and one frame
-    try:
-        with open(path, encoding="utf-8") as handle:
-            if stream and handle.seekable():
-                with suppress(ValueError, RecursionError):
-                    return stream(handle)
-                handle.seek(0)
-            text = handle.read()
-    except FileNotFoundError as exc:
-        raise GraphFormatError(f"no such file: {path}") from exc
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read input: {exc}") from exc
-    with suppress(ValueError, RecursionError):
-        return then(_built(text))
-    try:
-        data = _plain(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise GraphFormatError(f"JSON nested too deeply: {exc}") from exc
-    except ValueError as exc:
-        # int() refuses literals over sys.get_int_max_str_digits() digits
-        raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
-    del text  # graph_from_dict needs only the tree
-    return then(graph_from_dict(data))
-
-
-def load_graph(path) -> StableMapGraph:
-    """Read a graph document from a JSON file, pipe or FIFO.
-
-    Every input that cannot be read or parsed (a missing file, a
-    directory, a permission error, bytes that are not UTF-8, nesting too
-    deep for the parser, an integer literal over the interpreter's digit
-    limit) raises GraphFormatError, with the error that caused it as
-    __cause__.
-    """
-    return _load(path, lambda graph: graph)
 
 
 # The streamed reader. Between its records a document in the documented
@@ -569,6 +506,10 @@ _NEXT = _grammar(r" (?:(,) (?=\{)|\])")
 _NODES = _grammar(r' (?:, "nodes" : \[ (?:(?=(\{))|\] \} \Z)|\} \Z)')
 _CLOSE = _grammar(r" \} \Z")
 _WINDOW = 1 << 16  # characters in each read
+# a failure more characters than this before the end of the text read is
+# not the edge's doing: only a string or a run of white space that long,
+# cut by the edge, could put it there, and such a document is read whole
+_CUT = 1 << 12
 # a record with more opening brackets than this may nest deep enough for
 # the parser's depth limit to decide its outcome, which the whole text
 # reaches at another depth: such a record takes the whole-text path
@@ -577,45 +518,49 @@ _scan = json.JSONDecoder().scan_once  # a JSON value at an index, and its end
 # the parsers' share where nothing is kept, since the fold holds no
 # record: an empty table's get gives back the value it is passed
 _same = {}.get
+_spent = "".__mul__  # the reader of a text held whole: "" for any size
 
 
 class _Window:
-    # a regular file read a window at a time through its text handle.
+    # text read a window at a time through `read`, after the `text` given.
     # `text[at:]` is what is not yet scanned, so a window is kept until its
     # last record has been; what is off the documented shape raises
-    def __init__(self, handle):
-        self.handle, self.text, self.at = handle, "", 0
+    def __init__(self, read, text: str = ""):
+        self.read, self.text, self.at = read, text, 0
 
-    def more(self, at: int) -> None:
-        # the text from `at` on and as much again of the file, a window at
-        # least, so that a record the edge cut is scanned again whole
-        window = self.handle.read(max(_WINDOW, len(self.text) - at))
-        if not window:
+    def more(self, at: int, failed: int) -> None:
+        # the text from `at` on and as much again, a window at least, so
+        # that what the edge cut at `failed` is scanned again whole
+        text = self.text
+        if len(text) - failed > _CUT or not (
+                window := self.read(max(_WINDOW, len(text) - at))):
             raise ValueError("off the streamed shape")
-        self.text, self.at = self.text[at:] + window, 0
+        self.text, self.at = text[at:] + window, 0
 
     def match(self, grammar):
         # the grammar's match where the reader is, passed. Where it fails,
         # the edge may have cut what it matches: it is tried with more
         while not (found := grammar(self.text, self.at)):
-            self.more(self.at)
+            self.more(self.at, self.at)
         self.at = found.end()
         return found
 
-    def each(self, parse, step) -> None:
+    def each(self, parse, step, share) -> None:
         # step(parse(element)) for each element of the array the reader is
-        # in, up to its "]"
+        # in, up to its "]". A number too long for int() raises at once
         text, at = self.text, self.at
         while True:
             try:
                 data, end = _scan(text, at)
-            except (ValueError, StopIteration):  # cut by the edge, maybe
-                self.more(at)
+            except (json.JSONDecodeError, StopIteration) as fault:
+                # cut by the edge, maybe: where the scan failed, which is
+                # past the record's opening brace, so never index 0
+                self.more(at, getattr(fault, "pos", None) or fault.value)
             else:
                 if end - at > 2 * _NESTED and text.count("[", at, end) + \
                         text.count("{", at, end) > _NESTED:
                     raise ValueError("a record nested deeply")
-                step(parse(data, _same))
+                step(parse(data, share))
                 if text.startswith(", {", end):  # as json.dumps separates
                     at = end + 2
                     continue
@@ -625,18 +570,76 @@ class _Window:
             text, at = self.text, self.at
 
 
-def _streamed(handle) -> _Fold:
-    # the fold of a document in the documented order, its keys each once,
-    # each record folded as soon as it is scanned
-    window = _Window(handle)
-    fold = _Fold(int(window.match(_OPEN)[1]))
-    window.each(_component_from_dict, fold.component)
+def _streamed(window: _Window, sink, share):
+    # the sink, given each record of a document in the documented order,
+    # its keys each once, as soon as the record is scanned
+    records = sink(int(window.match(_OPEN)[1]))
+    window.each(_component_from_dict, records.component, share)
     if window.match(_NODES)[1]:
-        window.each(_node_from_dict, fold.node)
+        window.each(_node_from_dict, records.node, share)
         window.match(_CLOSE)
-    if handle.read().strip(" \t\n\r"):  # white space alone may follow
+    if window.read(-1).strip(" \t\n\r"):  # white space alone may follow
         raise ValueError("data after the document")
-    return fold
+    return records
+
+
+# what the stream refuses is decoded whole, into the dict tree that
+# graph_from_dict reads. It is json.loads itself, called from the frame
+# that read the text, so the parser runs out of stack at the depth
+# json.load reaches from the reader's caller: that depth is part of what
+# a fault reports
+_plain = json.loads
+
+
+def _load(path, sink, share):
+    # the sink, given each record of the document at `path`, streamed: a
+    # regular file a window at a time, and a pipe or a FIFO, which gives
+    # its text once, from the text read whole. What the stream refuses is
+    # read whole (a file from its start again), decoded into dicts, and
+    # graph_from_dict builds the graph the sink is driven from, so every
+    # fault is worded in one place and from one frame
+    try:
+        with open(path, encoding="utf-8") as handle:
+            if handle.seekable():
+                with suppress(ValueError, RecursionError):
+                    return _streamed(_Window(handle.read), sink, share)
+                handle.seek(0)
+                text = handle.read()
+            else:
+                text = handle.read()
+                with suppress(ValueError, RecursionError):
+                    return _streamed(_Window(_spent, text), sink, share)
+    except FileNotFoundError as exc:
+        raise GraphFormatError(f"no such file: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read input: {exc}") from exc
+    try:
+        data = _plain(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError(f"JSON nested too deeply: {exc}") from exc
+    except ValueError as exc:
+        # int() refuses literals over sys.get_int_max_str_digits() digits
+        raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
+    del text  # graph_from_dict needs only the tree
+    return _over(graph_from_dict(data), sink)
+
+
+def load_graph(path) -> StableMapGraph:
+    """Read a graph document from a JSON file, pipe or FIFO.
+
+    A document whose keys come in the documented order is parsed record
+    by record as it is read, a regular file a window at a time; one in
+    another key order is decoded into dicts first. Every input that
+    cannot be read or parsed (a missing file, a directory, a permission
+    error, bytes that are not UTF-8, nesting too deep for the parser, an
+    integer literal over the interpreter's digit limit) raises
+    GraphFormatError, with the error that caused it as __cause__.
+    """
+    return _load(path, _Records, {}.setdefault).graph()
 
 
 class Evaluation(namedtuple("Evaluation", "target_genus map_degree "
@@ -655,7 +658,7 @@ def evaluate(path) -> Evaluation:
     faults `load_graph` finds, folded record by record as it is read,
     so the graph is never held whole. Nor is the text of a regular file
     whose keys come in the documented order: it is read a window at a
-    time.
+    time. A document in another key order is decoded into dicts first.
 
     Raises GraphFormatError as `load_graph` does, and InvalidGraphError
     with `validate`'s list. Every valid graph meets the degree law and
@@ -665,7 +668,7 @@ def evaluate(path) -> Evaluation:
     """
     from . import routes  # the degree law is stated there alone
 
-    fold = _load(path, _over, _streamed)
+    fold = _load(path, _Fold, _same)
     violations, divisor = fold.finish()
     if violations:
         raise InvalidGraphError(violations)

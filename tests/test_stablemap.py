@@ -478,15 +478,15 @@ def nested_document(depth, repeated=False):
 
 
 class TestLoadGraph:
-    """load_graph builds the graph while the JSON decodes, and decodes a
-    faulty document again the reference way; both must give the same
-    graph or the same error."""
+    """load_graph streams a document in the documented order and decodes
+    any other into dicts first, the reference way; both must give the
+    reference's graph or error."""
 
     def test_valid_documents_are_decoded_once(self, tmp_path, monkeypatch):
         # every fixture and 100 random graphs, each equal to the reference
-        # load. A valid document is built in its one decode: the second
-        # decode into a dict tree, and graph_from_dict on it, are for
-        # faults only
+        # load. A valid document in the documented order is parsed as it
+        # is read: the decode into a dict tree, and graph_from_dict on it,
+        # are for other documents
         rng = random.Random(1919)
         graphs = {path: reference_load(path)
                   for path in sorted(FIXTURES.glob("*.json"))}
@@ -498,7 +498,7 @@ class TestLoadGraph:
             assert reference_load(path) == graphs[path], path.name
 
         def second_decode(*args):
-            raise AssertionError("a valid document was decoded twice")
+            raise AssertionError("a valid document was decoded whole")
 
         monkeypatch.setattr(stablemap, "_plain", second_decode)
         monkeypatch.setattr(stablemap, "graph_from_dict", second_decode)
@@ -520,8 +520,8 @@ class TestLoadGraph:
         assert min(loaded.values()) > 50
 
     def test_misplaced_objects(self, tmp_path):
-        # each moved object is built where it does not belong; the
-        # reference names the fault by where it sits in the document
+        # each moved object sits where it does not belong, which the
+        # stream refuses; the fault is named by where it sits
         path = tmp_path / "misplaced.json"
         source = json.loads(
             (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
@@ -590,10 +590,11 @@ class TestLoadGraph:
         if sys.version_info < (3, 12):
             assert "JSON nested too deeply" in texts
 
-    def test_fifo_reads_as_a_file(self, capsys, tmp_path):
+    def test_fifo_reads_as_a_file(self, capsys, tmp_path, monkeypatch):
         # a FIFO gives its bytes to one reader once, so the load, and the
         # CLI's evaluation, must read it once to give the file's graph or
-        # error. A second open would wait for a writer that never comes:
+        # error, and a valid one streams its text without decoding it
+        # whole. A second open would wait for a writer that never comes:
         # the reader runs in a thread too, and a test that fails leaves it
         # waiting
         source = (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8")
@@ -627,18 +628,29 @@ class TestLoadGraph:
             code = main(["branch-divisor", "--input", str(name)])
             return code, capsys.readouterr().out
 
+        decoded = []
+
+        def plain(text):  # the whole-text decode, counted
+            decoded.append(len(text))
+            return json.loads(text)
+
+        monkeypatch.setattr(stablemap, "_plain", plain)
         for name, data in documents.items():
             path.write_bytes(data)
+            decoded.clear()
             got = through_fifo(lambda name: load_outcome(load_graph, name),
                                data)
+            piped = through_fifo(cli, data)
+            # a pipe's text in the documented order is streamed from memory
+            assert decoded == [] or name != "valid", name
             assert got == [load_outcome(load_graph, path)], name
             assert isinstance(got[0], StableMapGraph) == \
                 name.startswith("valid")
-            assert through_fifo(cli, data) == [cli(path)], name
+            assert piped == [cli(path)], name
 
     def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
-        # the union's dict tree outweighs its graph, and built while
-        # decoding, the graph never needs the whole tree beside it
+        # the union's dict tree outweighs its graph, and streamed, the
+        # graph never needs the tree, nor the text, beside it
         union, path = union_document(tmp_path)
 
         def decode():
@@ -649,9 +661,10 @@ class TestLoadGraph:
         assert traced_peak(lambda: load_graph(path)) < traced_peak(decode)
 
     def test_fault_path_peak_memory(self, tmp_path):
-        # a fault near the end of the document is found late in the first
-        # decode; the second decode shares the one text, and the text is
-        # gone before graph_from_dict builds the graph beside the tree
+        # a fault near the end of the document is found late in the
+        # streamed read, whose records are dropped before the text is
+        # read whole, and the text is gone before graph_from_dict builds
+        # the graph beside the tree
         _, path = union_document(tmp_path)
         data = json.loads(path.read_text(encoding="utf-8"))
         data["nodes"][-1]["image"] = ""
@@ -718,11 +731,11 @@ class TestLoadGraph:
         assert cli < 0.75 * text, (cli, text)
 
     def test_window_edges_change_nothing(self, tmp_path, monkeypatch):
-        # evaluate reads a regular file a few characters at a time here,
-        # so a window's edge cuts every key, number and record somewhere.
-        # Every document in the documented order, in each rendering, is
-        # folded as it is read, never decoded whole, and evaluates as the
-        # graph the reference reads does
+        # load_graph and evaluate read a regular file a few characters at
+        # a time here, so a window's edge cuts every key, number and record
+        # somewhere. Every document in the documented order, in each
+        # rendering, is passed on as it is read, never decoded whole: it
+        # loads as the reference's graph, and evaluates as that graph does
         rng = random.Random(4343)
         sources = [json.loads(path.read_text(encoding="utf-8"))
                    for path in sorted(FIXTURES.glob("*.json"))]
@@ -737,23 +750,25 @@ class TestLoadGraph:
                 path = tmp_path / f"graph-{k}-{r}.json"
                 path.write_text(render(data), encoding="utf-8",
                                 newline=newline)
-                paths[path] = load_outcome(reference_evaluation, path)
+                paths[path] = (reference_load(path),
+                               load_outcome(reference_evaluation, path))
         # a target genus of 25 digits, which the edges cut in every place
         genus = 10 ** 24 + 12345
         path = tmp_path / "long-genus.json"
-        path.write_text(json.dumps(graph_to_dict(StableMapGraph(
-            genus, (DominantComponent("A", genus, 1),), ()))),
-            encoding="utf-8")
-        paths[path] = stablemap.Evaluation(genus, 1, genus, {}, 0, 0)
-        assert load_outcome(reference_evaluation, path) == paths[path]
+        graph = StableMapGraph(genus, (DominantComponent("A", genus, 1),), ())
+        path.write_text(json.dumps(graph_to_dict(graph)), encoding="utf-8")
+        paths[path] = graph, stablemap.Evaluation(genus, 1, genus, {}, 0, 0)
+        assert load_outcome(reference_load, path) == graph
+        assert load_outcome(reference_evaluation, path) == paths[path][1]
 
         def whole_text(*args):
             raise AssertionError("a streamed document was read whole")
 
-        monkeypatch.setattr(stablemap, "_built", whole_text)
+        monkeypatch.setattr(stablemap, "_plain", whole_text)
         for window in (1, 3, 7):
             monkeypatch.setattr(stablemap, "_WINDOW", window)
-            for path, expected in paths.items():
+            for path, (graph, expected) in paths.items():
+                assert load_graph(path) == graph, (window, path.name)
                 got = load_outcome(stablemap.evaluate, path)
                 assert got == expected, (window, path.name)
 
@@ -789,6 +804,43 @@ class TestLoadGraph:
                 assert load_outcome(stablemap.evaluate, path) == expected, \
                     (source, window)
 
+    def test_a_refused_file_is_not_read_to_its_end(self, tmp_path,
+                                                   monkeypatch):
+        # the streamed attempt gives up where it fails well inside the text
+        # read so far: after its first window on a document with its
+        # components first, and on one whose first record is not JSON.
+        # Each is then read whole and loads as the reference's
+        _, path = union_document(tmp_path, connected=True)
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        first, faulty = tmp_path / "first.json", tmp_path / "faulty.json"
+        first.write_text(json.dumps({key: data[key] for key in (
+            "components", "target_genus", "nodes")}), encoding="utf-8")
+        faulty.write_text(text.replace('"genus": ', '"genus" ', 1),
+                          encoding="utf-8")
+        counted = []
+
+        class Window(stablemap._Window):
+            def __init__(self, read, text=""):
+                def counting(*size):
+                    window = read(*size)
+                    counted.append(len(window))
+                    return window
+                super().__init__(counting, text)
+
+        monkeypatch.setattr(stablemap, "_Window", Window)
+        for path in (first, faulty):
+            size = len(path.read_text(encoding="utf-8"))
+            assert size > 4 * stablemap._WINDOW
+            for load, reference in ((load_graph, reference_load),
+                                    (stablemap.evaluate,
+                                     reference_evaluation)):
+                counted.clear()
+                got = load_outcome(load, path)
+                assert got == load_outcome(reference, path), path.name
+                assert sum(counted) == stablemap._WINDOW, (path.name,
+                                                           counted)
+
     @pytest.mark.parametrize("name, change, code", [
         ("collision_limit", None, 0),
         # two rules: stability, and Riemann-Hurwitz, which waits for the
@@ -801,8 +853,8 @@ class TestLoadGraph:
     ], ids=["valid", "violations", "format-fault"])
     def test_key_order_changes_no_byte(self, capsys, tmp_path, name, change,
                                        code):
-        # the target genus last makes the fold wait for it; the nodes
-        # first make the CLI build the graph, and fold it in order
+        # another order is decoded into dicts, and the graph built from
+        # them is folded in the documented order: components, then nodes
         data = json.loads(
             (FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
         if change:
@@ -825,8 +877,8 @@ class TestLoadGraph:
         ("components", '[{"kind": "dominant", "id": "X", "genus": 0, '
                        '"degree": 1}]'),
         ("nodes", '[{"branches": ["A", "X"], "image": "r"}]'),
-        # a replaced record that fails to parse faults the first decode;
-        # the dict tree, decoded again, holds the graph
+        # a replaced record that fails to parse sends the document to the
+        # whole-text path, whose dict tree holds the graph
         ("target_genus", '{"kind": "dominant"}'),
     ], ids=["target-genus", "components", "nodes", "faulty-record"])
     def test_a_replaced_record_is_not_folded(self, capsys, tmp_path, key,
