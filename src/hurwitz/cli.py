@@ -265,8 +265,8 @@ def _write(text: str, code: int) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # no run makes reference cycles; on a 10,000-component branch-divisor
-    # graph the collector's passes took a quarter of the time
+    # no run makes reference cycles, so the collector's passes would free
+    # nothing
     collecting = gc.isenabled()
     gc.disable()
     fmt = getattr(args, "format", "json")

@@ -37,15 +37,12 @@ it is read. So `evaluate` never holds the graph, and neither function
 holds a dict tree or a regular file's text. Anything else (another key
 order, a repeated or unknown key, anything that is not JSON, any shape
 fault) is read whole, from its start, and decoded into dicts, from which
-`graph_from_dict` builds the graph or words the fault. That costs
-memory: on the 10,000-component benchmark graph with `components` first
-both functions peak at 20.5 MB traced, against 5.2 MB (`load_graph`) and
-1.8 MB (`evaluate`) streamed. Each load keeps one table that makes equal
-labels one string and equal profiles one tuple (equal strings still name
-the same point; nothing is kept between loads).
-docs/branch_divisor_format.md gives the measured time and peak memory;
-the CLI runs every command with the cyclic garbage collector off, whose
-passes over the growing heap free nothing.
+`graph_from_dict` builds the graph or words the fault. Each load keeps
+one table that makes equal labels one string and equal profiles one
+tuple (equal strings still name the same point; nothing is kept between
+loads). docs/branch_divisor_format.md gives the measured time and peak
+memory of each path; the CLI runs every command with the cyclic garbage
+collector off, whose passes over the growing heap free nothing.
 """
 
 import json
