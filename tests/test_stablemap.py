@@ -8,11 +8,11 @@ file. Each rule's exact wording is pinned in one table: every validity
 violation in `TestValidation::test_single_violations_are_worded_exactly`
 and `::test_violations_come_in_rule_order`, every format fault in
 `FORMAT_ERRORS`, `FIRST_FAULTS` and `TYPE_RULES`, and every input that
-cannot be read in the unreadable family of
-`TestLoadGraph::test_document_families_read_as_the_reference`. A
-document the stream must read as the reference does (another key
-order, a repeated key, data around the document) is a row of the
-reader table, `TestLoadGraph::test_irregular_documents_read_as_the_reference`.
+cannot be read in `TestLoadGraph::test_unreadable_files`. A document
+the stream must read as the reference does (a repeated key, data
+around the document) is a row of the reader table,
+`TestLoadGraph::test_irregular_documents_read_as_the_reference`; the
+three key orders are `TestLoadGraph::test_key_order_changes_no_byte`.
 The divisor of every fixture and of random valid graphs is compared
 with a reference in
 `TestBranchDivisor::test_matches_the_reference_on_valid_graphs`, and
@@ -477,17 +477,28 @@ def load_outcome(load, path):
         return type(exc), str(exc), type(exc.__cause__)
 
 
-def reordered(*keys):
-    """The change that writes a document's top-level keys in this order."""
-    return lambda text: json.dumps({key: json.loads(text)[key]
-                                    for key in keys})
-
-
 def replaced(key, value):
     """The change that gives the first `key` the value `value` and then
     its own, which JSON keeps."""
     return lambda text: text.replace(f'"{key}": ',
                                      f'"{key}": {value}, "{key}": ', 1)
+
+
+def read_as_the_reference(tmp_path, documents):
+    """Write each document (None: write nothing) and check that it loads,
+    and evaluates, as the reference does: the same graph, evaluation or
+    error, and the error's cause. The count of each outcome's type."""
+    outcomes = Counter()
+    for name, data in documents.items():
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        got = load_outcome(load_graph, path)
+        assert got == load_outcome(reference_load, path), name
+        assert load_outcome(stablemap.evaluate, path) == \
+            load_outcome(reference_evaluation, path), name
+        outcomes[got[0] if type(got) is tuple else StableMapGraph] += 1
+    return outcomes
 
 
 def nested_document(depth, repeated=False):
@@ -504,15 +515,34 @@ class TestLoadGraph:
     any other into dicts first, the reference way; both must give the
     reference's graph or error."""
 
-    @pytest.mark.parametrize("family", ["mutations", "misplaced",
-                                        "unreadable"])
+    def test_valid_documents_are_decoded_once(self, tmp_path, monkeypatch):
+        # every fixture and 100 random graphs, each equal to the reference
+        # load. A valid document in the documented order is parsed as it
+        # is read: the decode into a dict tree, and graph_from_dict on it,
+        # are for other documents
+        rng = random.Random(1919)
+        graphs = {path: reference_load(path)
+                  for path in sorted(FIXTURES.glob("*.json"))}
+        for k in range(100):
+            path = tmp_path / f"graph-{k}.json"
+            graphs[path] = random_valid_graph(rng)
+            path.write_text(json.dumps(graph_to_dict(graphs[path])),
+                            encoding="utf-8")
+            assert reference_load(path) == graphs[path], path.name
+
+        def second_decode(*args):
+            raise AssertionError("a valid document was decoded whole")
+
+        monkeypatch.setattr(stablemap, "_plain", second_decode)
+        monkeypatch.setattr(stablemap, "graph_from_dict", second_decode)
+        for path, graph in graphs.items():
+            assert load_graph(path) == graph, path.name
+
+    @pytest.mark.parametrize("family", ["mutations", "misplaced"])
     def test_document_families_read_as_the_reference(self, tmp_path,
                                                      family):
-        # each document loads, and evaluates, as the reference does: the
-        # same graph, evaluation or error, and the error's cause. The
-        # mutations of three fixtures give many of each outcome; a moved
-        # object sits where the stream refuses it, and each input that
-        # cannot be read is a GraphFormatError, worded by the reference
+        # the mutations of three fixtures give many graphs and many
+        # errors; a moved object sits where the stream refuses it
         documents = {}
         if family == "mutations":
             for name in ("elliptic_tail", "identity_map", "unstable_tail"):
@@ -520,39 +550,43 @@ class TestLoadGraph:
                 for seed in range(300):
                     documents[f"{name}-{seed}.json"] = json.dumps(
                         mutate_document(source, random.Random(seed))).encode()
-        elif family == "misplaced":
+        else:
             documents = {f"{moved}.json": json.dumps(document).encode()
                          for moved, document in misplaced_documents(
                              fixture("elliptic_tail")).items()}
-        else:
-            text = union_document(tmp_path)[1].read_bytes()
-            documents = {
-                "noise.json": b"\xff\xfe\x00\x9c" * 64,
-                # past the first window, so the stream's read meets it
-                # first; its position counts from the start of the file
-                "late-noise.json": text[:150_000] + b"\xff" + text[150_000:],
-                "broken.json": b'{"target_genus": 0, "comp',
-                "huge.json": b'{"target_genus": %s}' % (
-                    b"9" * (sys.get_int_max_str_digits() + 1)),
-                "deep.json": b"[" * 100_000,
-                "missing.json": None,
-                "": None,  # the directory itself
-            }
-        outcomes = Counter()
-        for name, data in documents.items():
-            path = tmp_path / name
-            if data is not None:
-                path.write_bytes(data)
-            got = load_outcome(load_graph, path)
-            assert got == load_outcome(reference_load, path), name
-            assert load_outcome(stablemap.evaluate, path) == \
-                load_outcome(reference_evaluation, path), name
-            outcomes[got[0] if type(got) is tuple else StableMapGraph] += 1
+        outcomes = read_as_the_reference(tmp_path, documents)
         if family == "mutations":
             assert outcomes[StableMapGraph] > 50
             assert outcomes[GraphFormatError] > 50
         else:
             assert set(outcomes) == {GraphFormatError}
+
+    def test_unreadable_files(self, tmp_path):
+        # each input that cannot be read is a GraphFormatError, worded by
+        # the reference
+        text = union_document(tmp_path)[1].read_bytes()
+        outcomes = read_as_the_reference(tmp_path, {
+            "noise.json": b"\xff\xfe\x00\x9c" * 64,
+            # past the first window, so the stream's read meets it first;
+            # its position counts from the start of the file
+            "late-noise.json": text[:150_000] + b"\xff" + text[150_000:],
+            "broken.json": b'{"target_genus": 0, "comp',
+            "huge.json": b'{"target_genus": %s}' % (
+                b"9" * (sys.get_int_max_str_digits() + 1)),
+            "deep.json": b"[" * 100_000,
+            "missing.json": None,
+            "": None,  # the directory itself
+        })
+        assert set(outcomes) == {GraphFormatError}
+
+    def test_missing_file_is_a_format_error(self, tmp_path):
+        # every unreadable input is one exception type, worded here; the
+        # OS error stays as its cause
+        path = tmp_path / "nope.json"
+        with pytest.raises(GraphFormatError) as raised:
+            load_graph(path)
+        assert str(raised.value) == f"no such file: {path}"
+        assert isinstance(raised.value.__cause__, FileNotFoundError)
 
     def test_nesting_boundary(self, tmp_path):
         # the depth at which the parser runs out of stack depends on the
@@ -590,25 +624,24 @@ class TestLoadGraph:
             assert "JSON nested too deeply" in texts
 
     def test_fifo_reads_as_a_file(self, capsys, tmp_path, monkeypatch):
-        # a FIFO, like a pipe, gives its bytes to one reader once, so the
-        # load, and the CLI's evaluation, must read it once to give the
-        # file's graph or error, and every fixture streams its text without
-        # decoding it whole. A second open would wait for a writer that
-        # never comes: the reader runs in a thread too, and a test that
-        # fails leaves it waiting
-        documents = {path.name: path.read_bytes()
-                     for path in sorted(FIXTURES.glob("*.json"))}
+        # a FIFO gives its bytes to one reader once, so the load, and the
+        # CLI's evaluation, must read it once to give the file's graph or
+        # error, and a valid one streams its text without decoding it
+        # whole. A second open would wait for a writer that never comes:
+        # the reader runs in a thread too, and a test that fails leaves it
+        # waiting
         source = fixture("elliptic_tail")
         faulty = fixture("elliptic_tail")
         faulty["components"][-1]["genus"] = "1"
-        documents.update({
+        documents = {
+            "valid": (FIXTURES / "elliptic_tail.json").read_bytes(),
             "shape fault": json.dumps(faulty).encode(),
             "broken JSON": b'{"target_genus": 0, "comp',
             "not UTF-8": b"\xff\xfe\x00\x9c" * 64,
             "valid, target genus last": json.dumps({
                 key: source[key]
                 for key in ("components", "nodes", "target_genus")}).encode(),
-        })
+        }
         path, fifo = tmp_path / "graph.json", tmp_path / "graph.fifo"
         os.mkfifo(fifo)
 
@@ -642,11 +675,10 @@ class TestLoadGraph:
                                data)
             piped = through_fifo(cli, data)
             # a pipe's text in the documented order is streamed from memory
-            fixed = name.endswith(".json")
-            assert decoded == [] or not fixed, name
+            assert decoded == [] or name != "valid", name
             assert got == [load_outcome(load_graph, path)], name
-            assert isinstance(got[0], StableMapGraph) == (
-                fixed or name.startswith("valid"))
+            assert isinstance(got[0], StableMapGraph) == \
+                name.startswith("valid")
             assert piped == [cli(path)], name
 
     def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
@@ -678,12 +710,24 @@ class TestLoadGraph:
         reference = traced_peak(lambda: load_outcome(reference_load, path))
         assert load <= 1.1 * reference, (load, reference)
 
+    def test_cli_never_holds_the_graph(self, capsys, tmp_path):
+        # branch-divisor folds each component and node as it decodes and
+        # keeps state per component id, never the graph. Peaks measured
+        # after one call of each has loaded every module and cache it uses
+        union, path = union_document(tmp_path, connected=True)
+        assert validate(union) == []
+        argv = ["branch-divisor", "--input", str(path)]
+        assert main(argv) == 0
+        load_graph(path)
+        cli = traced_peak(lambda: main(argv))
+        load = traced_peak(lambda: load_graph(path))
+        capsys.readouterr()
+        assert cli <= 0.75 * load, (cli, load)
+
     def test_cli_never_holds_the_text(self, capsys, tmp_path):
         # a regular file is read a window at a time, each record folded as
-        # it is scanned and dropped, so branch-divisor peaks below both the
-        # text of the document read whole, with the bytes that decode to
-        # it, and load_graph, which keeps every record. Peaks measured after
-        # one call of each has loaded every module and cache it uses
+        # it is scanned, so branch-divisor peaks below the text of the
+        # document read whole, with the bytes that decode to it
         _, path = union_document(tmp_path, connected=True)
         argv = ["branch-divisor", "--input", str(path)]
 
@@ -692,21 +736,17 @@ class TestLoadGraph:
                 return handle.read()
 
         assert main(argv) == 0
-        load_graph(path)
         cli = traced_peak(lambda: main(argv))
         text = traced_peak(read)
-        load = traced_peak(lambda: load_graph(path))
         capsys.readouterr()
-        assert cli < 0.75 * min(text, load), (cli, text, load)
+        assert cli < 0.75 * text, (cli, text)
 
     def test_window_edges_change_nothing(self, tmp_path, monkeypatch):
         # load_graph and evaluate read a regular file a few characters at
-        # a time here, and then as they do by default, so a window's edge
-        # cuts every key, number and record somewhere. Every fixture and
-        # random graph in the documented order, in each rendering, is
-        # passed on as it is read, never decoded whole nor built from a
-        # dict tree: it loads as the reference's graph, and evaluates as
-        # that graph does
+        # a time here, so a window's edge cuts every key, number and record
+        # somewhere. Every document in the documented order, in each
+        # rendering, is passed on as it is read, never decoded whole: it
+        # loads as the reference's graph, and evaluates as that graph does
         rng = random.Random(4343)
         sources = [fixture(path.stem)
                    for path in sorted(FIXTURES.glob("*.json"))]
@@ -736,8 +776,7 @@ class TestLoadGraph:
             raise AssertionError("a streamed document was read whole")
 
         monkeypatch.setattr(stablemap, "_plain", whole_text)
-        monkeypatch.setattr(stablemap, "graph_from_dict", whole_text)
-        for window in (1, 3, 7, 1 << 16):
+        for window in (1, 3, 7):
             monkeypatch.setattr(stablemap, "_WINDOW", window)
             for path, (graph, expected) in paths.items():
                 assert load_graph(path) == graph, (window, path.name)
@@ -757,8 +796,6 @@ class TestLoadGraph:
         lambda text: text.replace(", \"nodes\": []", ""),
         lambda text: text.replace("[{", "[ \n{").replace("}]", "}\n ]"),
         lambda text: text.replace("}]", "},]", 1),
-        reordered("components", "nodes", "target_genus"),
-        reordered("nodes", "components", "target_genus"),
         # json keeps the last value of a repeated key, so a record in the
         # value it replaced is no part of the graph, though the stream may
         # have scanned it
@@ -770,9 +807,9 @@ class TestLoadGraph:
         replaced("target_genus", '{"kind": "dominant"}'),
     ], ids=["bom", "trailing-data", "second-document", "trailing-space",
             "leading-zero", "repeated-target-genus", "repeated-nodes", "repeated-components",
-            "no-nodes", "spaced-lists", "trailing-comma", "target-genus-last",
-            "nodes-first", "replaced-target-genus", "replaced-components",
-            "replaced-nodes", "replaced-faulty-record"])
+            "no-nodes", "spaced-lists", "trailing-comma",
+            "replaced-target-genus", "replaced-components", "replaced-nodes",
+            "replaced-faulty-record"])
     def test_irregular_documents_read_as_the_reference(self, tmp_path,
                                                         monkeypatch, change):
         # the reader table: what the streamed reader does not take is read
@@ -781,18 +818,9 @@ class TestLoadGraph:
         # what branch-divisor prints, so the CLI's bytes are the same too.
         # Windows of 1 to 32 characters move the edges through the
         # document's end, where a fault can lie beyond the text read so far
-        sources = {name: fixture(name) for name in (
-            "elliptic_tail", "identity_map", "collision_limit")}
-        # two rules: stability, and Riemann-Hurwitz, which waits for the
-        # target genus
-        sources["violations"] = {**fixture("unstable_tail"), "target_genus": 1}
-        # a node's fault is read first when the nodes come first; the
-        # component's is named
-        sources["format-fault"] = fixture("elliptic_tail")
-        sources["format-fault"]["nodes"][0]["image"] = ""
-        sources["format-fault"]["components"][1]["genus"] = "1"
         path = tmp_path / "changed.json"
-        for source, data in sources.items():
+        for source in ("elliptic_tail", "identity_map"):
+            data = fixture(source)
             path.write_text(change(json.dumps(data)), encoding="utf-8")
             expected = load_outcome(reference_evaluation, path)
             for window in (*range(1, 33), 1 << 16):
@@ -837,9 +865,45 @@ class TestLoadGraph:
                 assert sum(counted) == stablemap._WINDOW, (path.name,
                                                            counted)
 
+    @pytest.mark.parametrize("name, change, code", [
+        ("collision_limit", None, 0),
+        # two rules: stability, and Riemann-Hurwitz, which waits for the
+        # target genus
+        ("unstable_tail", lambda d: d.update(target_genus=1), 2),
+        # a node's fault is read first when the nodes come first; the
+        # component's is named
+        ("elliptic_tail", lambda d: d["nodes"][0].update(image="")
+         or d["components"][1].update(genus="1"), 2),
+    ], ids=["valid", "violations", "format-fault"])
+    def test_key_order_changes_no_byte(self, capsys, tmp_path, name, change,
+                                       code):
+        # another order is decoded into dicts, and the graph built from
+        # them is folded in the documented order: components, then nodes
+        data = fixture(name)
+        if change:
+            change(data)
+        outputs = set()
+        for order in (("target_genus", "components", "nodes"),
+                      ("components", "nodes", "target_genus"),
+                      ("nodes", "components", "target_genus")):
+            path = tmp_path / ("-".join(order) + ".json")
+            path.write_text(json.dumps({key: data[key] for key in order}),
+                            encoding="utf-8")
+            outputs.add((main(["branch-divisor", "--input", str(path)]),
+                         capsys.readouterr().out))
+        assert len(outputs) == 1
+        assert outputs.pop()[0] == code
+
+    def test_retained_size_with_shared_labels(self, tmp_path):
+        # the same graph with every label and profile a fresh object
+        # weighs about twice what the load keeps
+        union, path = union_document(tmp_path)
+        graph, shared = traced_size(lambda: load_graph(path))
+        copy, fresh = traced_size(lambda: unshared_copy(graph))
+        assert graph == copy == union
+        assert shared <= 0.7 * fresh, (shared, fresh)
+
     def test_labels_and_profiles_are_one_object_each(self, tmp_path):
-        # each load keeps one string for each distinct label and one tuple
-        # for each distinct profile, which is what it saves in memory
         union, path = union_document(tmp_path)
         data = json.loads(path.read_text(encoding="utf-8"))
         for graph in (load_graph(path), graph_from_dict(data)):
@@ -925,6 +989,15 @@ def union_document(tmp_path, connected=False):
     return union, path
 
 
+def traced_size(call):
+    """What call() returns, and the memory its allocations still hold."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def traced_peak(call):
     """The peak of the memory traced while call() runs, with the collector
     off, as the CLI runs: its passes, at no fixed point, move each peak by
@@ -939,6 +1012,27 @@ def traced_peak(call):
         tracemalloc.stop()
         if collecting:
             gc.enable()
+
+
+def unshared_copy(graph):
+    """An equal graph in which every label and profile is a new object
+    (a one-character label is the interpreter's own either way)."""
+    def fresh(label):
+        return (label + " ")[:-1]
+
+    components = []
+    for comp in graph.components:
+        if isinstance(comp, DominantComponent):
+            components.append(comp._replace(
+                id=fresh(comp.id), ramification=tuple(
+                    (fresh(point), tuple(list(profile)))
+                    for point, profile in comp.ramification)))
+        else:
+            components.append(comp._replace(id=fresh(comp.id),
+                                            image=fresh(comp.image)))
+    return StableMapGraph(graph.target_genus, tuple(components), tuple(
+        Node(tuple(map(fresh, node.branches)), fresh(node.image))
+        for node in graph.nodes))
 
 
 def labels_and_profiles(graph):
