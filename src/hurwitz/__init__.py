@@ -24,11 +24,11 @@ _MODULE_EXPORTS = {
                   "h2_recursion"),
     "routes": ("Method", "MethodNotApplicableError", "applicable_methods",
                "branch_count", "build_table", "hurwitz_value"),
-    "stablemap": ("ContractedComponent", "DominantComponent",
+    "stablemap": ("ContractedComponent", "DominantComponent", "Evaluation",
                   "GraphFormatError", "InvalidGraphError", "Node",
                   "StableMapGraph", "arithmetic_genus", "branch_divisor",
-                  "graph_from_dict", "load_graph", "riemann_hurwitz_degree",
-                  "total_degree", "validate"),
+                  "evaluate", "graph_from_dict", "load_graph",
+                  "riemann_hurwitz_degree", "validate"),
 }
 
 # public name -> (module, attribute)

@@ -24,25 +24,22 @@ finish lists the violations in their documented order. The fold keeps
 state per component id (a union-find table, which also finds duplicates
 and unknown references, and each contracted component's image and node
 branches), never a record, so the work is linear in the number of
-records. `validate`, `branch_divisor` and `arithmetic_genus` drive it
-from a graph.
+records. `validate`, `branch_divisor`, `arithmetic_genus` and
+`riemann_hurwitz_degree` drive it from a graph.
 
-A document is read by one of two paths, shared by `evaluate` (which the
-CLI runs, and which passes each record to the fold) and `load_graph`
-(which keeps each record for the graph). A document whose keys come in
-the documented order is streamed: a regular file 65,536 characters at a
-time, and a pipe or a FIFO, which gives its text once, from that text
-read whole; each component and node is scanned, parsed and passed on as
-it is read. So `evaluate` never holds the graph, and neither function
-holds a dict tree or a regular file's text. Anything else (another key
-order, a repeated or unknown key, anything that is not JSON, any shape
-fault) is read whole, from its start, and decoded into dicts, from which
-`graph_from_dict` builds the graph or words the fault. Each load keeps
-one table that makes equal labels one string and equal profiles one
-tuple (equal strings still name the same point; nothing is kept between
-loads). docs/branch_divisor_format.md gives the measured time and peak
-memory of each path; the CLI runs every command with the cyclic garbage
-collector off, whose passes over the growing heap free nothing.
+`evaluate`, which the CLI runs, passes each record to the fold as it is
+read. A document whose keys come in the documented order is streamed: a
+regular file 65,536 characters at a time, and a pipe or a FIFO, which
+gives its text once, from that text read whole; each component and node
+is scanned, parsed and folded as it is read. So `evaluate` never holds
+the graph, a dict tree or a regular file's text. Anything else (another
+key order, a repeated or unknown key, anything that is not JSON, any
+shape fault) is read whole, from its start, and decoded into dicts,
+from which `graph_from_dict` builds the graph or words the fault; that
+is the one path of `load_graph`. docs/branch_divisor_format.md gives the
+measured time and peak memory of each path; the CLI runs every command
+with the cyclic garbage collector off, whose passes over the growing
+heap free nothing.
 """
 
 import json
@@ -106,12 +103,6 @@ class StableMapGraph(namedtuple("StableMapGraph",
     tuple of Node."""
 
     __slots__ = ()
-
-
-def total_degree(graph: StableMapGraph) -> int:
-    """Degree of the map: sum of the dominant components' degrees."""
-    return sum(c.degree for c in graph.components
-               if isinstance(c, DominantComponent))
 
 
 def _full(value, text=str) -> str:
@@ -260,15 +251,14 @@ class _Fold:
         return violations, {point: c for point, c in self.coeffs.items() if c}
 
 
-def _over(graph: StableMapGraph, sink=_Fold):
-    # the sink (see _Records) driven from a graph: its components, then
-    # its nodes
-    records = sink(graph.target_genus)
+def _over(graph: StableMapGraph) -> _Fold:
+    # the fold driven from a graph: its components, then its nodes
+    fold = _Fold(graph.target_genus)
     for comp in graph.components:
-        records.component(comp)
+        fold.component(comp)
     for node in graph.nodes:
-        records.node(node)
-    return records
+        fold.node(node)
+    return fold
 
 
 def validate(graph: StableMapGraph) -> list[str]:
@@ -285,16 +275,21 @@ def validate(graph: StableMapGraph) -> list[str]:
     return _over(graph).finish()[0]
 
 
+def _connected(graph: StableMapGraph) -> _Fold:
+    # the fold of a graph whose dual graph is connected
+    fold = _over(graph)
+    if fold.components - fold.merges != 1:
+        raise ValueError("dual graph is disconnected")
+    return fold
+
+
 def arithmetic_genus(graph: StableMapGraph) -> int:
     """Genus of the glued source curve: the sum of the component genera,
     plus one for each node, minus one for each component, plus one.
 
     Requires a connected dual graph; disconnected input is an error.
     """
-    fold = _over(graph)
-    if fold.components - fold.merges != 1:
-        raise ValueError("dual graph is disconnected")
-    return fold.genus
+    return _connected(graph).genus
 
 
 def riemann_hurwitz_degree(graph: StableMapGraph) -> int:
@@ -308,8 +303,8 @@ def riemann_hurwitz_degree(graph: StableMapGraph) -> int:
     """
     from . import routes  # the degree law is stated there alone
 
-    return routes.branch_count(arithmetic_genus(graph), total_degree(graph),
-                               graph.target_genus)
+    fold = _connected(graph)
+    return routes.branch_count(fold.genus, fold.degree, fold.target_genus)
 
 
 def branch_divisor(graph: StableMapGraph) -> dict[str, int]:
@@ -386,11 +381,11 @@ def _check(data, fields: dict, closed: bool = True) -> list:
     return values
 
 
-def _parse_list(raw: list, parse, name: str, share) -> tuple:
+def _parse_list(raw: list, parse, name: str) -> tuple:
     parsed = []
     try:
         for entry in raw:
-            parsed.append(parse(entry, share))
+            parsed.append(parse(entry))
     except GraphFormatError as fault:
         # the failing entry's index is the number parsed before it
         raise GraphFormatError(f"{name}[{len(parsed)}]{fault}") from None
@@ -404,20 +399,18 @@ _new = tuple.__new__
 # Each parser tests a group of fields for exact types and a key count
 # that leaves no room for an unknown key. Only when that fails does it
 # run the ordered check of the group's schema, which raises the first
-# fault or accepts a subclass. `share` is the setdefault of one dict per
-# load.
-def _profile_from_dict(data, share) -> tuple[str, tuple[int, ...]]:
+# fault or accepts a subclass
+def _profile_from_dict(data) -> tuple[str, tuple[int, ...]]:
     point = profile = None
     if type(data) is dict and len(data) == 2:
         point, profile = data.get("point"), data.get("profile")
     if not (type(point) is str and point and type(profile) is list and
             profile and countOf(map(type, profile), int) == len(profile)):
         point, profile = _check(data, _PROFILE)
-    profile = tuple(profile)
-    return share(point, point), share(profile, profile)
+    return point, tuple(profile)
 
 
-def _component_from_dict(data, share):
+def _component_from_dict(data):
     if not isinstance(data, dict):
         raise GraphFormatError(": expected an object")
     kind, cid, genus = data.get("kind"), data.get("id"), data.get("genus")
@@ -431,19 +424,18 @@ def _component_from_dict(data, share):
                 keys == 4 or keys == 5 and type(raw) is list)):
             *_, degree, raw = _check(data, _DOMINANT)
         return _new(DominantComponent, (
-            share(cid, cid), genus, degree,
-            _parse_list(raw, _profile_from_dict, ".ramification", share)))
+            cid, genus, degree,
+            _parse_list(raw, _profile_from_dict, ".ramification")))
     if kind == "contracted":
         image = data.get("image")
         if not (keys == 4 and type(image) is str and image):
             *_, image = _check(data, _CONTRACTED)
-        return _new(ContractedComponent, (share(cid, cid), genus,
-                                          share(image, image)))
+        return _new(ContractedComponent, (cid, genus, image))
     raise GraphFormatError(
         f": kind must be 'dominant' or 'contracted', not {kind!r}")
 
 
-def _node_from_dict(data, share) -> Node:
+def _node_from_dict(data) -> Node:
     branches = image = None
     if type(data) is dict and len(data) == 2:
         branches, image = data.get("branches"), data.get("image")
@@ -451,22 +443,7 @@ def _node_from_dict(data, share) -> Node:
             type(branches[0]) is type(branches[1]) is str and
             all(branches) and type(image) is str and image):
         branches, image = _check(data, _NODE)
-    a, b = branches
-    return _new(Node, ((share(a, a), share(b, b)), share(image, image)))
-
-
-class _Records:
-    # the sink that keeps every record in order, for the graph. A sink is
-    # built from the target genus, then takes `component` for every
-    # component and `node` for every node, as _Fold does; _load returns
-    # the sink it builds, filled
-    def __init__(self, target_genus: int):
-        self.target_genus, self.components, self.nodes = target_genus, [], []
-        self.component, self.node = self.components.append, self.nodes.append
-
-    def graph(self) -> StableMapGraph:
-        return StableMapGraph(self.target_genus, tuple(self.components),
-                              tuple(self.nodes))
+    return _new(Node, (tuple(branches), image))
 
 
 def graph_from_dict(data) -> StableMapGraph:
@@ -480,10 +457,9 @@ def graph_from_dict(data) -> StableMapGraph:
         target_genus, raw_components, raw_nodes = _check(data, _TOP)
     except GraphFormatError as fault:
         raise GraphFormatError(f"top level{fault}") from None
-    share = {}.setdefault
     return StableMapGraph(target_genus, _parse_list(
-        raw_components, _component_from_dict, "components", share),
-        _parse_list(raw_nodes, _node_from_dict, "nodes", share))
+        raw_components, _component_from_dict, "components"),
+        _parse_list(raw_nodes, _node_from_dict, "nodes"))
 
 
 # The streamed reader. Between its records a document in the documented
@@ -512,9 +488,6 @@ _CUT = 1 << 12
 # reaches at another depth: such a record takes the whole-text path
 _NESTED = 1 << 7
 _scan = json.JSONDecoder().scan_once  # a JSON value at an index, and its end
-# the parsers' share where nothing is kept, since the fold holds no
-# record: an empty table's get gives back the value it is passed
-_same = {}.get
 _spent = "".__mul__  # the reader of a text held whole: "" for any size
 
 
@@ -542,7 +515,7 @@ class _Window:
         self.at = found.end()
         return found
 
-    def each(self, parse, step, share) -> None:
+    def each(self, parse, step) -> None:
         # step(parse(element)) for each element of the array the reader is
         # in, up to its "]". A number too long for int() raises at once
         text, at = self.text, self.at
@@ -557,7 +530,7 @@ class _Window:
                 if end - at > 2 * _NESTED and text.count("[", at, end) + \
                         text.count("{", at, end) > _NESTED:
                     raise ValueError("a record nested deeply")
-                step(parse(data, share))
+                step(parse(data))
                 if text.startswith(", {", end):  # as json.dumps separates
                     at = end + 2
                     continue
@@ -567,45 +540,46 @@ class _Window:
             text, at = self.text, self.at
 
 
-def _streamed(window: _Window, sink, share):
-    # the sink, given each record of a document in the documented order,
+def _streamed(window: _Window) -> _Fold:
+    # the fold, given each record of a document in the documented order,
     # its keys each once, as soon as the record is scanned
-    records = sink(int(window.match(_OPEN)[1]))
-    window.each(_component_from_dict, records.component, share)
+    fold = _Fold(int(window.match(_OPEN)[1]))
+    window.each(_component_from_dict, fold.component)
     if window.match(_NODES)[1]:
-        window.each(_node_from_dict, records.node, share)
+        window.each(_node_from_dict, fold.node)
         window.match(_CLOSE)
     if window.read(-1).strip(" \t\n\r"):  # white space alone may follow
         raise ValueError("data after the document")
-    return records
+    return fold
 
 
-# what the stream refuses is decoded whole, into the dict tree that
-# graph_from_dict reads. It is json.loads itself, called from the frame
-# that read the text, so the parser runs out of stack at the depth
-# json.load reaches from the reader's caller: that depth is part of what
-# a fault reports
+# what the stream refuses, and every document load_graph reads, is
+# decoded whole, into the dict tree that graph_from_dict reads. It is
+# json.loads itself, called from the frame that read the text, so the
+# parser runs out of stack at the depth json.load reaches from the
+# reader's caller: that depth is part of what a fault reports
 _plain = json.loads
 
 
-def _load(path, sink, share):
-    # the sink, given each record of the document at `path`, streamed: a
-    # regular file a window at a time, and a pipe or a FIFO, which gives
-    # its text once, from the text read whole. What the stream refuses is
-    # read whole (a file from its start again), decoded into dicts, and
-    # graph_from_dict builds the graph the sink is driven from, so every
-    # fault is worded in one place and from one frame
+def _load(path, stream: bool):
+    # the document at `path`: its fold with `stream`, else its graph. The
+    # fold is given each record as it is read: a regular file's a window
+    # at a time, and a pipe's or a FIFO's, which give their text once,
+    # from the text read whole. What the stream refuses, and every
+    # document without `stream`, is read whole (a file from its start
+    # again) and decoded into dicts, from which graph_from_dict builds the
+    # graph, so every fault is worded in one place and from one frame
     try:
         with open(path, encoding="utf-8") as handle:
-            if handle.seekable():
+            piped = not handle.seekable()
+            if stream and not piped:
                 with suppress(ValueError, RecursionError):
-                    return _streamed(_Window(handle.read), sink, share)
+                    return _streamed(_Window(handle.read))
                 handle.seek(0)
-                text = handle.read()
-            else:
-                text = handle.read()
+            text = handle.read()
+            if stream and piped:
                 with suppress(ValueError, RecursionError):
-                    return _streamed(_Window(_spent, text), sink, share)
+                    return _streamed(_Window(_spent, text))
     except FileNotFoundError as exc:
         raise GraphFormatError(f"no such file: {path}") from exc
     except UnicodeDecodeError as exc:
@@ -622,21 +596,20 @@ def _load(path, sink, share):
         # int() refuses literals over sys.get_int_max_str_digits() digits
         raise GraphFormatError(f"unreadable JSON number: {exc}") from exc
     del text  # graph_from_dict needs only the tree
-    return _over(graph_from_dict(data), sink)
+    graph = graph_from_dict(data)
+    return _over(graph) if stream else graph
 
 
 def load_graph(path) -> StableMapGraph:
-    """Read a graph document from a JSON file, pipe or FIFO.
-
-    A document whose keys come in the documented order is parsed record
-    by record as it is read, a regular file a window at a time; one in
-    another key order is decoded into dicts first. Every input that
-    cannot be read or parsed (a missing file, a directory, a permission
-    error, bytes that are not UTF-8, nesting too deep for the parser, an
-    integer literal over the interpreter's digit limit) raises
-    GraphFormatError, with the error that caused it as __cause__.
+    """Read a graph document from a JSON file, pipe or FIFO: its text
+    whole, decoded into dicts, from which `graph_from_dict` builds the
+    graph. Every input that cannot be read or parsed (a missing file, a
+    directory, a permission error, bytes that are not UTF-8, nesting too
+    deep for the parser, an integer literal over the interpreter's digit
+    limit) raises GraphFormatError, with the error that caused it as
+    __cause__.
     """
-    return _load(path, _Records, {}.setdefault).graph()
+    return _load(path, stream=False)
 
 
 class Evaluation(namedtuple("Evaluation", "target_genus map_degree "
@@ -655,7 +628,8 @@ def evaluate(path) -> Evaluation:
     faults `load_graph` finds, folded record by record as it is read,
     so the graph is never held whole. Nor is the text of a regular file
     whose keys come in the documented order: it is read a window at a
-    time. A document in another key order is decoded into dicts first.
+    time. A document in another key order is decoded into dicts first,
+    as `load_graph` decodes every document.
 
     Raises GraphFormatError as `load_graph` does, and InvalidGraphError
     with `validate`'s list. Every valid graph meets the degree law and
@@ -665,7 +639,7 @@ def evaluate(path) -> Evaluation:
     """
     from . import routes  # the degree law is stated there alone
 
-    fold = _load(path, _Fold, _same)
+    fold = _load(path, stream=True)
     violations, divisor = fold.finish()
     if violations:
         raise InvalidGraphError(violations)

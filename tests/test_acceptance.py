@@ -33,13 +33,13 @@ from hurwitz.routes import Method, applicable_methods, branch_count, \
     hurwitz_value
 from hurwitz.stablemap import (
     ContractedComponent,
+    DominantComponent,
     InvalidGraphError,
     arithmetic_genus,
     branch_divisor,
     graph_from_dict,
     load_graph,
     riemann_hurwitz_degree,
-    total_degree,
     validate,
 )
 from test_collision import LIMITS, limits, structures, two_point_limits
@@ -155,7 +155,8 @@ def test_agreement(criterion, a, b, cells):
 
 def test_criterion_7_branch_degree_law():
     # the divisor's degree, riemann_hurwitz_degree and branch_count of the
-    # graph's genus and degree agree, over targets of genus 0, 1 and 2
+    # graph's genus and degree agree, over targets of genus 0, 1 and 2; the
+    # map degree is summed here, not by the package
     started = time.monotonic_ns()
     failures = []
     target_genera = set()
@@ -163,7 +164,9 @@ def test_criterion_7_branch_degree_law():
         target_genera.add(graph.target_genus)
         degree = sum(branch_divisor(graph).values())
         law = riemann_hurwitz_degree(graph)
-        expected = branch_count(arithmetic_genus(graph), total_degree(graph),
+        map_degree = sum(c.degree for c in graph.components
+                         if isinstance(c, DominantComponent))
+        expected = branch_count(arithmetic_genus(graph), map_degree,
                                 graph.target_genus)
         if not degree == law == expected:
             failures.append(f"graph {index}: degree {degree}, law {law}, "

@@ -233,7 +233,7 @@ def test_branch_divisor_loads_no_typing():
 def test_exports_are_their_modules_objects():
     modules = [importlib.import_module(f"hurwitz.{name}")
                for name in hurwitz._MODULE_EXPORTS]
-    assert len(hurwitz.__all__) == 35
+    assert len(hurwitz.__all__) == 36
     assert not ({"HurwitzTable", "FormalDivisor", "DegenerateCaseError",
                  "conjugate_partition", "partition_count",
                  "disconnected_hurwitz", "graph_to_dict"}

@@ -53,7 +53,6 @@ from hurwitz.stablemap import (
     graph_from_dict,
     load_graph,
     riemann_hurwitz_degree,
-    total_degree,
     validate,
 )
 from test_routes import NO_COVER, OUT_OF_DOMAIN
@@ -308,7 +307,8 @@ class TestGenusAndDegree:
             nodes=(),
         )
         assert arithmetic_genus(graph) == 3
-        assert total_degree(graph) == 1
+        # 2g - 2 = 4 branch points of a degree-1 map to an elliptic curve
+        assert riemann_hurwitz_degree(graph) == 4
 
     def test_nodes_raise_the_genus(self):
         stable = two_sheets(tail_genus=1)
@@ -319,6 +319,89 @@ class TestGenusAndDegree:
             nodes=stable.nodes + (Node(branches=("B", "B"), image="p"),),
         )
         assert arithmetic_genus(with_self_node) == 2
+
+
+def map_degree(graph):
+    """The sum of the dominant components' degrees."""
+    return sum(c.degree for c in graph.components
+               if isinstance(c, DominantComponent))
+
+
+def reference_violations(graph):
+    """Reference: every rule violation, worded as validate words it, in a
+    walk of its own: the rules on the whole graph in their documented
+    order, then each component's rules in that order, component by
+    component, then each node's image against its contracted branches.
+    A repeated id counts its node branches once for all its components,
+    and its last component decides its image."""
+    components, nodes = graph.components, graph.nodes
+    ids = Counter(c.id for c in components)
+    found = []
+    if graph.target_genus < 0:
+        found.append("target genus must be nonnegative")
+    if not components:
+        found.append("graph has no components")
+    found += [f"duplicate component id '{cid}'"
+              for cid in sorted(ids) if ids[cid] > 1]
+    found += [f"node {k} references unknown component '{cid}'"
+              for k, node in enumerate(nodes)
+              for cid in node.branches if cid not in ids]
+    if components and not connected_by_search(graph):
+        found.append("dual graph is disconnected")
+    degree = map_degree(graph)
+    if components and degree < 1:
+        found.append(f"total degree is {degree}: at least one dominant "
+                     "component is required")
+    branches = Counter(cid for node in nodes for cid in node.branches)
+    for comp in components:
+        name = f"component '{comp.id}'"
+        if comp.genus < 0:
+            found.append(f"{name}: genus must be nonnegative")
+        if isinstance(comp, ContractedComponent):
+            # stability: three node branches on genus 0, one on genus 1
+            need = {0: 3, 1: 1}.get(comp.genus, 0)
+            have = branches[comp.id]
+            if have < need:
+                count = "no" if comp.genus == 1 else have
+                found.append(f"{name}: contracted genus-{comp.genus} "
+                             f"component has {count} node branch"
+                             f"{'' if have == 1 else 'es'}, needs at "
+                             f"least {need}")
+            continue
+        if comp.degree < 1:
+            found.append(f"{name}: degree must be at least 1")
+            continue
+        points, partitions = [], True
+        for point, profile in comp.ramification:
+            if point in points:
+                found.append(f"{name}: point '{point}' listed more than "
+                             "once")
+                partitions = False
+            points.append(point)
+            if (sum(profile) != comp.degree or min(profile, default=1) < 1
+                    or list(profile) != sorted(profile, reverse=True)):
+                found.append(f"{name}: profile "
+                             f"[{', '.join(map(str, profile))}] over point "
+                             f"'{point}' is not a partition of {comp.degree}")
+                partitions = False
+        if partitions and comp.genus >= 0:
+            rhs = comp.degree * (2 * graph.target_genus - 2) + sum(
+                sum(profile) - len(profile)
+                for _, profile in comp.ramification)
+            if 2 * comp.genus - 2 != rhs:
+                found.append(f"{name}: Riemann-Hurwitz fails (2g-2 = "
+                             f"{2 * comp.genus - 2}, degree and profiles "
+                             f"give {rhs})")
+    last = {c.id: c for c in components}
+    for k, node in enumerate(nodes):
+        for cid in node.branches:
+            comp = last.get(cid)
+            if isinstance(comp, ContractedComponent) and \
+                    comp.image != node.image:
+                found.append(f"node {k} lies over '{node.image}' but its "
+                             f"branch on '{cid}' is contracted to "
+                             f"'{comp.image}'")
+    return found
 
 
 def reference_divisor(graph):
@@ -390,6 +473,7 @@ class TestBranchDivisor:
         verdicts = Counter()
         for graph in graphs:
             violations = validate(graph)
+            assert violations == reference_violations(graph)
             verdicts[bool(violations)] += 1
             if violations:
                 with pytest.raises(InvalidGraphError) as info:
@@ -455,12 +539,18 @@ def reference_load(path):
 
 
 def evaluation(graph):
-    """Reference: what evaluate finds for `graph`, from the functions that
-    walk a graph."""
-    divisor = branch_divisor(graph)
+    """Reference: what evaluate finds for `graph`, from walks of its own:
+    InvalidGraphError with reference_violations where there are any, else
+    the map degree, the genus by its formula, reference_divisor and the
+    degree law 2g - 2 - d(2h - 2)."""
+    violations = reference_violations(graph)
+    if violations:
+        raise InvalidGraphError(violations)
+    genus = sum(c.genus - 1 for c in graph.components) + len(graph.nodes) + 1
+    degree, divisor = map_degree(graph), reference_divisor(graph)
     return stablemap.Evaluation(
-        graph.target_genus, total_degree(graph), arithmetic_genus(graph),
-        divisor, sum(divisor.values()), riemann_hurwitz_degree(graph))
+        graph.target_genus, degree, genus, divisor, sum(divisor.values()),
+        2 * genus - 2 - degree * (2 * graph.target_genus - 2))
 
 
 def reference_evaluation(path):
@@ -511,13 +601,14 @@ def nested_document(depth, repeated=False):
 
 
 class TestLoadGraph:
-    """load_graph streams a document in the documented order and decodes
-    any other into dicts first, the reference way; both must give the
-    reference's graph or error."""
+    """evaluate streams a document in the documented order and decodes
+    any other into dicts first, the reference way, as load_graph decodes
+    every document; evaluate must give the reference's evaluation or
+    error, and load_graph the reference's graph or error."""
 
     def test_valid_documents_are_decoded_once(self, tmp_path, monkeypatch):
         # every fixture and 100 random graphs, each equal to the reference
-        # load. A valid document in the documented order is parsed as it
+        # load. A valid document in the documented order is folded as it
         # is read: the decode into a dict tree, and graph_from_dict on it,
         # are for other documents
         rng = random.Random(1919)
@@ -533,10 +624,13 @@ class TestLoadGraph:
         def second_decode(*args):
             raise AssertionError("a valid document was decoded whole")
 
+        expected = {path: load_outcome(evaluation, graph)
+                    for path, graph in graphs.items()}
         monkeypatch.setattr(stablemap, "_plain", second_decode)
         monkeypatch.setattr(stablemap, "graph_from_dict", second_decode)
         for path, graph in graphs.items():
-            assert load_graph(path) == graph, path.name
+            assert load_outcome(stablemap.evaluate, path) == \
+                expected[path], path.name
 
     @pytest.mark.parametrize("family", ["mutations", "misplaced"])
     def test_document_families_read_as_the_reference(self, tmp_path,
@@ -624,10 +718,10 @@ class TestLoadGraph:
             assert "JSON nested too deeply" in texts
 
     def test_fifo_reads_as_a_file(self, capsys, tmp_path, monkeypatch):
-        # a FIFO gives its bytes to one reader once, so the load, and the
-        # CLI's evaluation, must read it once to give the file's graph or
-        # error, and a valid one streams its text without decoding it
-        # whole. A second open would wait for a writer that never comes:
+        # a FIFO gives its bytes to one reader once, so evaluate, and the
+        # CLI, must read it once to give the file's evaluation or error,
+        # and a valid one streams its text without decoding it whole. A
+        # second open would wait for a writer that never comes:
         # the reader runs in a thread too, and a test that fails leaves it
         # waiting
         source = fixture("elliptic_tail")
@@ -671,58 +765,61 @@ class TestLoadGraph:
         for name, data in documents.items():
             path.write_bytes(data)
             decoded.clear()
-            got = through_fifo(lambda name: load_outcome(load_graph, name),
-                               data)
+            got = through_fifo(
+                lambda name: load_outcome(stablemap.evaluate, name), data)
             piped = through_fifo(cli, data)
             # a pipe's text in the documented order is streamed from memory
             assert decoded == [] or name != "valid", name
-            assert got == [load_outcome(load_graph, path)], name
-            assert isinstance(got[0], StableMapGraph) == \
+            assert got == [load_outcome(stablemap.evaluate, path)], name
+            assert isinstance(got[0], stablemap.Evaluation) == \
                 name.startswith("valid")
             assert piped == [cli(path)], name
 
     def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
-        # the union's dict tree outweighs its graph, and streamed, the
-        # graph never needs the tree, nor the text, beside it
-        union, path = union_document(tmp_path)
+        # streamed, evaluate folds the union's records as it reads them,
+        # so it never needs the dict tree, nor the text
+        union, path = union_document(tmp_path, connected=True)
 
         def decode():
             with open(path, encoding="utf-8") as handle:
                 return json.load(handle)
 
-        assert load_graph(path) == union
-        assert traced_peak(lambda: load_graph(path)) < traced_peak(decode)
+        assert stablemap.evaluate(path) == evaluation(union)
+        assert traced_peak(lambda: stablemap.evaluate(path)) < \
+            traced_peak(decode)
 
     def test_fault_path_peak_memory(self, tmp_path):
-        # a fault near the end of the document is found late in the
-        # streamed read, whose records are dropped before the text is
-        # read whole, and the text is gone before graph_from_dict builds
-        # the graph beside the tree
+        # a fault near the end of the document is found late in
+        # evaluate's streamed read, whose fold is dropped before the text
+        # is read whole, and in both functions the text is gone before
+        # graph_from_dict builds the graph beside the tree
         _, path = union_document(tmp_path)
         data = json.loads(path.read_text(encoding="utf-8"))
         data["nodes"][-1]["image"] = ""
         path.write_text(json.dumps(data), encoding="utf-8")
         del data
-        got = load_outcome(load_graph, path)
-        assert got == load_outcome(reference_load, path)
-        assert got[0] is GraphFormatError and got[1].startswith("nodes[")
-        load = traced_peak(lambda: load_outcome(load_graph, path))
         reference = traced_peak(lambda: load_outcome(reference_load, path))
-        assert load <= 1.1 * reference, (load, reference)
+        got = load_outcome(reference_load, path)
+        assert got[0] is GraphFormatError and got[1].startswith("nodes[")
+        for load in (load_graph, stablemap.evaluate):
+            assert load_outcome(load, path) == got, load.__name__
+            peak = traced_peak(lambda: load_outcome(load, path))
+            assert peak <= 1.1 * reference, (load.__name__, peak, reference)
 
     def test_cli_never_holds_the_graph(self, capsys, tmp_path):
         # branch-divisor folds each component and node as it decodes and
-        # keeps state per component id, never the graph. Peaks measured
-        # after one call of each has loaded every module and cache it uses
+        # keeps state per component id, never the graph: it peaks well
+        # below what the graph alone holds. The peak is measured after one
+        # call has loaded every module and cache the command uses
         union, path = union_document(tmp_path, connected=True)
-        assert validate(union) == []
+        assert reference_violations(union) == []
         argv = ["branch-divisor", "--input", str(path)]
         assert main(argv) == 0
-        load_graph(path)
         cli = traced_peak(lambda: main(argv))
-        load = traced_peak(lambda: load_graph(path))
+        graph, size = traced_size(lambda: reference_load(path))
         capsys.readouterr()
-        assert cli <= 0.75 * load, (cli, load)
+        assert graph == union
+        assert cli <= 0.4 * size, (cli, size)
 
     def test_cli_never_holds_the_text(self, capsys, tmp_path):
         # a regular file is read a window at a time, each record folded as
@@ -742,11 +839,11 @@ class TestLoadGraph:
         assert cli < 0.75 * text, (cli, text)
 
     def test_window_edges_change_nothing(self, tmp_path, monkeypatch):
-        # load_graph and evaluate read a regular file a few characters at
-        # a time here, so a window's edge cuts every key, number and record
-        # somewhere. Every document in the documented order, in each
-        # rendering, is passed on as it is read, never decoded whole: it
-        # loads as the reference's graph, and evaluates as that graph does
+        # evaluate reads a regular file a few characters at a time here,
+        # so a window's edge cuts every key, number and record somewhere.
+        # Every document in the documented order, in each rendering, is
+        # folded as it is read, never decoded whole, and evaluates as the
+        # reference's graph does
         rng = random.Random(4343)
         sources = [fixture(path.stem)
                    for path in sorted(FIXTURES.glob("*.json"))]
@@ -761,16 +858,14 @@ class TestLoadGraph:
                 path = tmp_path / f"graph-{k}-{r}.json"
                 path.write_text(render(data), encoding="utf-8",
                                 newline=newline)
-                paths[path] = (reference_load(path),
-                               load_outcome(reference_evaluation, path))
+                paths[path] = load_outcome(reference_evaluation, path)
         # a target genus of 25 digits, which the edges cut in every place
         genus = 10 ** 24 + 12345
         path = tmp_path / "long-genus.json"
         graph = StableMapGraph(genus, (DominantComponent("A", genus, 1),), ())
         path.write_text(json.dumps(graph_to_dict(graph)), encoding="utf-8")
-        paths[path] = graph, stablemap.Evaluation(genus, 1, genus, {}, 0, 0)
-        assert load_outcome(reference_load, path) == graph
-        assert load_outcome(reference_evaluation, path) == paths[path][1]
+        paths[path] = stablemap.Evaluation(genus, 1, genus, {}, 0, 0)
+        assert load_outcome(reference_evaluation, path) == paths[path]
 
         def whole_text(*args):
             raise AssertionError("a streamed document was read whole")
@@ -778,8 +873,7 @@ class TestLoadGraph:
         monkeypatch.setattr(stablemap, "_plain", whole_text)
         for window in (1, 3, 7):
             monkeypatch.setattr(stablemap, "_WINDOW", window)
-            for path, (graph, expected) in paths.items():
-                assert load_graph(path) == graph, (window, path.name)
+            for path, expected in paths.items():
                 got = load_outcome(stablemap.evaluate, path)
                 assert got == expected, (window, path.name)
 
@@ -833,7 +927,7 @@ class TestLoadGraph:
         # the streamed attempt gives up where it fails well inside the text
         # read so far: after its first window on a document with its
         # components first, and on one whose first record is not JSON.
-        # Each is then read whole and loads as the reference's
+        # Each is then read whole and evaluates as the reference's graph
         _, path = union_document(tmp_path, connected=True)
         text = path.read_text(encoding="utf-8")
         data = json.loads(text)
@@ -856,14 +950,10 @@ class TestLoadGraph:
         for path in (first, faulty):
             size = len(path.read_text(encoding="utf-8"))
             assert size > 4 * stablemap._WINDOW
-            for load, reference in ((load_graph, reference_load),
-                                    (stablemap.evaluate,
-                                     reference_evaluation)):
-                counted.clear()
-                got = load_outcome(load, path)
-                assert got == load_outcome(reference, path), path.name
-                assert sum(counted) == stablemap._WINDOW, (path.name,
-                                                           counted)
+            counted.clear()
+            got = load_outcome(stablemap.evaluate, path)
+            assert got == load_outcome(reference_evaluation, path), path.name
+            assert sum(counted) == stablemap._WINDOW, (path.name, counted)
 
     @pytest.mark.parametrize("name, change, code", [
         ("collision_limit", None, 0),
@@ -894,52 +984,9 @@ class TestLoadGraph:
         assert len(outputs) == 1
         assert outputs.pop()[0] == code
 
-    def test_retained_size_with_shared_labels(self, tmp_path):
-        # the same graph with every label and profile a fresh object
-        # weighs about twice what the load keeps
-        union, path = union_document(tmp_path)
-        graph, shared = traced_size(lambda: load_graph(path))
-        copy, fresh = traced_size(lambda: unshared_copy(graph))
-        assert graph == copy == union
-        assert shared <= 0.7 * fresh, (shared, fresh)
-
-    def test_labels_and_profiles_are_one_object_each(self, tmp_path):
-        union, path = union_document(tmp_path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for graph in (load_graph(path), graph_from_dict(data)):
-            ids = {c.id: c.id for c in graph.components}
-            assert all(cid is ids[cid]
-                       for node in graph.nodes for cid in node.branches)
-            labels, profiles = labels_and_profiles(graph)
-            for values in (labels, profiles):
-                distinct = {value: value for value in values}
-                assert all(value is distinct[value] for value in values)
-        # the union repeats its point labels and profiles many times
-        assert len(labels) > 3 * len(set(labels))
-        assert len(profiles) > 10 * len(set(profiles))
-
-    def test_no_table_outlives_the_load(self, tmp_path):
-        _, path = union_document(tmp_path)
-        # the same graph with every id and point label renamed: the union's
-        # ids all hold a ".", its point labels all start with "q", and no
-        # key or kind has either
-        other = tmp_path / "other.json"
-        other.write_text(path.read_text(encoding="utf-8").replace(
-            '"q', '"r').replace(".", ","), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            load_graph(other)  # fills the interpreter's free lists
-            before = tracemalloc.get_traced_memory()[0]
-            graph = load_graph(path)
-            assert tracemalloc.get_traced_memory()[0] - before > 500_000
-            del graph
-            assert tracemalloc.get_traced_memory()[0] - before < 20_000
-        finally:
-            tracemalloc.stop()
-
     def test_str_subclass_labels(self):
-        # a bare sys.intern raises TypeError on these; the parser accepts
-        # them, as it accepts int subclasses, and builds an equal graph
+        # the exact-type tests refuse these, and the ordered checks then
+        # accept them, as they accept int subclasses: an equal graph
         class Label(str):
             pass
 
@@ -1012,43 +1059,6 @@ def traced_peak(call):
         tracemalloc.stop()
         if collecting:
             gc.enable()
-
-
-def unshared_copy(graph):
-    """An equal graph in which every label and profile is a new object
-    (a one-character label is the interpreter's own either way)."""
-    def fresh(label):
-        return (label + " ")[:-1]
-
-    components = []
-    for comp in graph.components:
-        if isinstance(comp, DominantComponent):
-            components.append(comp._replace(
-                id=fresh(comp.id), ramification=tuple(
-                    (fresh(point), tuple(list(profile)))
-                    for point, profile in comp.ramification)))
-        else:
-            components.append(comp._replace(id=fresh(comp.id),
-                                            image=fresh(comp.image)))
-    return StableMapGraph(graph.target_genus, tuple(components), tuple(
-        Node(tuple(map(fresh, node.branches)), fresh(node.image))
-        for node in graph.nodes))
-
-
-def labels_and_profiles(graph):
-    """Every label in the graph, and every profile, one per occurrence."""
-    labels, profiles = [], []
-    for comp in graph.components:
-        labels.append(comp.id)
-        if isinstance(comp, DominantComponent):
-            for point, profile in comp.ramification:
-                labels.append(point)
-                profiles.append(profile)
-        else:
-            labels.append(comp.image)
-    for node in graph.nodes:
-        labels += [*node.branches, node.image]
-    return labels, profiles
 
 
 def edited(change):
