@@ -5,8 +5,13 @@ component's genus from Riemann-Hurwitz (padding with extra ramification
 when the right side would force a negative genus or the wrong parity),
 joins all components into a connected dual graph, makes contracted
 components that touch share an image point, and repairs stability by
-attaching extra nodes. The validate call at the end is the generator's
-own guard: everything returned is a valid graph by construction.
+attaching extra nodes. The `reference_violations` call at the end is
+the generator's own guard: everything returned is a valid graph by
+construction. It is the tests' walk of the rules, written apart from
+the package, so a fault in the package's validator fails the tests'
+own comparisons, not the generator.
+`connected_by_search` and `map_degree` are the parts of that walk
+that other tests read too.
 
 `graph_to_dict` writes a graph as the JSON document that
 `hurwitz.stablemap.graph_from_dict` reads, with the keys in the order
@@ -28,6 +33,7 @@ the same graphs and documents on every run.
 
 import copy
 import random
+from collections import Counter, deque
 
 from hurwitz.character import enumerate_partitions
 from hurwitz.stablemap import (
@@ -35,7 +41,6 @@ from hurwitz.stablemap import (
     DominantComponent,
     Node,
     StableMapGraph,
-    validate,
 )
 
 
@@ -179,10 +184,114 @@ def random_valid_graph(rng: random.Random) -> StableMapGraph:
         components=tuple(components),
         nodes=tuple(nodes),
     )
-    problems = validate(graph)
+    problems = reference_violations(graph)
     if problems:
         raise AssertionError(f"generator produced an invalid graph: {problems}")
     return graph
+
+
+def connected_by_search(graph):
+    """Reference: breadth-first search from the first component over the
+    nodes whose branches both name components; duplicate ids never
+    count as connected."""
+    ids = [c.id for c in graph.components]
+    if not ids or len(set(ids)) != len(ids):
+        return False
+    neighbours = {cid: [] for cid in ids}
+    for a, b in (node.branches for node in graph.nodes):
+        if a in neighbours and b in neighbours:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    seen, queue = {ids[0]}, deque([ids[0]])
+    while queue:
+        for other in neighbours[queue.popleft()]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return len(seen) == len(ids)
+
+
+def map_degree(graph):
+    """The sum of the dominant components' degrees."""
+    return sum(c.degree for c in graph.components
+               if isinstance(c, DominantComponent))
+
+
+def reference_violations(graph):
+    """Reference: every rule violation, worded as validate words it, in a
+    walk of its own: the rules on the whole graph in their documented
+    order, then each component's rules in that order, component by
+    component, then each node's image against its contracted branches.
+    A repeated id counts its node branches once for all its components,
+    and its last component decides its image."""
+    components, nodes = graph.components, graph.nodes
+    ids = Counter(c.id for c in components)
+    found = []
+    if graph.target_genus < 0:
+        found.append("target genus must be nonnegative")
+    if not components:
+        found.append("graph has no components")
+    found += [f"duplicate component id '{cid}'"
+              for cid in sorted(ids) if ids[cid] > 1]
+    found += [f"node {k} references unknown component '{cid}'"
+              for k, node in enumerate(nodes)
+              for cid in node.branches if cid not in ids]
+    if components and not connected_by_search(graph):
+        found.append("dual graph is disconnected")
+    degree = map_degree(graph)
+    if components and degree < 1:
+        found.append(f"total degree is {degree}: at least one dominant "
+                     "component is required")
+    branches = Counter(cid for node in nodes for cid in node.branches)
+    for comp in components:
+        name = f"component '{comp.id}'"
+        if comp.genus < 0:
+            found.append(f"{name}: genus must be nonnegative")
+        if isinstance(comp, ContractedComponent):
+            # stability: three node branches on genus 0, one on genus 1
+            need = {0: 3, 1: 1}.get(comp.genus, 0)
+            have = branches[comp.id]
+            if have < need:
+                count = "no" if comp.genus == 1 else have
+                found.append(f"{name}: contracted genus-{comp.genus} "
+                             f"component has {count} node branch"
+                             f"{'' if have == 1 else 'es'}, needs at "
+                             f"least {need}")
+            continue
+        if comp.degree < 1:
+            found.append(f"{name}: degree must be at least 1")
+            continue
+        points, partitions = [], True
+        for point, profile in comp.ramification:
+            if point in points:
+                found.append(f"{name}: point '{point}' listed more than "
+                             "once")
+                partitions = False
+            points.append(point)
+            if (sum(profile) != comp.degree or min(profile, default=1) < 1
+                    or list(profile) != sorted(profile, reverse=True)):
+                found.append(f"{name}: profile "
+                             f"[{', '.join(map(str, profile))}] over point "
+                             f"'{point}' is not a partition of {comp.degree}")
+                partitions = False
+        if partitions and comp.genus >= 0:
+            rhs = comp.degree * (2 * graph.target_genus - 2) + sum(
+                sum(profile) - len(profile)
+                for _, profile in comp.ramification)
+            if 2 * comp.genus - 2 != rhs:
+                found.append(f"{name}: Riemann-Hurwitz fails (2g-2 = "
+                             f"{2 * comp.genus - 2}, degree and profiles "
+                             f"give {rhs})")
+    last = {c.id: c for c in components}
+    for k, node in enumerate(nodes):
+        for cid in node.branches:
+            comp = last.get(cid)
+            if isinstance(comp, ContractedComponent) and \
+                    comp.image != node.image:
+                found.append(f"node {k} lies over '{node.image}' but its "
+                             f"branch on '{cid}' is contracted to "
+                             f"'{comp.image}'")
+    return found
 
 
 def graph_to_dict(graph: StableMapGraph) -> dict:

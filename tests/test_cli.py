@@ -484,6 +484,8 @@ class TestProcessEntry:
         ("--help",),
         ("compute", "-g", "2", "-d", "20", "--method", "recursion"),
         ("compute", "-g", "3", "-d", "2", "--method", "recursion"),
+        # a usage error exits 2 with argparse's usage text on stderr and
+        # nothing on stdout, the one exit 2 without a JSON document
         ("compute", "-g", "one", "-d", "2"),
         ("crosscheck", "--gmax", "0", "--dmax", "2"),
         ("branch-divisor", "--input", str(FIXTURES / "elliptic_tail.json")),

@@ -16,8 +16,14 @@ three key orders are `TestLoadGraph::test_key_order_changes_no_byte`.
 The divisor of every fixture and of random valid graphs is compared
 with a reference in
 `TestBranchDivisor::test_matches_the_reference_on_valid_graphs`, and
-the CLI bytes of each fixture are in tests/golden_outputs.json. A new
-case is one more row or input there, not a new test.
+the violations of valid, perturbed and mutated graphs with graphgen's
+`reference_violations` in `::test_raises_exactly_when_validate_objects`;
+the same walk guards the generated graphs, so no package rule vouches
+for the test's own inputs. The refusal of a disconnected graph and of
+a degree outside the law's domain is a row of
+`TestRandomizedStructure::test_degree_law_outside_its_domain`. The CLI
+bytes of each fixture are in tests/golden_outputs.json. A new case is
+one more row or input there, not a new test.
 """
 
 import gc
@@ -28,16 +34,19 @@ import re
 import sys
 import threading
 import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from graphgen import (
+    connected_by_search,
     graph_to_dict,
+    map_degree,
     misplaced_documents,
     mutate_document,
     random_valid_graph,
+    reference_violations,
 )
 from hurwitz import stablemap
 from hurwitz.cli import main
@@ -111,31 +120,6 @@ class TestValidation:
         ]
         assert main(["branch-divisor", "--input", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["violations"] == problems
-
-    def test_self_node_counts_two_branches(self):
-        # one self-node plus one ordinary node: three branches, stable
-        graph = StableMapGraph(
-            target_genus=0,
-            components=(
-                DominantComponent(
-                    id="A", genus=0, degree=2,
-                    ramification=(("q1", (2,)), ("q2", (2,))),
-                ),
-                ContractedComponent(id="B", genus=0, image="p"),
-            ),
-            nodes=(
-                Node(branches=("B", "B"), image="p"),
-                Node(branches=("A", "B"), image="p"),
-            ),
-        )
-        assert validate(graph) == []
-        # dropping the self-node leaves one branch: unstable again
-        smaller = StableMapGraph(
-            target_genus=0,
-            components=graph.components,
-            nodes=graph.nodes[1:],
-        )
-        assert any("genus-0" in p for p in validate(smaller))
 
     def test_profile_failure_prints_in_full(self):
         # entries and degrees past the digit limit str(int) converts; a
@@ -233,27 +217,6 @@ class TestValidation:
         ]
 
 
-def connected_by_search(graph):
-    """Reference: breadth-first search from the first component over the
-    nodes whose branches both name components; duplicate ids never
-    count as connected."""
-    ids = [c.id for c in graph.components]
-    if not ids or len(set(ids)) != len(ids):
-        return False
-    neighbours = {cid: [] for cid in ids}
-    for a, b in (node.branches for node in graph.nodes):
-        if a in neighbours and b in neighbours:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-    seen, queue = {ids[0]}, deque([ids[0]])
-    while queue:
-        for other in neighbours[queue.popleft()]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    return len(seen) == len(ids)
-
-
 def perturbed(rng, graph):
     """A copy of the graph with one to four random edits to its
     components and nodes; the result may or may not be connected."""
@@ -281,24 +244,6 @@ def perturbed(rng, graph):
                           nodes=tuple(nodes))
 
 
-class TestConnectivity:
-    def test_matches_breadth_first_reference(self):
-        rng = random.Random(4242)
-        verdicts = Counter()
-        for _ in range(300):
-            graph = perturbed(rng, random_valid_graph(rng))
-            connected = connected_by_search(graph)
-            verdicts[connected] += 1
-            assert ("dual graph is disconnected" not in validate(graph)) \
-                == connected
-            if connected:
-                arithmetic_genus(graph)
-            else:
-                with pytest.raises(ValueError, match="disconnected"):
-                    arithmetic_genus(graph)
-        assert min(verdicts.values()) > 50
-
-
 class TestGenusAndDegree:
     def test_single_component_genus(self):
         graph = StableMapGraph(
@@ -309,100 +254,6 @@ class TestGenusAndDegree:
         assert arithmetic_genus(graph) == 3
         # 2g - 2 = 4 branch points of a degree-1 map to an elliptic curve
         assert riemann_hurwitz_degree(graph) == 4
-
-    def test_nodes_raise_the_genus(self):
-        stable = two_sheets(tail_genus=1)
-        assert arithmetic_genus(stable) == 1
-        with_self_node = StableMapGraph(
-            target_genus=0,
-            components=stable.components,
-            nodes=stable.nodes + (Node(branches=("B", "B"), image="p"),),
-        )
-        assert arithmetic_genus(with_self_node) == 2
-
-
-def map_degree(graph):
-    """The sum of the dominant components' degrees."""
-    return sum(c.degree for c in graph.components
-               if isinstance(c, DominantComponent))
-
-
-def reference_violations(graph):
-    """Reference: every rule violation, worded as validate words it, in a
-    walk of its own: the rules on the whole graph in their documented
-    order, then each component's rules in that order, component by
-    component, then each node's image against its contracted branches.
-    A repeated id counts its node branches once for all its components,
-    and its last component decides its image."""
-    components, nodes = graph.components, graph.nodes
-    ids = Counter(c.id for c in components)
-    found = []
-    if graph.target_genus < 0:
-        found.append("target genus must be nonnegative")
-    if not components:
-        found.append("graph has no components")
-    found += [f"duplicate component id '{cid}'"
-              for cid in sorted(ids) if ids[cid] > 1]
-    found += [f"node {k} references unknown component '{cid}'"
-              for k, node in enumerate(nodes)
-              for cid in node.branches if cid not in ids]
-    if components and not connected_by_search(graph):
-        found.append("dual graph is disconnected")
-    degree = map_degree(graph)
-    if components and degree < 1:
-        found.append(f"total degree is {degree}: at least one dominant "
-                     "component is required")
-    branches = Counter(cid for node in nodes for cid in node.branches)
-    for comp in components:
-        name = f"component '{comp.id}'"
-        if comp.genus < 0:
-            found.append(f"{name}: genus must be nonnegative")
-        if isinstance(comp, ContractedComponent):
-            # stability: three node branches on genus 0, one on genus 1
-            need = {0: 3, 1: 1}.get(comp.genus, 0)
-            have = branches[comp.id]
-            if have < need:
-                count = "no" if comp.genus == 1 else have
-                found.append(f"{name}: contracted genus-{comp.genus} "
-                             f"component has {count} node branch"
-                             f"{'' if have == 1 else 'es'}, needs at "
-                             f"least {need}")
-            continue
-        if comp.degree < 1:
-            found.append(f"{name}: degree must be at least 1")
-            continue
-        points, partitions = [], True
-        for point, profile in comp.ramification:
-            if point in points:
-                found.append(f"{name}: point '{point}' listed more than "
-                             "once")
-                partitions = False
-            points.append(point)
-            if (sum(profile) != comp.degree or min(profile, default=1) < 1
-                    or list(profile) != sorted(profile, reverse=True)):
-                found.append(f"{name}: profile "
-                             f"[{', '.join(map(str, profile))}] over point "
-                             f"'{point}' is not a partition of {comp.degree}")
-                partitions = False
-        if partitions and comp.genus >= 0:
-            rhs = comp.degree * (2 * graph.target_genus - 2) + sum(
-                sum(profile) - len(profile)
-                for _, profile in comp.ramification)
-            if 2 * comp.genus - 2 != rhs:
-                found.append(f"{name}: Riemann-Hurwitz fails (2g-2 = "
-                             f"{2 * comp.genus - 2}, degree and profiles "
-                             f"give {rhs})")
-    last = {c.id: c for c in components}
-    for k, node in enumerate(nodes):
-        for cid in node.branches:
-            comp = last.get(cid)
-            if isinstance(comp, ContractedComponent) and \
-                    comp.image != node.image:
-                found.append(f"node {k} lies over '{node.image}' but its "
-                             f"branch on '{cid}' is contracted to "
-                             f"'{comp.image}'")
-    return found
-
 
 def reference_divisor(graph):
     """Reference: the three terms summed in a walk of their own over the
@@ -420,23 +271,6 @@ def reference_divisor(graph):
 
 
 class TestBranchDivisor:
-    def test_smooth_cover(self):
-        div = branch_divisor(two_sheets())
-        assert div == {"q1": 1, "q2": 1}
-        assert sum(div.values()) == riemann_hurwitz_degree(two_sheets()) == 2
-
-    def test_elliptic_tail(self):
-        graph = two_sheets(tail_genus=1)
-        div = branch_divisor(graph)
-        assert div == {"q1": 1, "q2": 1, "p": 2}
-        assert sum(div.values()) == riemann_hurwitz_degree(graph) == 4
-
-    def test_higher_genus_tail_adds_weight(self):
-        graph = two_sheets(tail_genus=2)
-        div = branch_divisor(graph)
-        # 2g - 2 = 2 from the tail plus 2 from the node
-        assert div["p"] == 4
-
     def test_zero_coefficients_are_dropped(self, capsys, tmp_path):
         # an all-ones profile lists a point that is not a branch point
         cover = two_sheets().components[0]
@@ -1257,41 +1091,19 @@ class TestRandomizedStructure:
         (StableMapGraph(0, (ContractedComponent("B", 1, "p"),), ()),
          OUT_OF_DOMAIN),
         (StableMapGraph(2, (DominantComponent("A", 0, 1),), ()), NO_COVER),
-    ], ids=["no-dominant-component", "negative-count"])
+        (StableMapGraph(0, (DominantComponent("A", 0, 1),
+                            DominantComponent("C", 0, 1)), ()),
+         "dual graph is disconnected"),
+    ], ids=["no-dominant-component", "negative-count", "disconnected"])
     def test_degree_law_outside_its_domain(self, graph, message):
-        # connected, so arithmetic_genus answers; branch_count refuses,
-        # with the text its own table pins
-        arithmetic_genus(graph)
+        # a connected graph has a genus, and branch_count refuses its
+        # degree with the text its own table pins; a disconnected graph
+        # has no genus, and both refuse it
+        if connected_by_search(graph):
+            arithmetic_genus(graph)
+        else:
+            with pytest.raises(ValueError, match=message):
+                arithmetic_genus(graph)
         with pytest.raises(ValueError) as info:
             riemann_hurwitz_degree(graph)
         assert str(info.value) == message
-
-    def test_breaking_a_profile_invalidates(self):
-        rng = random.Random(2211)
-        seen = 0
-        for _ in range(40):
-            graph = random_valid_graph(rng)
-            victim = next(
-                (c for c in graph.components
-                 if isinstance(c, DominantComponent) and c.ramification),
-                None,
-            )
-            if victim is None:
-                continue
-            seen += 1
-            point, profile = victim.ramification[0]
-            tampered = DominantComponent(
-                id=victim.id, genus=victim.genus, degree=victim.degree,
-                ramification=((point, profile + (1,)),)
-                + victim.ramification[1:],
-            )
-            mutated = StableMapGraph(
-                target_genus=graph.target_genus,
-                components=tuple(
-                    tampered if c.id == victim.id else c
-                    for c in graph.components
-                ),
-                nodes=graph.nodes,
-            )
-            assert validate(mutated) != []
-        assert seen > 10
