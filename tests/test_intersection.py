@@ -2,8 +2,11 @@
 
 The package sums psi-integrals grouped by exponent multiset; the
 term-by-term sum over every exponent vector lives here as its
-reference. The route's pinned values and its agreement with the closed
-form are `KNOWN` and criterion 3 of `AGREEMENT` in test_acceptance.py.
+reference. The route's pinned values, the degenerate degrees 1 and 2
+among them, and its agreement with the closed form are `KNOWN` and
+criterion 3 of `AGREEMENT` in test_acceptance.py; its degree bound on a
+direct call is
+test_routes.py::TestValueBound::test_direct_calls_print_their_bound_in_full.
 """
 
 import itertools
@@ -14,8 +17,6 @@ from math import factorial
 import pytest
 
 from hurwitz.intersection import (
-    DEGENERATE_DEGREES,
-    IntersectionBoundError,
     _exponent_multisets,
     elsv_genus0,
     psi_integral_genus0,
@@ -44,6 +45,9 @@ class TestPsiIntegral:
         assert psi_integral_genus0((0, 0, 0)) == 1
         assert psi_integral_genus0((1, 0, 0, 0)) == 1
         assert psi_integral_genus0((2, 0, 0, 0)) == 0
+        # five points: the multinomial 2!/prod(a_i!)
+        assert psi_integral_genus0((2, 0, 0, 0, 0)) == 1
+        assert psi_integral_genus0((1, 1, 0, 0, 0)) == 2
 
     def test_wrong_total_degree_vanishes(self):
         assert psi_integral_genus0((0, 0, 0, 0)) == 0
@@ -57,10 +61,6 @@ class TestPsiIntegral:
                 for p in itertools.permutations(exponents)
             }
             assert len(values) == 1
-
-    def test_five_point_values_are_multinomial(self):
-        assert psi_integral_genus0((2, 0, 0, 0, 0)) == 1
-        assert psi_integral_genus0((1, 1, 0, 0, 0)) == 2
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -85,20 +85,9 @@ class TestCompositions:
 
 
 class TestMultinomialIdentity:
-    def test_sum_over_compositions_is_a_power(self):
-        # sum of k!/prod(a_i!) over compositions of k into n parts is n^k
-        for n in range(1, 8):
-            for k in range(0, 7):
-                total = 0
-                for comp in compositions(k, n):
-                    term = factorial(k)
-                    for a in comp:
-                        term //= factorial(a)
-                    total += term
-                assert total == n ** k, (n, k)
-
     def test_psi_integrals_sum_to_the_expected_power(self):
-        # with k = n - 3 the psi-integral sum collapses to n^(n-3)
+        # each integral is the multinomial (n-3)!/prod(a_i!), and the
+        # multinomials of the compositions of k into n parts sum to n^k
         for n in range(3, 8):
             total = sum(
                 psi_integral_genus0(exponents)
@@ -135,17 +124,6 @@ class TestIntersectionRoute:
     def test_grouped_sum_matches_term_by_term_from_3_to_9(self):
         for d in range(3, 10):
             assert elsv_genus0(d) == elsv_term_by_term(d), d
-
-    def test_degenerate_degrees_return_pinned_values(self):
-        for d in (1, 2):
-            assert elsv_genus0(d) == DEGENERATE_DEGREES[d]
-
-    def test_degenerate_values_are_pinned_separately(self):
-        assert DEGENERATE_DEGREES == {1: Fraction(1), 2: Fraction(1, 2)}
-
-    def test_degree_bound_raises_its_own_error(self):
-        with pytest.raises(IntersectionBoundError, match="d <= 40"):
-            elsv_genus0(41)
 
     def test_nonpositive_degree_rejected(self):
         with pytest.raises(ValueError):

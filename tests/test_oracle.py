@@ -1,10 +1,14 @@
-"""Brute-force oracle: the state count against a tuple walk, the
-identity count against the character route, and the bound.
+"""Brute-force oracle: the state count against a tuple walk, and the
+identity count against the character route.
 
 The oracle exists to check the character route, so this file pins only
-its standalone behavior. The route's pinned values and its agreement
-with the character route are `KNOWN` and criteria 4 and 12 of
-`AGREEMENT` in test_acceptance.py.
+its standalone behavior. The tuple walk covers d <= 4 and r <= 6, the
+one-letter and empty-tuple cells among them. The identity count checks
+the character route's factorization count on every cell of the bound.
+The route's pinned values and its agreement with the character route
+are `KNOWN` and criteria 4 and 12 of `AGREEMENT` in test_acceptance.py;
+its bound on a direct call is
+test_routes.py::TestValueBound::test_direct_calls_print_their_bound_in_full.
 """
 
 from itertools import combinations, product
@@ -12,7 +16,6 @@ from itertools import combinations, product
 import pytest
 
 from hurwitz import character, oracle
-from hurwitz.oracle import OracleBoundError, oracle_connected
 
 
 def walk_all_tuples(d, r):
@@ -31,30 +34,6 @@ def walk_all_tuples(d, r):
     return identity, transitive
 
 
-# one kernel, named by the backend string the package reports
-@pytest.mark.parametrize("kernel", [pytest.param(oracle, id=oracle.BACKEND)])
-class TestKernels:
-    def test_degree_one(self, kernel):
-        assert kernel.count_factorizations(1, 0) == (1, 1)
-        assert kernel.count_factorizations(1, 3) == (0, 0)
-
-    def test_empty_tuple_is_never_transitive_beyond_degree_one(self, kernel):
-        for d in range(2, 5):
-            assert kernel.count_factorizations(d, 0) == (1, 0)
-
-    def test_smallest_transitive_cases(self, kernel):
-        # (12) twice is the only identity pair on two letters
-        assert kernel.count_factorizations(2, 2) == (1, 1)
-        # 27 identity quadruples on three letters, 3 of which fix a letter
-        assert kernel.count_factorizations(3, 4) == (27, 24)
-
-    def test_bad_inputs_rejected(self, kernel):
-        with pytest.raises(ValueError):
-            kernel.count_factorizations(0, 1)
-        with pytest.raises(ValueError):
-            kernel.count_factorizations(2, -1)
-
-
 def test_state_count_matches_tuple_walk():
     for d in range(1, 5):
         for r in range(0, 7):
@@ -70,21 +49,13 @@ def test_identity_count_matches_character_route():
             assert identity == character.factorization_count(d, r), (d, r)
 
 
-def test_selected_backend_is_reported():
-    assert oracle.BACKEND == "python"
-
-
 class TestOracleConnected:
-    def test_bound_is_enforced(self):
-        with pytest.raises(OracleBoundError):
-            oracle_connected(0, 6)  # d too large
-        with pytest.raises(OracleBoundError):
-            oracle_connected(4, 3)  # r = 12 too large
-        # OracleBoundError is a ValueError, so callers can catch broadly
-        assert issubclass(OracleBoundError, ValueError)
-
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            oracle_connected(-1, 2)
+            oracle.oracle_connected(-1, 2)
         with pytest.raises(ValueError):
-            oracle_connected(0, 0)
+            oracle.oracle_connected(0, 0)
+        with pytest.raises(ValueError):
+            oracle.count_factorizations(0, 1)
+        with pytest.raises(ValueError):
+            oracle.count_factorizations(2, -1)

@@ -8,9 +8,11 @@ which routes a cross-check runs and which cells a table may ask of one
 route, so it must say exactly where `hurwitz_value` succeeds. The exact
 text of each refusal of a cell or a range is a row of `REFUSALS` in
 test_cli.py or a golden run; the tests here pin how the value bound
-fits the range bound. A refusal's cause, and that a table computes
-nothing before it refuses, are `TestDispatch` and `TestTable` in
-test_recursion.py.
+fits the range bound, and each route's own bound on a direct call: its
+error and the cells just past it. A refusal's cause, and that a table
+computes nothing before it refuses, are `TestDispatch` and `TestTable`
+in test_recursion.py. The oracle's backend string is pinned with the
+exports.
 """
 
 import ast
@@ -393,16 +395,23 @@ class TestValueBound:
             hurwitz_value(huge, 1, method)
         assert digits in str(refused.value)
 
-    @pytest.mark.parametrize("call, error, digits", [
-        (lambda: intersection.elsv_genus0(10 ** 5000),
-         intersection.IntersectionBoundError, "1" + "0" * 5000),
-        (lambda: oracle.oracle_connected(10 ** 5000, 1),
-         oracle.OracleBoundError, "2" + "0" * 5000),
+    @pytest.mark.parametrize("route, error, cells, digits", [
+        (intersection.elsv_genus0, intersection.IntersectionBoundError,
+         [(41,), (10 ** 5000,)], "1" + "0" * 5000),
+        (oracle.oracle_connected, oracle.OracleBoundError,
+         [(0, 6), (4, 3), (10 ** 5000, 1)], "2" + "0" * 5000),
     ], ids=["elsv-g0", "oracle"])
-    def test_direct_calls_print_their_bound_in_full(self, call, error,
-                                                    digits):
-        with pytest.raises(error) as refused:
-            call()
+    def test_direct_calls_print_their_bound_in_full(self, route, error,
+                                                    cells, digits):
+        # a route's own error is a ValueError, so callers can catch
+        # broadly. The cells just past the bound come first (the
+        # oracle's (0, 6) has d = 6, its (4, 3) r = 12): a route that
+        # lost its bound fails on them, not in a 5,001-digit loop. The
+        # last refusal prints the degree, or r, in full
+        assert issubclass(error, ValueError)
+        for cell in cells:
+            with pytest.raises(error) as refused:
+                route(*cell)
         assert digits in str(refused.value)
 
     def test_every_cell_a_range_may_hold_is_inside_the_value_bound(self):
