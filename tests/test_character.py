@@ -208,10 +208,6 @@ class TestContentPolynomials:
 
 
 class TestConstruction:
-    def test_zero_coefficients_are_dropped(self):
-        # z = 1, 1, 2 is exp(x) up to x^2: f_2 = 2 - C(1,0) C(2,1) = 0
-        assert content_log([{0: 1}, {0: 1}, {0: 2}], [{}]) == [{}, {0: 1}, {}]
-
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             content_polynomial(-1)
@@ -225,7 +221,9 @@ class TestExpLog:
             content_log([{0: 2}, {0: 1}], [{}])
 
     def test_single_variable_exp(self):
-        # z_n = n! q^(sn) is exp(q^s x), whose logarithm is q^s x
+        # z_n = n! q^(sn) is exp(q^s x), whose logarithm is q^s x. At
+        # s = 0, z = 1, 1, 2, ... and each f_n with n >= 2 sums to 0, so
+        # its zero coefficient is dropped
         for s in (0, 1, -2):
             z = [{s * n: factorial(n)} for n in range(7)]
             assert content_log(z, [{}]) == [{}, {s: 1}] + [{}] * 5

@@ -102,8 +102,9 @@ class TestCompute:
 HUGE_RANGE = ("--gmax", "1000000", "--dmax", "1000000")
 CELL_BOUND = ("cell bound exceeded: (gmax + 1) * dmax > 1000 "
               "(limit: 1000 cells)")
-# a cell of 4 * 10^12 bits by the count of routes.MAX_VALUE_BITS
-HUGE_CELL = ("compute", "-g", "1000000000000", "-d", "3")
+# the first genus past routes.MAX_VALUE_BITS at d = 3: r = 2^21 + 2
+# transpositions of 2 bits each, 4 bits past the bound
+HUGE_CELL = ("compute", "-g", "1048575", "-d", "3")
 VALUE_BOUND = ("value bound exceeded: r * bit_length(d*(d-1)/2) > 4194304 "
                "(limit: 4194304 bits)")
 

@@ -6,8 +6,10 @@ Pinned values, with where each comes from, are `KNOWN` in
 test_acceptance.py, and the ranges on which the recursions must agree
 with the character route and the closed form are rows of its
 `AGREEMENT` (criteria 2, 5, 6 and 11): that is the one place to widen
-them. The integer recursions are also checked against the Fraction
-recursions they replaced, copied below as a reference.
+them, and a value of the wrong sign fails there. The integer
+recursions are also checked against the Fraction recursions they
+replaced, copied below as a reference. A table's range is refused just
+past `routes.MAX_CELLS` in `TestTable::test_range_errors`.
 """
 
 import random
@@ -112,12 +114,6 @@ class TestGenusZero:
         for func in (h0_closed, h0_recursion):
             with pytest.raises(ValueError):
                 func(0)
-
-
-class TestGenusTwo:
-    def test_values_are_nonnegative(self):
-        for d in range(1, 9):
-            assert h2_recursion(d) >= 0
 
 
 class TestIntegerRecursions:
@@ -298,6 +294,11 @@ class TestTable:
             build_table(-1, 2, Method.CHARACTER)
         with pytest.raises(ValueError):
             build_table(0, 0, Method.CHARACTER)
+        # the edge of routes.MAX_CELLS: 1,000 cells are a table, 1,001
+        # are not
+        assert len(build_table(999, 1, Method.CHARACTER)) == 1000
+        with pytest.raises(MethodNotApplicableError):
+            build_table(1000, 1, Method.CHARACTER)
 
     # the first cell in (g, d) order that each method refuses comes after
     # cells it covers, so a table that computed before refusing would

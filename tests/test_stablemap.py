@@ -1,7 +1,9 @@
 """Stable-map graphs: validation, genus, branch divisors, and the JSON
 format. The degree law and effectivity on random graphs, the refusal to
 evaluate the unstable fixture, and continuity under collision are
-criteria 7, 8 and 10 of test_acceptance.py.
+criteria 7, 8 and 10 of test_acceptance.py; the arithmetic genus is
+checked there, in the law, and against the formula of the reader
+tests' reference `evaluation`.
 
 Every check lives in one table, one reference comparison or the golden
 file. Each rule's exact wording is pinned in one table: every validity
@@ -243,17 +245,6 @@ def perturbed(rng, graph):
     return graph._replace(components=tuple(components),
                           nodes=tuple(nodes))
 
-
-class TestGenusAndDegree:
-    def test_single_component_genus(self):
-        graph = StableMapGraph(
-            target_genus=1,
-            components=(DominantComponent(id="A", genus=3, degree=1),),
-            nodes=(),
-        )
-        assert arithmetic_genus(graph) == 3
-        # 2g - 2 = 4 branch points of a degree-1 map to an elliptic curve
-        assert riemann_hurwitz_degree(graph) == 4
 
 def reference_divisor(graph):
     """Reference: the three terms summed in a walk of their own over the
