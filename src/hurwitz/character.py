@@ -177,6 +177,11 @@ def factorization_count(d: int, r: int) -> int:
     return count
 
 
+def covers(g: int, d: int) -> None:
+    """The route covers every cell, so there is no refusal text."""
+    return None
+
+
 def connected_hurwitz(g: int, d: int) -> Fraction:
     """Hurwitz number H_{g,d}: connected genus-g degree-d covers of the
     projective line with r = 2g - 2 + 2d simple branch points, each

@@ -18,10 +18,10 @@ from math import factorial
 # pinned values for them
 DEGENERATE_DEGREES = {1: Fraction(1), 2: Fraction(1, 2)}
 
-# guarded degree bound, which check_bound enforces. The sum has p(d-3)
-# terms, so its cost grows faster than any polynomial in d: elsv_genus0
-# takes 0.20 s at d=35, 0.63 s at d=40, 1.8 s at d=45 and 29.5 s at
-# d=60 (Python 3.11, one core of a 2-CPU Xeon)
+# guarded degree bound, stated in covers. The sum has p(d-3) terms, so
+# its cost grows faster than any polynomial in d: elsv_genus0 takes
+# 0.20 s at d=35, 0.63 s at d=40, 1.8 s at d=45 and 29.5 s at d=60
+# (Python 3.11, one core of a 2-CPU Xeon)
 MAX_DEGREE = 40
 
 
@@ -29,14 +29,15 @@ class IntersectionBoundError(ValueError):
     """Requested degree exceeds the guarded bound of the psi-integral sum."""
 
 
-def check_bound(d: int) -> None:
-    """Raise IntersectionBoundError, naming the limit, when d exceeds
-    MAX_DEGREE."""
+def covers(g: int, d: int) -> str | None:
+    """The refusal text of a cell of genus other than 0, or of a degree
+    past MAX_DEGREE, naming the limit; None inside. Sums nothing."""
+    if g != 0:
+        return "the intersection formula is genus 0 only"
     if d > MAX_DEGREE:
-        raise IntersectionBoundError(
-            f"intersection bound exceeded: d={_full(d)} "
-            f"(limit: d <= {MAX_DEGREE})"
-        )
+        return (f"intersection bound exceeded: d={_full(d)} "
+                f"(limit: d <= {MAX_DEGREE})")
+    return None
 
 
 def _full(n: int) -> str:
@@ -93,12 +94,13 @@ def elsv_genus0(d: int) -> Fraction:
     of the distinct exponents.
 
     The formula needs d >= 3; degrees 1 and 2 return their pinned
-    values from DEGENERATE_DEGREES. Degrees outside check_bound raise
-    IntersectionBoundError.
+    values from DEGENERATE_DEGREES. A degree that covers refuses raises
+    IntersectionBoundError with its text.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    check_bound(d)
+    if (refusal := covers(0, d)) is not None:
+        raise IntersectionBoundError(refusal)
     if d in DEGENERATE_DEGREES:
         return DEGENERATE_DEGREES[d]
     total = 0
@@ -108,3 +110,9 @@ def elsv_genus0(d: int) -> Fraction:
             arrangements //= factorial(multiplicity)
         total += arrangements * psi_integral_genus0(exponents)
     return Fraction(factorial(2 * d - 2), factorial(d)) * total
+
+
+def elsv_value(g: int, d: int) -> Fraction:
+    """elsv_genus0(d) as a function of the cell, for the cells that
+    covers admits: g is 0 there."""
+    return elsv_genus0(d)

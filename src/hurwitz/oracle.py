@@ -12,12 +12,12 @@ involved; this is still enumeration over the group.
 from fractions import Fraction
 from math import factorial
 
-# guarded enumeration bound, which check_bound enforces. The state
-# count (Python 3.11, one core of a 2-CPU Xeon, min of 3) takes 0.015 s
-# for (1,5) r=10, 0.17 s for (0,6) r=10 and 0.24 s for (1,6) r=12, so
-# cost alone would allow more; the bound stays because it decides which
-# cells applicable_methods gives the oracle, and with them the
-# crosscheck output
+# guarded enumeration bound, stated in covers. The state count (Python
+# 3.11, one core of a 2-CPU Xeon, min of 3) takes 0.015 s for (1,5)
+# r=10, 0.17 s for (0,6) r=10 and 0.24 s for (1,6) r=12, so cost alone
+# would allow more; the bound stays because it decides which cells
+# applicable_methods gives the oracle, and with them the crosscheck
+# output
 MAX_DEGREE = 5
 MAX_BRANCH_POINTS = 10
 
@@ -28,14 +28,14 @@ class OracleBoundError(ValueError):
     """Requested enumeration exceeds the guarded brute-force bound."""
 
 
-def check_bound(d: int, r: int) -> None:
-    """Raise OracleBoundError, naming the limits, unless d <= MAX_DEGREE
-    and r <= MAX_BRANCH_POINTS."""
+def covers(g: int, d: int) -> str | None:
+    """The refusal text, naming the limits, of a cell past the bound on
+    d or on r = 2g - 2 + 2d; None inside it. Counts nothing."""
+    r = 2 * g - 2 + 2 * d
     if d > MAX_DEGREE or r > MAX_BRANCH_POINTS:
-        raise OracleBoundError(
-            f"oracle bound exceeded: d={_full(d)}, r={_full(r)} "
-            f"(limits: d <= {MAX_DEGREE}, r <= {MAX_BRANCH_POINTS})"
-        )
+        return (f"oracle bound exceeded: d={_full(d)}, r={_full(r)} "
+                f"(limits: d <= {MAX_DEGREE}, r <= {MAX_BRANCH_POINTS})")
+    return None
 
 
 def _full(n: int) -> str:
@@ -93,13 +93,13 @@ def oracle_connected(g: int, d: int) -> Fraction:
     the identity and whose transpositions connect all d letters, and
     divide by d!.
 
-    A cell outside check_bound raises OracleBoundError.
+    A cell that covers refuses raises OracleBoundError with its text.
     """
     if g < 0:
         raise ValueError("g must be a nonnegative integer")
     if d < 1:
         raise ValueError("d must be a positive integer")
-    r = 2 * g - 2 + 2 * d
-    check_bound(d, r)
-    _, transitive = count_factorizations(d, r)
+    if (refusal := covers(g, d)) is not None:
+        raise OracleBoundError(refusal)
+    _, transitive = count_factorizations(d, 2 * g - 2 + 2 * d)
     return Fraction(transitive, factorial(d))

@@ -1,11 +1,13 @@
 """Closed form and low-genus recursions for Hurwitz numbers.
 
-Each computation route is kept self-contained (the genus-1 and genus-2
-recursions consume only recursion-route genus-0 values, never the
-closed form), so that agreement between routes is a real check and not
-a tautology. No simple recursion of this shape is known beyond genus 2;
-the method dispatch treats a request for one as an error, not a silent
-fallback.
+The module hosts two routes, each stated by a covers function and a
+value function of the cell: closed_covers and closed_value, and
+recursion_covers and recursion_value. Each route is kept self-contained
+(the genus-1 and genus-2 recursions consume only recursion-route genus-0
+values, never the closed form, and the closed form reads no recursion),
+so that agreement between routes is a real check and not a tautology.
+No simple recursion of this shape is known beyond genus 2;
+recursion_covers refuses a request for one, with no silent fallback.
 
 The recursions run in integers. Each genus keeps one private list of the
 integers 2*H_{g,d}, indexed by d and held for the life of the process. A
@@ -183,3 +185,37 @@ def h2_recursion(d: int) -> Fraction:
 # indexed by genus
 RECURSIONS = (h0_recursion, h1_recursion, h2_recursion)
 MAX_RECURSION_GENUS = len(RECURSIONS) - 1
+
+
+def _full(n: int) -> str:
+    # str(n) refuses more digits than sys.get_int_max_str_digits(); an
+    # integral Decimal prints in full
+    from decimal import Decimal
+    return str(Decimal(n))
+
+
+def closed_covers(g: int, d: int) -> str | None:
+    """The closed form's refusal text for a cell of genus other than 0;
+    None at genus 0."""
+    return "closed form is genus 0 only" if g != 0 else None
+
+
+def closed_value(g: int, d: int) -> Fraction:
+    """h0_closed(d) as a function of the cell, for the cells that
+    closed_covers admits: g is 0 there."""
+    return h0_closed(d)
+
+
+def recursion_covers(g: int, d: int) -> str | None:
+    """The recursions' refusal text for a genus past
+    MAX_RECURSION_GENUS, which prints the genus in full; None below."""
+    if g > MAX_RECURSION_GENUS:
+        return (f"no recursion is available for genus {_full(g)} "
+                f"(recursions stop at genus {MAX_RECURSION_GENUS})")
+    return None
+
+
+def recursion_value(g: int, d: int) -> Fraction:
+    """H_{g,d} by the genus-g recursion, for the cells that
+    recursion_covers admits."""
+    return RECURSIONS[g](d)

@@ -4,9 +4,12 @@ called, and tables of values by one route or by all of them.
 This is the only module that imports more than one route. The routes
 (character, recursion, intersection, oracle) import none of each other,
 so agreement between them in a cross-check is a real check and not a
-tautology. Each route is imported where it runs, so a command loads
-only the routes it asks for. `_route` alone decides which method covers
-which cell, and refuses the others with MethodNotApplicableError.
+tautology. Each route states once where it applies, in a function
+covers(g, d) that returns its refusal text, or None where it covers the
+cell, and computes nothing; beside it sits a value function of (g, d).
+`_route` checks the value bound, imports the one method's pair and
+refuses a cell that covers refuses with MethodNotApplicableError, so a
+command loads only the routes it asks for.
 """
 
 from enum import Enum
@@ -63,67 +66,29 @@ def branch_count(genus: int, degree: int, target_genus: int = 0) -> int:
     return r
 
 
-def _check_cell(g: int, d: int) -> None:
-    if g < 0:
-        raise ValueError("g must be a nonnegative integer")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-
-
 def _route(g: int, d: int, method: Method):
     # the zero-argument call that computes H_{g,d} by `method`, importing
     # only that route and computing nothing, or MethodNotApplicableError.
-    # The genus rules live here alone; each bound lives in its route's
-    # check_bound, whose error gives the refusal its text and __cause__.
-    # The value bound comes first, and prints no number of the cell. Past
-    # it, g and r may still have more digits than str() converts, since
-    # the bound admits d = 1 at any genus, so refusals print them in full
+    # The value bound comes first, and prints no number of the cell; past
+    # it, each route's covers gives the refusal its text
     if branch_count(g, d) * (d * (d - 1) // 2).bit_length() > MAX_VALUE_BITS:
         raise MethodNotApplicableError(
             f"value bound exceeded: r * bit_length(d*(d-1)/2) > "
             f"{MAX_VALUE_BITS} (limit: {MAX_VALUE_BITS} bits)")
     if method is Method.CHARACTER:
-        from .character import connected_hurwitz
-        return partial(connected_hurwitz, g, d)
-    if method is Method.RECURSION:
-        from . import recursion
-        if g > (top := recursion.MAX_RECURSION_GENUS):
-            raise MethodNotApplicableError(
-                f"no recursion is available for genus {_full(g)} "
-                f"(recursions stop at genus {top})"
-            )
-        return partial(recursion.RECURSIONS[g], d)
-    if method is Method.CLOSED_FORM:
-        if g != 0:
-            raise MethodNotApplicableError("closed form is genus 0 only")
-        from .recursion import h0_closed
-        return partial(h0_closed, d)
-    if method is Method.ELSV_G0:
-        if g != 0:
-            raise MethodNotApplicableError(
-                "the intersection formula is genus 0 only"
-            )
-        from . import intersection
-        _within(intersection, intersection.IntersectionBoundError, d)
-        return partial(intersection.elsv_genus0, d)
-    from . import oracle
-    _within(oracle, oracle.OracleBoundError, d, branch_count(g, d))
-    return partial(oracle.oracle_connected, g, d)
-
-
-def _full(n: int) -> str:
-    # str(n) refuses more digits than sys.get_int_max_str_digits(); an
-    # integral Decimal prints in full
-    from decimal import Decimal
-    return str(Decimal(n))
-
-
-def _within(route, bound_error: type, *bound) -> None:
-    # the route's check_bound, its error re-raised as the refusal it causes
-    try:
-        route.check_bound(*bound)
-    except bound_error as exc:
-        raise MethodNotApplicableError(str(exc)) from exc
+        from .character import covers, connected_hurwitz as value
+    elif method is Method.RECURSION:
+        from .recursion import recursion_covers as covers, \
+            recursion_value as value
+    elif method is Method.CLOSED_FORM:
+        from .recursion import closed_covers as covers, closed_value as value
+    elif method is Method.ELSV_G0:
+        from .intersection import covers, elsv_value as value
+    else:
+        from .oracle import covers, oracle_connected as value
+    if (refusal := covers(g, d)) is not None:
+        raise MethodNotApplicableError(refusal)
+    return partial(value, g, d)
 
 
 def _covering(g: int, d: int) -> dict[Method, partial]:
@@ -140,7 +105,6 @@ def _covering(g: int, d: int) -> dict[Method, partial]:
 def applicable_methods(g: int, d: int) -> list[Method]:
     """Every method that covers (g, d), in enum order: exactly the
     methods for which hurwitz_value(g, d, method) returns a value."""
-    _check_cell(g, d)
     return list(_covering(g, d))
 
 
@@ -148,11 +112,11 @@ def hurwitz_value(g: int, d: int, method: Method) -> "Fraction":
     """H_{g,d} by the requested method.
 
     Raises MethodNotApplicableError, and only that, when the method does
-    not cover the cell. The oracle's and the intersection formula's own
-    bound errors are re-raised as it, with the same text, and are its
-    __cause__.
+    not cover the cell, with the text of the route's covers: the same
+    text that the oracle's and the intersection formula's own bound
+    errors carry on a direct call. A cell with g < 0 or d < 1 raises
+    branch_count's ValueError.
     """
-    _check_cell(g, d)
     return _route(g, d, Method(method))()
 
 
@@ -170,7 +134,7 @@ def build_table(
     MethodNotApplicableError before any value is computed; the second
     names the first cell in (g, d) order that the method does not cover.
     """
-    _check_cell(g_max, d_max)
+    branch_count(g_max, d_max)  # ValueError for g_max < 0 or d_max < 1
     if (g_max + 1) * d_max > MAX_CELLS:
         raise MethodNotApplicableError(
             f"cell bound exceeded: (gmax + 1) * dmax > {MAX_CELLS} "

@@ -246,18 +246,21 @@ class TestSharedSequences:
 
 
 class TestDispatch:
-    def test_oracle_bound_is_refused_with_its_cause(self):
+    # a bound's refusal carries the text of the error that the route
+    # raises on a direct call of the same genus-0 cell
+    @pytest.mark.parametrize("method, d, direct, error", [
+        (Method.ORACLE, 6, lambda d: oracle.oracle_connected(0, d),
+         OracleBoundError),
+        (Method.ELSV_G0, 41, intersection.elsv_genus0,
+         intersection.IntersectionBoundError),
+    ], ids=["oracle", "elsv-g0"])
+    def test_a_bound_is_refused_with_the_direct_calls_text(self, method, d,
+                                                           direct, error):
+        with pytest.raises(error) as raised:
+            direct(d)
         with pytest.raises(MethodNotApplicableError) as refused:
-            hurwitz_value(0, 6, Method.ORACLE)
-        assert isinstance(refused.value.__cause__, OracleBoundError)
-        assert str(refused.value) == str(refused.value.__cause__)
-
-    def test_intersection_bound_is_refused_with_its_cause(self):
-        with pytest.raises(MethodNotApplicableError) as refused:
-            hurwitz_value(0, 41, Method.ELSV_G0)
-        cause = refused.value.__cause__
-        assert isinstance(cause, intersection.IntersectionBoundError)
-        assert str(refused.value) == str(cause)
+            hurwitz_value(0, d, method)
+        assert str(refused.value) == str(raised.value)
 
     def test_applicable_methods(self):
         assert applicable_methods(0, 2) == [

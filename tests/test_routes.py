@@ -3,15 +3,17 @@ the value bound, and `branch_count`.
 
 The cross-check means something only while the routes share no code,
 so the import structure is pinned here, together with what each command
-loads at start-up. `applicable_methods` decides
+loads at start-up; the two routes that share recursion.py must each
+compute with the other's entry point broken. `applicable_methods` decides
 which routes a cross-check runs and which cells a table may ask of one
 route, so it must say exactly where `hurwitz_value` succeeds. The exact
 text of each refusal of a cell or a range is a row of `REFUSALS` in
 test_cli.py or a golden run; the tests here pin the value bound at its
 edge, how it fits the range bound, and each route's own bound on a
-direct call: its error and the cells just past it. A refusal's cause,
-that a table computes nothing before it refuses, and the cell bound at
-its edge are `TestDispatch` and `TestTable` in test_recursion.py. The
+direct call: its error and the cells just past it. That a bound's
+refusal has the text of the route's own error on a direct call, that a
+table computes nothing before it refuses, and the cell bound at its
+edge are `TestDispatch` and `TestTable` in test_recursion.py. The
 oracle's backend string is pinned with the exports, and every public
 name, exported or not, is read by the CLI or the benchmark.
 """
@@ -32,7 +34,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import intersection, oracle, routes
+from hurwitz import intersection, oracle, recursion, routes
 from hurwitz.routes import (
     Method,
     MethodNotApplicableError,
@@ -40,6 +42,8 @@ from hurwitz.routes import (
     branch_count,
     hurwitz_value,
 )
+from test_recursion import reference_h0, reference_h1, reference_h2, \
+    reset_recursion_lists
 
 PACKAGE = Path(hurwitz.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
@@ -86,6 +90,26 @@ def test_routes_import_no_other_route():
     assert resolved == ROUTE_MODULES
     for route in ROUTES:
         assert not package_imports(route), route
+
+
+def test_recursion_and_closed_form_share_no_function(monkeypatch):
+    # the check above sees modules, and recursion.py holds two routes:
+    # each must give its values with the other's entry point broken. The
+    # recursions start from their lists' seeds, so that every step runs
+    def broken(*args):
+        raise RuntimeError("one route of recursion.py called the other")
+
+    references = (reference_h0, reference_h1, reference_h2)
+    with monkeypatch.context() as patch:
+        patch.setattr(recursion, "h0_closed", broken)
+        reset_recursion_lists()
+        for g, reference in enumerate(references):
+            for d in range(1, 21):
+                value = hurwitz_value(g, d, Method.RECURSION)
+                assert value == reference(d), (g, d)
+    monkeypatch.setattr(recursion, "_twice", broken)
+    for d in range(1, 21):
+        assert hurwitz_value(0, d, Method.CLOSED_FORM) == reference_h0(d), d
 
 
 def test_no_function_in_the_package_is_cached():
@@ -188,7 +212,11 @@ STARTUP = {
                            "recursion"), 2, {"hurwitz.recursion"},
                           others("recursion")),
     "refused-closed-form": (("compute", "-g", "1", "-d", "2", "--method",
-                             "closed-form"), 2, set(), ROUTE_MODULES),
+                             "closed-form"), 2, {"hurwitz.recursion"},
+                            others("recursion")),
+    "refused-elsv-g0": (("compute", "-g", "1", "-d", "3", "--method",
+                         "elsv-g0"), 2, {"hurwitz.intersection"},
+                        others("intersection")),
     "refused-value-bound": (("compute", "-g", "1048575", "-d", "3"), 2,
                             set(), ROUTE_MODULES),
     "table": (TABLE, 0, {"hurwitz.character"},
