@@ -7,7 +7,8 @@ tests/golden_outputs.json (test_golden.py). The other tests here check
 what neither can: one readable exact-bytes test for each payload kind
 (`TestTable::test_csv_golden_output`, `TestCrosscheck::test_golden_output`
 and `TestBranchDivisor::test_golden_output`), properties across commands
-and drawn arguments, faults put in by monkeypatch, values past the digit
+and across `ARGUMENT_SPACE`, a small space of command lines enumerated
+and run whole, faults put in by monkeypatch, values past the digit
 limit, and child processes, whose command lines are rows of
 `TestProcessEntry::test_process_matches_main`.
 The violation and fault wordings `branch-divisor` prints, and every
@@ -24,14 +25,12 @@ import random
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from hurwitz import cli, recursion, routes
 from hurwitz.cli import EXIT_ERROR, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
@@ -74,13 +73,9 @@ class TestCompute:
             "--method", "closed-form",
         )
         assert code == EXIT_OK
-        limit = sys.get_int_max_str_digits()
-        assert len(payload["value"]) > limit
-        sys.set_int_max_str_digits(0)
-        try:
+        assert len(payload["value"]) > sys.get_int_max_str_digits()
+        with unlimited_digits():
             assert int(payload["value"]) == recursion.h0_closed(740)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("broken, error", [
         (_broken_route, "RuntimeError: broken route"),
@@ -404,76 +399,76 @@ class TestBranchDivisor:
         assert captured.err.count("Traceback") == 1
 
 
-def _compute_argv():
-    return st.builds(
-        lambda g, d, m: ["compute", "-g", str(g), "-d", str(d),
-                         "--method", m],
-        st.integers(-2, 4), st.integers(-1, 9),
-        st.sampled_from([m.value for m in Method]),
-    )
-
-
-def _table_argv():
-    return st.builds(
-        lambda g, d, m, f: ["table", "--gmax", str(g), "--dmax", str(d),
-                            "--method", m, "--format", f],
-        st.integers(-1, 3), st.integers(-1, 6),
-        st.sampled_from([m.value for m in Method]),
-        st.sampled_from(["aligned-text", "json", "csv"]),
-    )
-
-
-def _crosscheck_argv():
-    return st.builds(
-        lambda g, d: ["crosscheck", "--gmax", str(g), "--dmax", str(d)],
-        st.integers(-1, 3), st.integers(-1, 5),
-    )
-
-
-# every fixture in sorted order, a missing path and a directory
-_BRANCH_DIVISOR_ARGV = [
-    ["branch-divisor", "--input", str(path)] for path in (
+METHODS = [method.value for method in Method]
+HUGE = str(10 ** 15)
+# values argparse refuses before any command runs
+USAGE_ERRORS = [
+    *(["compute", "-g", value, "-d", "3"]
+      for value in ("x", "1.5", "", "0x10")),
+    ["table", "--gmax", "1", "--dmax", "two"],
+]
+# a small scope of command lines, run whole: every method on genus -2..4
+# and degree -1..9, tables on genus -1..3 and degree -1..6 in every
+# format, cross-checks on genus -1..3 and degree -1..5, every fixture, a
+# missing path and a directory; then ranges and cells past the bounds,
+# a genus or a degree of 10^15, and the usage errors
+ARGUMENT_SPACE = [
+    *(["compute", "-g", str(g), "-d", str(d), "--method", method]
+      for g in range(-2, 5) for d in range(-1, 10) for method in METHODS),
+    *(["table", "--gmax", str(g), "--dmax", str(d), "--method", method,
+       "--format", form]
+      for g in range(-1, 4) for d in range(-1, 7) for method in METHODS
+      for form in ("aligned-text", "json", "csv")),
+    *(["crosscheck", "--gmax", str(g), "--dmax", str(d)]
+      for g in range(-1, 4) for d in range(-1, 6)),
+    *(["branch-divisor", "--input", str(path)] for path in (
         *sorted(FIXTURES.glob("*.json")), FIXTURES / "missing.json",
-        FIXTURES,
-    )
+        FIXTURES)),
+    ["table", *HUGE_RANGE],
+    ["crosscheck", *HUGE_RANGE],
+    list(HUGE_CELL),
+    *(["compute", "-g", HUGE, "-d", str(d), "--method", method]
+      for d in (1, 2, 3) for method in METHODS),
+    *(["compute", "-g", "0", "-d", HUGE, "--method", method]
+      for method in METHODS),
+    ["table", "--gmax", HUGE, "--dmax", "1"],
+    ["table", "--gmax", "0", "--dmax", HUGE],
+    ["crosscheck", "--gmax", HUGE, "--dmax", HUGE],
+    *USAGE_ERRORS,
 ]
 
 
-def _every_branch_divisor_example(test):
-    # each of those argv runs on every test run, not only when drawn
-    for argv in _BRANCH_DIVISOR_ARGV:
-        test = example(argv)(test)
-    return test
-
-
 class TestArgumentSpace:
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(_compute_argv(), _table_argv(), _crosscheck_argv(),
-                     st.sampled_from(_BRANCH_DIVISOR_ARGV)))
-    @example(["table", *HUGE_RANGE])
-    @example(["crosscheck", *HUGE_RANGE])
-    @example(list(HUGE_CELL))
-    @_every_branch_divisor_example
-    def test_every_run_ends_in_a_documented_exit(self, argv):
+    def test_every_run_ends_in_a_documented_exit(self):
         # a caller with the collector on, as an interpreter starts; the
         # next test pins a caller that had turned it off
         gc.enable()
         limit = sys.get_int_max_str_digits()
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main(argv)
-        # main restores the caller's collector setting and digit limit
-        assert gc.isenabled()
-        assert sys.get_int_max_str_digits() == limit
-        assert code in (EXIT_OK, EXIT_INVALID)
-        text = out.getvalue()
-        if argv[-1] in ("aligned-text", "csv") and code == EXIT_OK:
-            assert text.startswith("g")
-            return
-        payload = json.loads(text)
-        assert isinstance(payload, dict)
-        assert payload["status"] == {EXIT_OK: "ok",
-                                     EXIT_INVALID: "invalid-input"}[code]
+        for argv in ARGUMENT_SPACE:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's, on a usage error
+                    code = exc.code
+            # main restores the caller's collector setting and digit limit
+            assert gc.isenabled(), argv
+            assert sys.get_int_max_str_digits() == limit, argv
+            text, errors = out.getvalue(), err.getvalue()
+            if argv in USAGE_ERRORS:
+                # the one exit 2 without JSON
+                assert (code, text) == (EXIT_INVALID, ""), argv
+                assert errors.splitlines()[-1].startswith(
+                    f"hurwitz {argv[0]}: error: argument "), argv
+                continue
+            assert code in (EXIT_OK, EXIT_INVALID), argv
+            assert errors == "", argv
+            if argv[-1] in ("aligned-text", "csv") and code == EXIT_OK:
+                assert text.startswith("g"), argv
+                continue
+            payload = json.loads(text)
+            assert payload["status"] == {EXIT_OK: "ok",
+                                         EXIT_INVALID: "invalid-input"}[code]
 
 
 class TestProcessEntry:

@@ -196,9 +196,9 @@ def others(route: str) -> set[str]:
 
 # command line -> (exit code, modules the run must load, modules it must
 # not load). Only a JSON payload needs json; the probe sees it where it
-# loads. A refusal loads at most the refusing route, and branch-divisor
-# loads no route, nor dataclasses on a valid graph. The value bound is
-# refused on the first genus past it at d = 3
+# loads. A cross-check loads every route, a refusal at most the refusing
+# route, and branch-divisor no route, nor dataclasses on a valid graph.
+# The value bound is refused on the first genus past it at d = 3
 STARTUP = {
     "import": ((), 0, {"hurwitz"}, SUBMODULES),
     "help": (("--help",), 0, set(), ROUTE_MODULES | NUMBERS | {"json"}),
@@ -225,8 +225,9 @@ STARTUP = {
                         {"hurwitz.recursion"}, others("recursion")),
     "table-csv": ((*TABLE, "--format", "csv"), 0, set(), {"json"}),
     "table-json": ((*TABLE, "--format", "json"), 0, {"json"}, set()),
-    "crosscheck": (("crosscheck", "--gmax", "1", "--dmax", "3"), 0, set(),
-                   set()),
+    "crosscheck": (("crosscheck", "--gmax", "1", "--dmax", "3"), 0,
+                   ROUTE_MODULES | NUMBERS | {"json"},
+                   {"hurwitz.stablemap", "dataclasses"}),
     "branch-divisor": (BRANCH_DIVISOR, 0, {"hurwitz.stablemap"},
                        NUMBERS | ROUTE_MODULES | {"dataclasses"}),
     "branch-divisor-invalid": (("branch-divisor", "--input",
