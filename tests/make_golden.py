@@ -1,40 +1,45 @@
 """Rebuild or check tests/golden_outputs.json, the exit code and stdout
-hash of a fixed list of CLI runs.
+of every command line tier-1 runs.
 
-Each entry maps an argv, joined by spaces, to [exit code, sha256 of
-stdout]. The runs are every `--help`, `compute` by every method over a
-grid of cells, by recursion and closed form at genus 0, degree 500, and
-by the default method at genus 10,000, degree 3, `table` by every
-method over nine ranges in every format, `crosscheck` over eight ranges
-up to genus 10 and degree 30, `branch-divisor` on every
-docs/fixtures/*.json in sorted order and a missing path, seeded
-mutations of docs/fixtures/elliptic_tail.json from
-graphgen.mutate_document, each keyed by its seed, and that fixture's
-graphgen.misplaced_documents, each keyed by what moved. Every run goes
-through `cli.main` in this process, with COLUMNS pinned so that help
-text does not follow the terminal.
+`ARGVS` is the one list of command lines: every `--help`; `compute` by
+every method on genus -2..4 and degree -1..9, by recursion and closed
+form at genus 0, degree 500, by the default method at genus 10,000,
+degree 3, and past every bound; `table` by every method on genus -1..3
+and degree -1..6 and a few wider ranges, in every format; `crosscheck`
+on genus -1..3 and degree -1..5, and up to genus 10 and degree 30;
+`branch-divisor` on every docs/fixtures/*.json in sorted order, a
+missing path and a directory; and the usage errors argparse refuses.
+After them run seeded mutations of docs/fixtures/elliptic_tail.json
+from graphgen.mutate_document, each keyed by its seed, and that
+fixture's graphgen.misplaced_documents, each keyed by what moved. Every
+run goes through `cli.main` in this process, from the repository root
+with COLUMNS pinned so that help text does not follow the terminal.
 
-Help text also depends on the interpreter: Python 3.13's argparse
-prints `--genus, -g GENUS` where 3.11 and 3.12 print `--genus GENUS,
--g GENUS`. A `--help` entry therefore maps each Python version to its
-own pair; a rebuild writes the running version's and keeps the others,
-so run it under every supported version after a change to the help.
+Each entry maps an argv, joined by spaces, to [exit code, stdout split
+at newlines], one output line a file line, so that the diff of a
+rebuild shows what each changed run prints. Help text also depends on
+the interpreter: Python 3.13's argparse prints `--genus, -g GENUS`
+where 3.11 and 3.12 print `--genus GENUS, -g GENUS`. A `--help` entry
+therefore maps each Python version to its own pair; a rebuild writes
+the running version's and keeps the others, so run it under every
+supported version after a change to the help.
 
     python tests/make_golden.py          # rebuild
-    python tests/make_golden.py --check  # list every run that differs
+    python tests/make_golden.py --check  # show every run that differs
 
-An output-changing change rebuilds the file; its diff names exactly the
-runs whose output changed.
+test_golden.py checks every run against its entry, and that it ends in
+a documented exit.
 """
 
 import argparse
-import hashlib
+import difflib
 import io
 import json
 import os
 import random
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -54,29 +59,43 @@ FIXTURES = sorted(path.name for path in
                   (ROOT / "docs" / "fixtures").glob("*.json"))
 MUTATED = "elliptic_tail"
 MUTATIONS = 300
+# diff lines shown for one differing run
+DIFF_LINES = 20
+
+HUGE = str(10 ** 15)
+# a range of 10^12 cells, past routes.MAX_CELLS
+HUGE_RANGE = ["--gmax", "1000000", "--dmax", "1000000"]
 
 HELP = [["--help"]] + [[command, "--help"] for command in
                        ("compute", "table", "crosscheck", "branch-divisor")]
 
-# (gmax, dmax): refusals, both invalid ranges, and the character route
-# to degree 20
-TABLE_RANGES = [(0, 1), (0, 5), (0, 7), (1, 4), (2, 6), (3, 2), (0, 20),
-                (-1, 3), (0, 0)]
-# (gmax, dmax): both invalid ranges, and last the headline cross-check
-# of every route
-CROSSCHECK_RANGES = [(0, 3), (1, 4), (2, 6), (3, 5), (5, 10), (-1, 3),
-                     (0, 0), (10, 30)]
+# (gmax, dmax): every range on genus -1..3 and degree -1..6, refusals and
+# both kinds of invalid range among them, then the oracle's refusal of
+# (0, 6) and the character route to degree 20
+TABLE_RANGES = ([(g, d) for g in range(-1, 4) for d in range(-1, 7)]
+                + [(0, 7), (0, 20)])
+# (gmax, dmax): every range on genus -1..3 and degree -1..5, then wider
+# ones, and last the headline cross-check of every route
+CROSSCHECK_RANGES = ([(g, d) for g in range(-1, 4) for d in range(-1, 6)]
+                     + [(2, 6), (5, 10), (10, 30)])
 
 ARGVS = (
     HELP
     + [["compute", "-g", str(g), "-d", str(d), "--method", method]
-       for method in METHODS for g in range(-1, 5) for d in range(8)]
+       for method in METHODS for g in range(-2, 5) for d in range(-1, 10)]
     # the two genus-0 routes that reach degree 500
     + [["compute", "-g", "0", "-d", "500", "--method", method]
        for method in ("recursion", "closed-form")]
     # a value of about 9,500 digits, past the 20,000 bits above which
     # the CLI prints through decimal
     + [["compute", "-g", "10000", "-d", "3"]]
+    # the first genus past routes.MAX_VALUE_BITS at d = 3, and a genus or
+    # a degree of 10^15 by every method
+    + [["compute", "-g", "1048575", "-d", "3"]]
+    + [["compute", "-g", HUGE, "-d", str(d), "--method", method]
+       for d in (1, 2, 3) for method in METHODS]
+    + [["compute", "-g", "0", "-d", HUGE, "--method", method]
+       for method in METHODS]
     + [["table", "--method", method, "--gmax", str(g), "--dmax", str(d),
         "--format", fmt]
        for method in METHODS for g, d in TABLE_RANGES
@@ -84,46 +103,54 @@ ARGVS = (
     # the first cell each route refuses lies past every computed cell
     + [["table", "--method", "recursion", "--gmax", "3", "--dmax", "150"],
        ["table", "--method", "elsv-g0", "--gmax", "0", "--dmax", "41"]]
+    + [["table", *HUGE_RANGE], ["table", "--gmax", HUGE, "--dmax", "1"],
+       ["table", "--gmax", "0", "--dmax", HUGE]]
     + [["crosscheck", "--gmax", str(g), "--dmax", str(d)]
        for g, d in CROSSCHECK_RANGES]
+    + [["crosscheck", *HUGE_RANGE], ["crosscheck", "--gmax", HUGE,
+                                     "--dmax", HUGE]]
     + [["branch-divisor", "--input", f"docs/fixtures/{name}"]
-       for name in FIXTURES]
-    + [["branch-divisor", "--input", "docs/fixtures/missing.json"]]
+       for name in [*FIXTURES, "missing.json"]]
+    + [["branch-divisor", "--input", "docs/fixtures"]]
+    # values argparse refuses before any command runs
+    + [["compute", "-g", value, "-d", "3"]
+       for value in ("x", "1.5", "", "0x10")]
+    + [["table", "--gmax", "1", "--dmax", "two"]]
 )
 
 
-def _run(argv: list[str]) -> list:
-    stdout = io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # --help
+        except SystemExit as exc:  # argparse's, on --help or a usage error
             code = exc.code
-    return [code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()]
+    return code, out.getvalue(), err.getvalue()
 
 
 def runs():
-    """(key, [exit code, stdout sha256]) for every run, in file order,
-    run from the repository root with COLUMNS=80."""
+    """(key, argv, exit code, stdout, stderr) for every run, in file
+    order, each yielded as soon as it has run."""
     cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(ROOT)
     os.environ["COLUMNS"] = "80"
     try:
         for argv in ARGVS:
-            yield " ".join(argv), _run(argv)
+            yield " ".join(argv), argv, *_run(argv)
         source = json.loads(
             (ROOT / "docs" / "fixtures" / f"{MUTATED}.json").read_text())
+        documents = [(f"{MUTATED} mutation {seed}",
+                      mutate_document(source, random.Random(seed)))
+                     for seed in range(MUTATIONS)]
+        documents += [(f"{MUTATED}, {moved}", document) for moved, document
+                      in misplaced_documents(source).items()]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutation.json"
-            for seed in range(MUTATIONS):
-                mutated = mutate_document(source, random.Random(seed))
-                path.write_text(json.dumps(mutated), encoding="utf-8")
-                yield (f"branch-divisor --input <{MUTATED} mutation {seed}>",
-                       _run(["branch-divisor", "--input", str(path)]))
-            for moved, document in misplaced_documents(source).items():
+            argv = ["branch-divisor", "--input", str(path)]
+            for name, document in documents:
                 path.write_text(json.dumps(document), encoding="utf-8")
-                yield (f"branch-divisor --input <{MUTATED}, {moved}>",
-                       _run(["branch-divisor", "--input", str(path)]))
+                yield f"branch-divisor --input <{name}>", argv, *_run(argv)
     finally:
         os.chdir(cwd)
         if columns is None:
@@ -136,34 +163,52 @@ def load() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def differences(golden: dict) -> list[str]:
-    """One line per run whose exit code or stdout hash differs from
-    `golden`, and one per stored key that no run produces."""
-    lines = []
-    seen = set()
-    for key, got in runs():
+def render(golden: dict) -> str:
+    """The file's text: one output line a file line."""
+    return json.dumps(golden, indent=1) + "\n"
+
+
+def differences(golden: dict, results) -> list[str]:
+    """For each of `results` (rows as `runs` yields them) whose exit code
+    or stdout differs from `golden`: the stored and new exit code and a
+    diff of stdout of at most DIFF_LINES lines; then each stored key that
+    no run produces, and the number of differing runs per subcommand."""
+    lines, seen, counts = [], set(), Counter()
+    for key, _argv, code, out, *_ in results:
         seen.add(key)
-        expected = golden.get(key)
-        if isinstance(expected, dict):  # help text, per Python version
-            expected = expected.get(VERSION, f"nothing for Python {VERSION}")
-        if expected != got:
-            lines.append(f"{key}: stored {expected}, now {got}")
-    lines += [f"{key}: stored, but not run" for key in golden
-              if key not in seen]
+        stored = golden.get(key)
+        if isinstance(stored, dict):  # help text, per Python version
+            stored = stored.get(VERSION)
+        got = [code, out.split("\n")]
+        if stored == got:
+            continue
+        old_code, old_lines = stored or ("nothing", [])
+        counts[key.split()[0]] += 1
+        lines.append(f"{key}: exit {old_code} stored, {code} now")
+        diff = list(difflib.unified_diff(old_lines, got[1], "stored", "now",
+                                         lineterm=""))
+        lines += diff[:DIFF_LINES]
+        if len(diff) > DIFF_LINES:
+            lines.append(f"... {len(diff) - DIFF_LINES} more diff lines")
+    for key in golden:
+        if key not in seen:
+            counts[key.split()[0]] += 1
+            lines.append(f"{key}: stored, but not run")
+    if counts:
+        lines.append(f"{sum(counts.values())} runs differ: " + ", ".join(
+            f"{command} {count}" for command, count in sorted(counts.items())))
     return lines
 
 
 def rebuild() -> dict:
     old = load() if GOLDEN.exists() else {}
     golden = {}
-    for key, got in runs():
-        if key.endswith("--help"):  # keep the other versions' hashes
+    for key, _argv, code, out, _err in runs():
+        got = [code, out.split("\n")]
+        if key.endswith("--help"):  # keep the other versions' text
             got = dict(sorted({**old.get(key, {}), VERSION: got}.items()))
         golden[key] = got
-    # one entry a line, so that a diff names exactly the runs that changed
-    body = ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}"
-                      for key, value in golden.items())
-    GOLDEN.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    GOLDEN.write_text(render(golden), encoding="utf-8")
     return golden
 
 
@@ -176,10 +221,8 @@ def _main() -> int:
         golden = rebuild()
         print(f"wrote {len(golden)} entries to {GOLDEN.name}")
         return 0
-    lines = differences(load())
-    for line in lines:
-        print(line)
-    print(f"{len(lines)} runs differ" if lines else "all runs match")
+    lines = differences(load(), runs())
+    print("\n".join(lines) if lines else "all runs match")
     return 1 if lines else 0
 
 

@@ -2,30 +2,27 @@
 
 Every check of a CLI output lives in one place. Every refusal of a cell
 or a range prints the exact bytes of its row in `REFUSALS`, and every
-other CLI byte is pinned by the exit code and stdout hash of its run in
-tests/golden_outputs.json (test_golden.py). The other tests here check
-what neither can: one readable exact-bytes test for each payload kind
-(`TestTable::test_csv_golden_output`, `TestCrosscheck::test_golden_output`
-and `TestBranchDivisor::test_golden_output`), properties across commands
-and across `ARGUMENT_SPACE`, a small space of command lines enumerated
-and run whole, faults put in by monkeypatch, values past the digit
-limit, and child processes, whose command lines are rows of
+other CLI byte is pinned by the exit code and stdout lines of its run
+in tests/golden_outputs.json, where test_golden.py also checks that
+each run of make_golden.py's one list of command lines ends in a
+documented exit. The other tests here check what neither can:
+properties across commands, faults put in by monkeypatch, values past
+the digit limit, and child processes, whose command lines are rows of
 `TestProcessEntry::test_process_matches_main`.
 The violation and fault wordings `branch-divisor` prints, and every
 unreadable input, are pinned in the tables of test_stablemap.py. A new
-refusal is a row of `REFUSALS`, and a new output a run in the golden
-file.
+refusal is a row of `REFUSALS`, and a new command line a run in
+make_golden.py's list.
 """
 
 import gc
-import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -189,21 +186,6 @@ class TestBigValues:
 
 
 class TestTable:
-    def test_csv_golden_output(self, capsys):
-        code, out = run_cli(
-            capsys, "table", "--gmax", "0", "--dmax", "5",
-            "--method", "closed-form", "--format", "csv",
-        )
-        assert code == EXIT_OK
-        assert out == (
-            "g,d,r,value\n"
-            "0,1,0,1\n"
-            "0,2,2,1/2\n"
-            "0,3,4,4\n"
-            "0,4,6,120\n"
-            "0,5,8,8400\n"
-        )
-
     def test_aligned_text_default(self, capsys):
         code, out = run_cli(capsys, "table", "--gmax", "1", "--dmax", "2")
         assert code == EXIT_OK
@@ -211,7 +193,6 @@ class TestTable:
         assert lines[0].split() == ["g", "d", "r", "value"]
         assert lines[2].split() == ["0", "2", "2", "1/2"]
         assert len(lines) == 5
-
 
 
 class TestCrosscheck:
@@ -227,66 +208,6 @@ class TestCrosscheck:
         disagreeing = [(c["genus"], c["degree"]) for c in payload["cells"]
                        if not c["agree"]]
         assert disagreeing == [(0, 3)]
-
-    def test_golden_output(self, capsys):
-        code, out = run_cli(capsys, "crosscheck", "--gmax", "1",
-                            "--dmax", "2")
-        assert code == EXIT_OK
-        assert out == """\
-{
-  "cells": [
-    {
-      "agree": true,
-      "branch_points": 0,
-      "degree": 1,
-      "genus": 0,
-      "values": {
-        "character": "1",
-        "closed-form": "1",
-        "elsv-g0": "1",
-        "oracle": "1",
-        "recursion": "1"
-      }
-    },
-    {
-      "agree": true,
-      "branch_points": 2,
-      "degree": 2,
-      "genus": 0,
-      "values": {
-        "character": "1/2",
-        "closed-form": "1/2",
-        "elsv-g0": "1/2",
-        "oracle": "1/2",
-        "recursion": "1/2"
-      }
-    },
-    {
-      "agree": true,
-      "branch_points": 2,
-      "degree": 1,
-      "genus": 1,
-      "values": {
-        "character": "0",
-        "oracle": "0",
-        "recursion": "0"
-      }
-    },
-    {
-      "agree": true,
-      "branch_points": 4,
-      "degree": 2,
-      "genus": 1,
-      "values": {
-        "character": "1/2",
-        "oracle": "1/2",
-        "recursion": "1/2"
-      }
-    }
-  ],
-  "status": "ok"
-}
-"""
 
 
 class TestSharedCell:
@@ -325,30 +246,6 @@ class TestSharedCell:
 
 
 class TestBranchDivisor:
-    def test_golden_output(self, capsys):
-        code, out = run_cli(
-            capsys, "branch-divisor", "--input",
-            str(FIXTURES / "elliptic_tail.json"),
-        )
-        assert code == EXIT_OK
-        assert out == """\
-{
-  "degree_check": "ok",
-  "divisor": {
-    "p": 2,
-    "q1": 1,
-    "q2": 1
-  },
-  "divisor_degree": 4,
-  "effective": true,
-  "expected_degree": 4,
-  "map_degree": 2,
-  "source_genus": 1,
-  "status": "ok",
-  "target_genus": 0
-}
-"""
-
     def test_huge_genus_values_print_in_full(self, capsys, tmp_path):
         # a valid graph: two contracted tails of the largest genus the
         # JSON parser accepts, glued to one degree-1 component
@@ -397,78 +294,6 @@ class TestBranchDivisor:
                      "effective divisor of degree 5",
         }
         assert captured.err.count("Traceback") == 1
-
-
-METHODS = [method.value for method in Method]
-HUGE = str(10 ** 15)
-# values argparse refuses before any command runs
-USAGE_ERRORS = [
-    *(["compute", "-g", value, "-d", "3"]
-      for value in ("x", "1.5", "", "0x10")),
-    ["table", "--gmax", "1", "--dmax", "two"],
-]
-# a small scope of command lines, run whole: every method on genus -2..4
-# and degree -1..9, tables on genus -1..3 and degree -1..6 in every
-# format, cross-checks on genus -1..3 and degree -1..5, every fixture, a
-# missing path and a directory; then ranges and cells past the bounds,
-# a genus or a degree of 10^15, and the usage errors
-ARGUMENT_SPACE = [
-    *(["compute", "-g", str(g), "-d", str(d), "--method", method]
-      for g in range(-2, 5) for d in range(-1, 10) for method in METHODS),
-    *(["table", "--gmax", str(g), "--dmax", str(d), "--method", method,
-       "--format", form]
-      for g in range(-1, 4) for d in range(-1, 7) for method in METHODS
-      for form in ("aligned-text", "json", "csv")),
-    *(["crosscheck", "--gmax", str(g), "--dmax", str(d)]
-      for g in range(-1, 4) for d in range(-1, 6)),
-    *(["branch-divisor", "--input", str(path)] for path in (
-        *sorted(FIXTURES.glob("*.json")), FIXTURES / "missing.json",
-        FIXTURES)),
-    ["table", *HUGE_RANGE],
-    ["crosscheck", *HUGE_RANGE],
-    list(HUGE_CELL),
-    *(["compute", "-g", HUGE, "-d", str(d), "--method", method]
-      for d in (1, 2, 3) for method in METHODS),
-    *(["compute", "-g", "0", "-d", HUGE, "--method", method]
-      for method in METHODS),
-    ["table", "--gmax", HUGE, "--dmax", "1"],
-    ["table", "--gmax", "0", "--dmax", HUGE],
-    ["crosscheck", "--gmax", HUGE, "--dmax", HUGE],
-    *USAGE_ERRORS,
-]
-
-
-class TestArgumentSpace:
-    def test_every_run_ends_in_a_documented_exit(self):
-        # a caller with the collector on, as an interpreter starts; the
-        # next test pins a caller that had turned it off
-        gc.enable()
-        limit = sys.get_int_max_str_digits()
-        for argv in ARGUMENT_SPACE:
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse's, on a usage error
-                    code = exc.code
-            # main restores the caller's collector setting and digit limit
-            assert gc.isenabled(), argv
-            assert sys.get_int_max_str_digits() == limit, argv
-            text, errors = out.getvalue(), err.getvalue()
-            if argv in USAGE_ERRORS:
-                # the one exit 2 without JSON
-                assert (code, text) == (EXIT_INVALID, ""), argv
-                assert errors.splitlines()[-1].startswith(
-                    f"hurwitz {argv[0]}: error: argument "), argv
-                continue
-            assert code in (EXIT_OK, EXIT_INVALID), argv
-            assert errors == "", argv
-            if argv[-1] in ("aligned-text", "csv") and code == EXIT_OK:
-                assert text.startswith("g"), argv
-                continue
-            payload = json.loads(text)
-            assert payload["status"] == {EXIT_OK: "ok",
-                                         EXIT_INVALID: "invalid-input"}[code]
 
 
 class TestProcessEntry:

@@ -24,8 +24,10 @@ the same walk guards the generated graphs, so no package rule vouches
 for the test's own inputs. The refusal of a disconnected graph and of
 a degree outside the law's domain is a row of
 `TestRandomizedStructure::test_degree_law_outside_its_domain`. The CLI
-bytes of each fixture are in tests/golden_outputs.json. A new case is
-one more row or input there, not a new test.
+output of each fixture, and of its seeded mutations and misplaced
+documents, is stored line by line in tests/golden_outputs.json, whose
+runs test_golden.py also holds to a documented exit. A new case is one
+more row or input there, not a new test.
 """
 
 import gc
