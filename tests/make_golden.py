@@ -4,16 +4,20 @@ of every command line tier-1 runs.
 `ARGVS` is the one list of command lines: every `--help`; `compute` by
 every method on genus -2..4 and degree -1..9, by recursion and closed
 form at genus 0, degree 500, by the default method at genus 10,000,
-degree 3, and past every bound; `table` by every method on genus -1..3
-and degree -1..6 and a few wider ranges, in every format; `crosscheck`
-on genus -1..3 and degree -1..5, and up to genus 10 and degree 30;
-`branch-divisor` on every docs/fixtures/*.json in sorted order, a
-missing path and a directory; and the usage errors argparse refuses.
-After them run seeded mutations of docs/fixtures/elliptic_tail.json
-from graphgen.mutate_document, each keyed by its seed, and that
-fixture's graphgen.misplaced_documents, each keyed by what moved. Every
-run goes through `cli.main` in this process, from the repository root
-with COLUMNS pinned so that help text does not follow the terminal.
+degree 3, and past every bound, by every method; `table` by every
+method on genus -1..3 and degree -1..6 and a few wider ranges, in every
+format, and past every bound; `crosscheck` on genus -1..3 and degree
+-1..5, and up to genus 10 and degree 30; `branch-divisor` on every
+docs/fixtures/*.json in sorted order, a missing path and a directory;
+and the usage errors argparse refuses. After them run seeded mutations
+of docs/fixtures/elliptic_tail.json from graphgen.mutate_document, each
+keyed by its seed, and that fixture's graphgen.misplaced_documents,
+each keyed by what moved. Every run goes through `run`, which calls
+`cli.main` in this process, from the repository root with COLUMNS
+pinned so that help text does not follow the terminal. `run` stops a
+run after BOUND seconds with Overrun, which names it, so a route that
+loses its bound stops the list instead of hanging it; tier-1's other
+in-process runs go through `run` too.
 
 Each entry maps an argv, joined by spaces, to [exit code, stdout split
 at newlines], one output line a file line, so that the diff of a
@@ -28,19 +32,21 @@ supported version after a change to the help.
     python tests/make_golden.py --check  # show every run that differs
 
 test_golden.py checks every run against its entry, and that it ends in
-a documented exit.
+a documented exit, a refusal within a second.
 """
 
 import argparse
 import difflib
+import gc
 import io
 import json
 import os
 import random
+import signal
 import sys
 import tempfile
+import time
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +67,10 @@ MUTATED = "elliptic_tail"
 MUTATIONS = 300
 # diff lines shown for one differing run
 DIFF_LINES = 20
+# seconds one run may take: more than ten times the slowest,
+# `crosscheck --gmax 10 --dmax 30` at about 1.5 s (Python 3.11, 2-CPU
+# Xeon)
+BOUND = 20
 
 HUGE = str(10 ** 15)
 # a range of 10^12 cells, past routes.MAX_CELLS
@@ -86,12 +96,16 @@ ARGVS = (
     # the two genus-0 routes that reach degree 500
     + [["compute", "-g", "0", "-d", "500", "--method", method]
        for method in ("recursion", "closed-form")]
+    # the first degree the intersection formula refuses
+    + [["compute", "-g", "0", "-d", "41", "--method", "elsv-g0"]]
     # a value of about 9,500 digits, past the 20,000 bits above which
     # the CLI prints through decimal
     + [["compute", "-g", "10000", "-d", "3"]]
     # the first genus past routes.MAX_VALUE_BITS at d = 3, and a genus or
     # a degree of 10^15 by every method
     + [["compute", "-g", "1048575", "-d", "3"]]
+    + [["compute", "-g", "1048575", "-d", "3", "--method", method]
+       for method in METHODS]
     + [["compute", "-g", HUGE, "-d", str(d), "--method", method]
        for d in (1, 2, 3) for method in METHODS]
     + [["compute", "-g", "0", "-d", HUGE, "--method", method]
@@ -103,7 +117,12 @@ ARGVS = (
     # the first cell each route refuses lies past every computed cell
     + [["table", "--method", "recursion", "--gmax", "3", "--dmax", "150"],
        ["table", "--method", "elsv-g0", "--gmax", "0", "--dmax", "41"]]
-    + [["table", *HUGE_RANGE], ["table", "--gmax", HUGE, "--dmax", "1"],
+    # a refusal in the default format
+    + [["table", "--method", "oracle", "--gmax", "0", "--dmax", "7"],
+       ["table", "--method", "elsv-g0", "--gmax", "1", "--dmax", "3"]]
+    + [["table", *HUGE_RANGE]]
+    + [["table", "--method", method, *HUGE_RANGE] for method in METHODS]
+    + [["table", "--gmax", HUGE, "--dmax", "1"],
        ["table", "--gmax", "0", "--dmax", HUGE]]
     + [["crosscheck", "--gmax", str(g), "--dmax", str(d)]
        for g, d in CROSSCHECK_RANGES]
@@ -119,25 +138,52 @@ ARGVS = (
 )
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's, on --help or a usage error
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+class Overrun(BaseException):
+    """A run took more than BOUND seconds. Not an Exception, so that
+    `main` cannot turn it into an exit 3."""
+
+
+def _overrun(signum, frame):
+    raise Overrun
+
+
+def run(argv: list[str], name: str = "") -> tuple[int, str, str, float]:
+    """The exit code, stdout, stderr and seconds of `main(argv)` in this
+    process; Overrun, naming the run (`name`, or else the argv), past
+    BOUND seconds. An overrun can land in `main`'s `finally`, so the
+    collector, the digit limit and stdio are then restored here."""
+    collecting, limit = gc.isenabled(), sys.get_int_max_str_digits()
+    stdio = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+    handler = signal.signal(signal.SIGALRM, _overrun)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, BOUND)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's, on --help or a usage error
+        code = exc.code
+    except Overrun:
+        sys.set_int_max_str_digits(limit)
+        if collecting:
+            gc.enable()
+        raise Overrun(f"{name or ' '.join(argv)}: more than {BOUND} s") \
+            from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        sys.stdout, sys.stderr = stdio
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 def runs():
-    """(key, argv, exit code, stdout, stderr) for every run, in file
-    order, each yielded as soon as it has run."""
+    """(key, argv, exit code, stdout, stderr, seconds) for every run, in
+    file order, each yielded as soon as it has run."""
     cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(ROOT)
     os.environ["COLUMNS"] = "80"
     try:
         for argv in ARGVS:
-            yield " ".join(argv), argv, *_run(argv)
+            yield " ".join(argv), argv, *run(argv)
         source = json.loads(
             (ROOT / "docs" / "fixtures" / f"{MUTATED}.json").read_text())
         documents = [(f"{MUTATED} mutation {seed}",
@@ -150,7 +196,8 @@ def runs():
             argv = ["branch-divisor", "--input", str(path)]
             for name, document in documents:
                 path.write_text(json.dumps(document), encoding="utf-8")
-                yield f"branch-divisor --input <{name}>", argv, *_run(argv)
+                key = f"branch-divisor --input <{name}>"
+                yield key, argv, *run(argv, key)
     finally:
         os.chdir(cwd)
         if columns is None:
@@ -203,7 +250,7 @@ def differences(golden: dict, results) -> list[str]:
 def rebuild() -> dict:
     old = load() if GOLDEN.exists() else {}
     golden = {}
-    for key, _argv, code, out, _err in runs():
+    for key, _argv, code, out, *_ in runs():
         got = [code, out.split("\n")]
         if key.endswith("--help"):  # keep the other versions' text
             got = dict(sorted({**old.get(key, {}), VERSION: got}.items()))

@@ -16,8 +16,9 @@ import json
 import random
 
 from graphgen import collision_limit
-from hurwitz.cli import EXIT_OK, main
+from hurwitz.cli import EXIT_OK
 from hurwitz.stablemap import DominantComponent, graph_from_dict
+from make_golden import run
 
 SEED = 2024
 LIMITS = 300
@@ -64,7 +65,7 @@ def two_point_limits():
         yield (g, d, *collision_limit(rng, g, d, points=2))
 
 
-def test_one_cli_run_per_structure(capsys, tmp_path):
+def test_one_cli_run_per_structure(tmp_path):
     seen = {}
     for g, d, document, divisor in limits():
         for structure in structures(graph_from_dict(document)):
@@ -73,8 +74,8 @@ def test_one_cli_run_per_structure(capsys, tmp_path):
     path = tmp_path / "limit.json"
     for structure, (g, d, document, divisor) in sorted(seen.items()):
         path.write_text(json.dumps(document), encoding="utf-8")
-        code = main(["branch-divisor", "--input", str(path)])
-        payload = json.loads(capsys.readouterr().out)
+        code, out, *_ = run(["branch-divisor", "--input", str(path)])
+        payload = json.loads(out)
         assert code == EXIT_OK, structure
         assert payload["divisor"] == divisor, structure
         assert payload["source_genus"] == g, structure

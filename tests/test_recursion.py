@@ -305,8 +305,8 @@ class TestTable:
 
     # the first cell in (g, d) order that each method refuses comes after
     # cells it covers, so a table that computed before refusing would
-    # call the route first. The refusal texts are the `REFUSALS` row
-    # table-oracle and the golden runs of the other two ranges
+    # call the route first. The refusal texts are the golden runs of
+    # these ranges
     @pytest.mark.parametrize("g_max, d_max, method", [
         (0, 7, Method.ORACLE),
         (0, 41, Method.ELSV_G0),

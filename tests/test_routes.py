@@ -7,10 +7,10 @@ loads at start-up; the two routes that share recursion.py must each
 compute with the other's entry point broken. `applicable_methods` decides
 which routes a cross-check runs and which cells a table may ask of one
 route, so it must say exactly where `hurwitz_value` succeeds. The exact
-text of each refusal of a cell or a range is a row of `REFUSALS` in
-test_cli.py or a golden run; the tests here pin the value bound at its
-edge, how it fits the range bound, and each route's own bound on a
-direct call: its error and the cells just past it. That a bound's
+text of each refusal of a cell or a range, by every method, is a golden
+run, which must end within a second; the tests here pin the value bound
+at its edge, how it fits the range bound, and each route's own bound on
+a direct call: its error and the cells just past it. That a bound's
 refusal has the text of the route's own error on a direct call, that a
 table computes nothing before it refuses, and the cell bound at its
 edge are `TestDispatch` and `TestTable` in test_recursion.py. The

@@ -68,6 +68,7 @@ from hurwitz.stablemap import (
     riemann_hurwitz_degree,
     validate,
 )
+from make_golden import run
 from test_routes import NO_COVER, OUT_OF_DOMAIN
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -100,7 +101,7 @@ def two_sheets(tail_genus=None):
 
 class TestValidation:
     @pytest.mark.parametrize("genus_field", ["genus", "target_genus"])
-    def test_riemann_hurwitz_failure_prints_in_full(self, capsys, tmp_path,
+    def test_riemann_hurwitz_failure_prints_in_full(self, tmp_path,
                                                     genus_field):
         # the largest genus the JSON parser accepts; 2g-2 has one digit
         # more than str(int) converts by default. `branch-divisor` prints
@@ -122,8 +123,9 @@ class TestValidation:
             f"component 'A': Riemann-Hurwitz fails (2g-2 = {lhs}, "
             f"degree and profiles give {rhs})"
         ]
-        assert main(["branch-divisor", "--input", str(path)]) == 2
-        assert json.loads(capsys.readouterr().out)["violations"] == problems
+        code, out, *_ = run(["branch-divisor", "--input", str(path)])
+        assert code == 2
+        assert json.loads(out)["violations"] == problems
 
     def test_profile_failure_prints_in_full(self):
         # entries and degrees past the digit limit str(int) converts; a
@@ -264,7 +266,7 @@ def reference_divisor(graph):
 
 
 class TestBranchDivisor:
-    def test_zero_coefficients_are_dropped(self, capsys, tmp_path):
+    def test_zero_coefficients_are_dropped(self, tmp_path):
         # an all-ones profile lists a point that is not a branch point
         cover = two_sheets().components[0]
         graph = two_sheets()._replace(components=(cover._replace(
@@ -272,9 +274,9 @@ class TestBranchDivisor:
         assert branch_divisor(graph) == {"q1": 1, "q2": 1}
         path = tmp_path / "ones.json"
         path.write_text(json.dumps(graph_to_dict(graph)), encoding="utf-8")
-        assert main(["branch-divisor", "--input", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["divisor"] == \
-            {"q1": 1, "q2": 1}
+        code, out, *_ = run(["branch-divisor", "--input", str(path)])
+        assert code == 0
+        assert json.loads(out)["divisor"] == {"q1": 1, "q2": 1}
 
     def test_matches_the_reference_on_valid_graphs(self):
         rng = random.Random(1999)
@@ -579,6 +581,8 @@ class TestLoadGraph:
             return got
 
         def cli(name):
+            # main itself, not make_golden.run: a signal timer needs the
+            # main thread
             code = main(["branch-divisor", "--input", str(name)])
             return code, capsys.readouterr().out
 
@@ -633,7 +637,7 @@ class TestLoadGraph:
             peak = traced_peak(lambda: load_outcome(load, path))
             assert peak <= 1.1 * reference, (load.__name__, peak, reference)
 
-    def test_cli_never_holds_the_graph(self, capsys, tmp_path):
+    def test_cli_never_holds_the_graph(self, tmp_path):
         # branch-divisor folds each component and node as it decodes and
         # keeps state per component id, never the graph: it peaks well
         # below what the graph alone holds. The peak is measured after one
@@ -641,14 +645,13 @@ class TestLoadGraph:
         union, path = union_document(tmp_path, connected=True)
         assert reference_violations(union) == []
         argv = ["branch-divisor", "--input", str(path)]
-        assert main(argv) == 0
-        cli = traced_peak(lambda: main(argv))
+        assert run(argv)[0] == 0
+        cli = traced_peak(lambda: run(argv))
         graph, size = traced_size(lambda: reference_load(path))
-        capsys.readouterr()
         assert graph == union
         assert cli <= 0.4 * size, (cli, size)
 
-    def test_cli_never_holds_the_text(self, capsys, tmp_path):
+    def test_cli_never_holds_the_text(self, tmp_path):
         # a regular file is read a window at a time, each record folded as
         # it is scanned, so branch-divisor peaks below the text of the
         # document read whole, with the bytes that decode to it
@@ -659,10 +662,9 @@ class TestLoadGraph:
             with open(path, encoding="utf-8") as handle:
                 return handle.read()
 
-        assert main(argv) == 0
-        cli = traced_peak(lambda: main(argv))
+        assert run(argv)[0] == 0
+        cli = traced_peak(lambda: run(argv))
         text = traced_peak(read)
-        capsys.readouterr()
         assert cli < 0.75 * text, (cli, text)
 
     def test_window_edges_change_nothing(self, tmp_path, monkeypatch):
@@ -792,8 +794,7 @@ class TestLoadGraph:
         ("elliptic_tail", lambda d: d["nodes"][0].update(image="")
          or d["components"][1].update(genus="1"), 2),
     ], ids=["valid", "violations", "format-fault"])
-    def test_key_order_changes_no_byte(self, capsys, tmp_path, name, change,
-                                       code):
+    def test_key_order_changes_no_byte(self, tmp_path, name, change, code):
         # another order is decoded into dicts, and the graph built from
         # them is folded in the documented order: components, then nodes
         data = fixture(name)
@@ -806,8 +807,7 @@ class TestLoadGraph:
             path = tmp_path / ("-".join(order) + ".json")
             path.write_text(json.dumps({key: data[key] for key in order}),
                             encoding="utf-8")
-            outputs.add((main(["branch-divisor", "--input", str(path)]),
-                         capsys.readouterr().out))
+            outputs.add(run(["branch-divisor", "--input", str(path)])[:2])
         assert len(outputs) == 1
         assert outputs.pop()[0] == code
 
