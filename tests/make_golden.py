@@ -6,18 +6,20 @@ every method on genus -2..4 and degree -1..9, by recursion and closed
 form at genus 0, degree 500, by the default method at genus 10,000,
 degree 3, and past every bound, by every method; `table` by every
 method on genus -1..3 and degree -1..6 and a few wider ranges, in every
-format, and past every bound; `crosscheck` on genus -1..3 and degree
--1..5, and up to genus 10 and degree 30; `branch-divisor` on every
-docs/fixtures/*.json in sorted order, a missing path and a directory;
-and the usage errors argparse refuses. After them run seeded mutations
-of docs/fixtures/elliptic_tail.json from graphgen.mutate_document, each
+format, by the default method and format on one range, and past every
+bound; `crosscheck` on genus -1..3 and degree -1..5, and up to genus 10
+and degree 30; `branch-divisor` on every docs/fixtures/*.json in sorted
+order, a missing path and a directory; and the usage errors argparse
+refuses. After them run seeded mutations of
+docs/fixtures/elliptic_tail.json from graphgen.mutate_document, each
 keyed by its seed, and that fixture's graphgen.misplaced_documents,
 each keyed by what moved. Every run goes through `run`, which calls
 `cli.main` in this process, from the repository root with COLUMNS
 pinned so that help text does not follow the terminal. `run` stops a
 run after BOUND seconds with Overrun, which names it, so a route that
 loses its bound stops the list instead of hanging it; tier-1's other
-in-process runs go through `run` too.
+in-process CLI runs go through `run` too, and its tests that call a
+route directly run under `bounded`, the same timer.
 
 Each entry maps an argv, joined by spaces, to [exit code, stdout split
 at newlines], one output line a file line, so that the diff of a
@@ -32,7 +34,8 @@ supported version after a change to the help.
     python tests/make_golden.py --check  # show every run that differs
 
 test_golden.py checks every run against its entry, and that it ends in
-a documented exit, a refusal within a second.
+a documented exit, a refusal within a second. tests/mutants.py runs
+tier-1 on mutated copies of the checkout.
 """
 
 import argparse
@@ -47,6 +50,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,8 +121,9 @@ ARGVS = (
     # the first cell each route refuses lies past every computed cell
     + [["table", "--method", "recursion", "--gmax", "3", "--dmax", "150"],
        ["table", "--method", "elsv-g0", "--gmax", "0", "--dmax", "41"]]
-    # a refusal in the default format
-    + [["table", "--method", "oracle", "--gmax", "0", "--dmax", "7"],
+    # the default method and format, then two refusals in that format
+    + [["table", "--gmax", "1", "--dmax", "2"],
+       ["table", "--method", "oracle", "--gmax", "0", "--dmax", "7"],
        ["table", "--method", "elsv-g0", "--gmax", "1", "--dmax", "3"]]
     + [["table", *HUGE_RANGE]]
     + [["table", "--method", method, *HUGE_RANGE] for method in METHODS]
@@ -147,30 +152,41 @@ def _overrun(signum, frame):
     raise Overrun
 
 
+@contextmanager
+def bounded(name: str):
+    """Run the block under a timer: past BOUND seconds, Overrun naming
+    `name`. The block must not call `run`, which arms the same timer."""
+    handler = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, BOUND)
+    try:
+        yield
+    except Overrun:
+        raise Overrun(f"{name}: more than {BOUND} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
 def run(argv: list[str], name: str = "") -> tuple[int, str, str, float]:
     """The exit code, stdout, stderr and seconds of `main(argv)` in this
-    process; Overrun, naming the run (`name`, or else the argv), past
-    BOUND seconds. An overrun can land in `main`'s `finally`, so the
-    collector, the digit limit and stdio are then restored here."""
+    process, `bounded` by its name (`name`, or else the argv). An overrun
+    can land in `main`'s `finally`, so the collector, the digit limit
+    and stdio are then restored here."""
     collecting, limit = gc.isenabled(), sys.get_int_max_str_digits()
     stdio = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
-    handler = signal.signal(signal.SIGALRM, _overrun)
     start = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, BOUND)
     try:
-        code = main(argv)
+        with bounded(name or " ".join(argv)):
+            code = main(argv)
     except SystemExit as exc:  # argparse's, on --help or a usage error
         code = exc.code
     except Overrun:
         sys.set_int_max_str_digits(limit)
         if collecting:
             gc.enable()
-        raise Overrun(f"{name or ' '.join(argv)}: more than {BOUND} s") \
-            from None
+        raise
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, handler)
         sys.stdout, sys.stderr = stdio
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 

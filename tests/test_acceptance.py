@@ -5,9 +5,13 @@ agree are the two tables below. `KNOWN` holds the pinned values, each
 checked by every method that covers its cell (criterion 1), and
 `AGREEMENT` holds one row per cross-check criterion, its two routes
 compared on every cell of its range. Both call each route through
-`routes.hurwitz_value`; the one exception is the oracle's unbounded
-state count in criterion 12. A new route or a wider bound is a new row
-or a wider range here, not an edit in each route's test file.
+`routes.hurwitz_value`; the two exceptions are test-side counts: the
+oracle's unbounded state count in criterion 12, and in criterion 13 the
+Fraction recursions of test_recursion.py, which the integer recursions
+replaced. Each value is computed under `make_golden.bounded`, so a
+route that loses its bound fails its row instead of hanging the suite.
+A new route or a wider bound is a new row or a wider range here, not an
+edit in each route's test file.
 Criteria 7, 8 and 10 check the branch divisor: its degree law and its
 effectivity on 1,000 random graphs, its refusal on the unstable fixture,
 and its continuity under collision on the limits that test_collision.py
@@ -41,7 +45,9 @@ from hurwitz.stablemap import (
     riemann_hurwitz_degree,
     validate,
 )
+from make_golden import bounded
 from test_collision import LIMITS, limits, structures, two_point_limits
+from test_recursion import reference_h0, reference_h1, reference_h2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 GRAPH_SEED = 20260819
@@ -75,6 +81,11 @@ def oracle_state_count(g, d):
     return Fraction(transitive, factorial(d))
 
 
+def fraction_recursion(g, d):
+    # H_{g,d} from the Fraction recursions that the integer ones replaced
+    return (reference_h0, reference_h1, reference_h2)[g](d)
+
+
 def _degrees(g, low, high):
     return [(g, d) for d in range(low, high + 1)]
 
@@ -98,6 +109,8 @@ AGREEMENT = [
     (11, Method.CHARACTER, Method.CLOSED_FORM, _degrees(0, 1, 24)),
     (12, oracle_state_count, Method.CHARACTER,
      _oracle_cells(oracle.MAX_BRANCH_POINTS + 1, 28)),
+    (13, Method.RECURSION, fraction_recursion,
+     [(g, d) for g in range(3) for d in range(1, 151)]),
 ]
 
 
@@ -119,9 +132,10 @@ def _name(route):
 
 
 def _value(route, g, d):
-    if isinstance(route, Method):
-        return hurwitz_value(g, d, route)
-    return route(g, d)
+    with bounded(f"H({g},{d}) by {_name(route)}"):
+        if isinstance(route, Method):
+            return hurwitz_value(g, d, route)
+        return route(g, d)
 
 
 @pytest.mark.parametrize("cell", KNOWN, ids=lambda cell: "g%d-d%d" % cell)
@@ -130,7 +144,7 @@ def test_known_value(cell):
     g, d = cell
     methods = applicable_methods(g, d)
     failures = [f"{method.value} gives {value}" for method in methods
-                if (value := hurwitz_value(g, d, method)) != KNOWN[cell]]
+                if (value := _value(method, g, d)) != KNOWN[cell]]
     _report(1, f"H({g},{d}) = {KNOWN[cell]} by {len(methods)} methods",
             failures, started)
 

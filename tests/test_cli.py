@@ -12,8 +12,10 @@ command lines are rows of `TestProcessEntry::test_process_matches_main`.
 In-process runs go through the list's runner, `make_golden.run`, so
 each is bounded the same way. The violation and fault wordings
 `branch-divisor` prints, and every unreadable input, are pinned in the
-tables of test_stablemap.py. A new refusal, like any new command line,
-is a run in make_golden.py's list.
+tables of test_stablemap.py, and a pipe read as a file in its
+`TestLoadGraph::test_fifo_reads_as_a_file`. A new refusal, like any new
+command line, a table in the default format among them, is a run in
+make_golden.py's list.
 """
 
 import gc
@@ -110,16 +112,6 @@ class TestBigValues:
             elapsed = time.perf_counter() - start
         assert text == "-" + "3" * 999_999
         assert elapsed < 5
-
-
-class TestTable:
-    def test_aligned_text_default(self):
-        code, out = run_cli("table", "--gmax", "1", "--dmax", "2")
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0].split() == ["g", "d", "r", "value"]
-        assert lines[2].split() == ["0", "2", "2", "1/2"]
-        assert len(lines) == 5
 
 
 class TestCrosscheck:
@@ -242,32 +234,6 @@ class TestProcessEntry:
                                 capture_output=True, check=False,
                                 env=child_env())
         assert (result.returncode, result.stdout) == (code, out.encode())
-
-    @pytest.mark.parametrize("name", [
-        *sorted(path.name for path in FIXTURES.glob("*.json")), "shape-fault",
-    ])
-    def test_piped_input_reads_as_a_file(self, tmp_path, name):
-        # every fixture, and one with a shape fault: the input is read
-        # once, so a pipe gives the same exit code and stdout bytes as the
-        # file
-        path = FIXTURES / name
-        if name == "shape-fault":
-            document = json.loads(
-                (FIXTURES / "elliptic_tail.json").read_text(encoding="utf-8"))
-            document["components"][-1]["genus"] = "1"
-            path = tmp_path / "faulty.json"
-            path.write_text(json.dumps(document), encoding="utf-8")
-        argv = [sys.executable, "-m", "hurwitz.cli", "branch-divisor",
-                "--input"]
-        piped = subprocess.run([*argv, "/dev/stdin"],
-                               input=path.read_bytes(), capture_output=True,
-                               check=False, env=child_env())
-        read = subprocess.run([*argv, str(path)], capture_output=True,
-                              check=False, env=child_env())
-        if name == "shape-fault":
-            assert read.returncode == EXIT_INVALID
-        assert (piped.returncode, piped.stdout) == (read.returncode,
-                                                    read.stdout)
 
     @pytest.mark.parametrize("sink", ["closed-pipe", "full-device",
                                       "closed-descriptor"])

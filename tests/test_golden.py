@@ -7,7 +7,9 @@ that loses its bound fails here instead of hanging the suite.
 
 A change that alters output on purpose rebuilds the file with
 `python tests/make_golden.py`, whose diff shows what each changed run
-prints, and explains every changed run.
+prints, and explains every changed run. The edits of tests/mutants.py,
+whose mutants tier-1 must catch, are checked here to each find its one
+place in the checkout.
 """
 
 import gc
@@ -19,6 +21,7 @@ import time
 import pytest
 
 import make_golden
+import mutants
 from hurwitz import cli, recursion
 from hurwitz.cli import EXIT_INVALID, EXIT_OK
 
@@ -66,8 +69,8 @@ def _documented(argv, code, out, err) -> bool:
         return False
     if argv[-1] == "--help":
         return out.startswith("usage: hurwitz")
-    if argv[-1] in ("aligned-text", "csv") and code == EXIT_OK:
-        return out.startswith("g")
+    if argv[0] == "table" and argv[-1] != "json" and code == EXIT_OK:
+        return out.startswith("g")  # aligned text, the default, or csv
     try:
         payload = json.loads(out)
     except ValueError:
@@ -125,3 +128,10 @@ def test_an_overrun_stops_the_run_and_names_it(monkeypatch):
         assert gc.isenabled(), where
         assert sys.get_int_max_str_digits() == limit, where
         assert signal.getsignal(signal.SIGALRM) is handler, where
+
+
+def test_every_mutant_edits_one_place():
+    # a change that moves what a mutant edits must update its row
+    for name, path, old, _new in mutants.MUTANTS:
+        text = (mutants.ROOT / path).read_text(encoding="utf-8")
+        assert text.count(old) == 1, name

@@ -8,8 +8,9 @@ with the character route and the closed form are rows of its
 `AGREEMENT` (criteria 2, 5, 6 and 11): that is the one place to widen
 them, and a value of the wrong sign fails there. The integer
 recursions are also checked against the Fraction recursions they
-replaced, copied below as a reference. A table's range is refused just
-past `routes.MAX_CELLS` in `TestTable::test_range_errors`.
+replaced, copied below as a reference, in criterion 13 there. A table's
+range is refused just past `routes.MAX_CELLS` in
+`TestTable::test_range_errors`.
 """
 
 import random
@@ -117,15 +118,6 @@ class TestGenusZero:
 
 
 class TestIntegerRecursions:
-    @pytest.mark.parametrize("func, reference, d_max", [
-        (h0_recursion, reference_h0, 150),
-        (h1_recursion, reference_h1, 150),
-        (h2_recursion, reference_h2, 150),
-    ], ids=["genus-0", "genus-1", "genus-2"])
-    def test_equal_the_fraction_recursions(self, func, reference, d_max):
-        for d in range(1, d_max + 1):
-            assert func(d) == reference(d), d
-
     def test_twice_the_value_is_the_cached_integer(self):
         for genus, func in enumerate(RECURSIONS):
             for d in range(1, 21):

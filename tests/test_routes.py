@@ -1,5 +1,6 @@
 """The method dispatch: route independence, the coverage it states,
-the value bound, and `branch_count`.
+the value bound, and `branch_count`'s refusals; its values are the
+golden `branch_points` and criterion 7 of test_acceptance.py.
 
 The cross-check means something only while the routes share no code,
 so the import structure is pinned here, together with what each command
@@ -10,7 +11,9 @@ route, so it must say exactly where `hurwitz_value` succeeds. The exact
 text of each refusal of a cell or a range, by every method, is a golden
 run, which must end within a second; the tests here pin the value bound
 at its edge, how it fits the range bound, and each route's own bound on
-a direct call: its error and the cells just past it. That a bound's
+a direct call: its error and the cells just past it. Each test that
+computes a value runs it under `make_golden.bounded`, so a route that
+loses its bound fails there instead of hanging the suite. That a bound's
 refusal has the text of the route's own error on a direct call, that a
 table computes nothing before it refuses, and the cell bound at its
 edge are `TestDispatch` and `TestTable` in test_recursion.py. The
@@ -42,6 +45,7 @@ from hurwitz.routes import (
     branch_count,
     hurwitz_value,
 )
+from make_golden import bounded
 from test_recursion import reference_h0, reference_h1, reference_h2, \
     reset_recursion_lists
 
@@ -373,7 +377,8 @@ def test_applicable_methods_are_exactly_where_values_exist():
             if d > 8 and method is Method.CHARACTER:
                 continue
             try:
-                hurwitz_value(g, d, method)
+                with bounded(f"{method.value} at ({g}, {d})"):
+                    hurwitz_value(g, d, method)
                 covered = True
             except MethodNotApplicableError:
                 covered = False
@@ -410,11 +415,12 @@ class TestValueBound:
         # digits reaches each route's own rule; a refusal prints the
         # genus, or r, in full
         huge = 10 ** 5000
-        if digits is None:
-            assert hurwitz_value(huge, 1, method) == 0
-            return
-        with pytest.raises(MethodNotApplicableError) as refused:
-            hurwitz_value(huge, 1, method)
+        with bounded(f"{method.value} at (10^5000, 1)"):
+            if digits is None:
+                assert hurwitz_value(huge, 1, method) == 0
+                return
+            with pytest.raises(MethodNotApplicableError) as refused:
+                hurwitz_value(huge, 1, method)
         assert digits in str(refused.value)
 
     @pytest.mark.parametrize("route, error, cells, digits", [
@@ -432,7 +438,8 @@ class TestValueBound:
         # last refusal prints the degree, or r, in full
         assert issubclass(error, ValueError)
         for cell in cells:
-            with pytest.raises(error) as refused:
+            with bounded(route.__name__), \
+                    pytest.raises(error) as refused:
                 route(*cell)
         assert digits in str(refused.value)
 
@@ -444,18 +451,6 @@ class TestValueBound:
         for g in range(routes.MAX_CELLS):
             for d in range(1, routes.MAX_CELLS // (g + 1) + 1):
                 routes._route(g, d, Method.CHARACTER)
-
-
-class TestBranchCount:
-    def test_rational_target(self):
-        assert branch_count(0, 1) == 0
-        assert branch_count(0, 3) == 4
-        assert branch_count(2, 2) == 6
-
-    def test_general_target(self):
-        # an unramified cover of an elliptic curve needs no branch points
-        assert branch_count(1, 3, target_genus=1) == 0
-        assert branch_count(3, 2, target_genus=2) == 0
 
 
 OUT_OF_DOMAIN = "genus and target_genus must be >= 0, degree >= 1"

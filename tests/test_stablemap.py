@@ -10,13 +10,17 @@ file. Each rule's exact wording is pinned in one table: every validity
 violation in `TestValidation::test_single_violations_are_worded_exactly`
 and `::test_violations_come_in_rule_order`, every format fault in
 `FORMAT_ERRORS`, `FIRST_FAULTS` and `TYPE_RULES`, and every input that
-cannot be read in `TestLoadGraph::test_unreadable_files`. A document
-the stream must read as the reference does (a repeated key, data
-around the document) is a row of the reader table,
+cannot be read, a missing file among them, in
+`TestLoadGraph::test_unreadable_files`. A document the stream must read
+as the reference does (a repeated key, data around the document) is a
+row of the reader table,
 `TestLoadGraph::test_irregular_documents_read_as_the_reference`; the
-three key orders are `TestLoadGraph::test_key_order_changes_no_byte`.
+three key orders are `TestLoadGraph::test_key_order_changes_no_byte`,
+the streamed read in every window `::test_window_edges_change_nothing`,
+a pipe read as a file `::test_fifo_reads_as_a_file`, and the streamed
+CLI's memory `::test_cli_never_holds_the_text`.
 The divisor of every fixture and of random valid graphs is compared
-with a reference in
+with a reference, zero coefficients dropped, in
 `TestBranchDivisor::test_matches_the_reference_on_valid_graphs`, and
 the violations of valid, perturbed and mutated graphs with graphgen's
 `reference_violations` in `::test_raises_exactly_when_validate_objects`;
@@ -266,18 +270,6 @@ def reference_divisor(graph):
 
 
 class TestBranchDivisor:
-    def test_zero_coefficients_are_dropped(self, tmp_path):
-        # an all-ones profile lists a point that is not a branch point
-        cover = two_sheets().components[0]
-        graph = two_sheets()._replace(components=(cover._replace(
-            ramification=cover.ramification + (("r", (1, 1)),)),))
-        assert branch_divisor(graph) == {"q1": 1, "q2": 1}
-        path = tmp_path / "ones.json"
-        path.write_text(json.dumps(graph_to_dict(graph)), encoding="utf-8")
-        code, out, *_ = run(["branch-divisor", "--input", str(path)])
-        assert code == 0
-        assert json.loads(out)["divisor"] == {"q1": 1, "q2": 1}
-
     def test_matches_the_reference_on_valid_graphs(self):
         rng = random.Random(1999)
         graphs = [random_valid_graph(rng) for _ in range(200)]
@@ -435,32 +427,6 @@ class TestLoadGraph:
     every document; evaluate must give the reference's evaluation or
     error, and load_graph the reference's graph or error."""
 
-    def test_valid_documents_are_decoded_once(self, tmp_path, monkeypatch):
-        # every fixture and 100 random graphs, each equal to the reference
-        # load. A valid document in the documented order is folded as it
-        # is read: the decode into a dict tree, and graph_from_dict on it,
-        # are for other documents
-        rng = random.Random(1919)
-        graphs = {path: reference_load(path)
-                  for path in sorted(FIXTURES.glob("*.json"))}
-        for k in range(100):
-            path = tmp_path / f"graph-{k}.json"
-            graphs[path] = random_valid_graph(rng)
-            path.write_text(json.dumps(graph_to_dict(graphs[path])),
-                            encoding="utf-8")
-            assert reference_load(path) == graphs[path], path.name
-
-        def second_decode(*args):
-            raise AssertionError("a valid document was decoded whole")
-
-        expected = {path: load_outcome(evaluation, graph)
-                    for path, graph in graphs.items()}
-        monkeypatch.setattr(stablemap, "_plain", second_decode)
-        monkeypatch.setattr(stablemap, "graph_from_dict", second_decode)
-        for path, graph in graphs.items():
-            assert load_outcome(stablemap.evaluate, path) == \
-                expected[path], path.name
-
     @pytest.mark.parametrize("family", ["mutations", "misplaced"])
     def test_document_families_read_as_the_reference(self, tmp_path,
                                                      family):
@@ -502,15 +468,6 @@ class TestLoadGraph:
         })
         assert set(outcomes) == {GraphFormatError}
 
-    def test_missing_file_is_a_format_error(self, tmp_path):
-        # every unreadable input is one exception type, worded here; the
-        # OS error stays as its cause
-        path = tmp_path / "nope.json"
-        with pytest.raises(GraphFormatError) as raised:
-            load_graph(path)
-        assert str(raised.value) == f"no such file: {path}"
-        assert isinstance(raised.value.__cause__, FileNotFoundError)
-
     def test_nesting_boundary(self, tmp_path):
         # the depth at which the parser runs out of stack depends on the
         # frames below it, so a second decode from another frame would
@@ -549,15 +506,17 @@ class TestLoadGraph:
     def test_fifo_reads_as_a_file(self, capsys, tmp_path, monkeypatch):
         # a FIFO gives its bytes to one reader once, so evaluate, and the
         # CLI, must read it once to give the file's evaluation or error,
-        # and a valid one streams its text without decoding it whole. A
+        # and every fixture streams its text without decoding it whole. A
         # second open would wait for a writer that never comes:
         # the reader runs in a thread too, and a test that fails leaves it
-        # waiting
+        # waiting. The CLI reads a pipe, such as /dev/stdin, on this path
         source = fixture("elliptic_tail")
         faulty = fixture("elliptic_tail")
         faulty["components"][-1]["genus"] = "1"
+        fixtures = {path.stem: path.read_bytes()
+                    for path in sorted(FIXTURES.glob("*.json"))}
         documents = {
-            "valid": (FIXTURES / "elliptic_tail.json").read_bytes(),
+            **fixtures,
             "shape fault": json.dumps(faulty).encode(),
             "broken JSON": b'{"target_genus": 0, "comp',
             "not UTF-8": b"\xff\xfe\x00\x9c" * 64,
@@ -593,6 +552,7 @@ class TestLoadGraph:
             return json.loads(text)
 
         monkeypatch.setattr(stablemap, "_plain", plain)
+        outcomes = Counter()
         for name, data in documents.items():
             path.write_bytes(data)
             decoded.clear()
@@ -600,24 +560,13 @@ class TestLoadGraph:
                 lambda name: load_outcome(stablemap.evaluate, name), data)
             piped = through_fifo(cli, data)
             # a pipe's text in the documented order is streamed from memory
-            assert decoded == [] or name != "valid", name
+            assert decoded == [] or name not in fixtures, name
             assert got == [load_outcome(stablemap.evaluate, path)], name
-            assert isinstance(got[0], stablemap.Evaluation) == \
-                name.startswith("valid")
             assert piped == [cli(path)], name
-
-    def test_peak_memory_is_below_a_bare_decode(self, tmp_path):
-        # streamed, evaluate folds the union's records as it reads them,
-        # so it never needs the dict tree, nor the text
-        union, path = union_document(tmp_path, connected=True)
-
-        def decode():
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
-
-        assert stablemap.evaluate(path) == evaluation(union)
-        assert traced_peak(lambda: stablemap.evaluate(path)) < \
-            traced_peak(decode)
+            outcomes[got[0][0] if type(got[0]) is tuple else
+                     stablemap.Evaluation] += 1
+        assert outcomes == {stablemap.Evaluation: 4, InvalidGraphError: 1,
+                            GraphFormatError: 3}
 
     def test_fault_path_peak_memory(self, tmp_path):
         # a fault near the end of the document is found late in
@@ -637,25 +586,14 @@ class TestLoadGraph:
             peak = traced_peak(lambda: load_outcome(load, path))
             assert peak <= 1.1 * reference, (load.__name__, peak, reference)
 
-    def test_cli_never_holds_the_graph(self, tmp_path):
-        # branch-divisor folds each component and node as it decodes and
-        # keeps state per component id, never the graph: it peaks well
-        # below what the graph alone holds. The peak is measured after one
-        # call has loaded every module and cache the command uses
-        union, path = union_document(tmp_path, connected=True)
-        assert reference_violations(union) == []
-        argv = ["branch-divisor", "--input", str(path)]
-        assert run(argv)[0] == 0
-        cli = traced_peak(lambda: run(argv))
-        graph, size = traced_size(lambda: reference_load(path))
-        assert graph == union
-        assert cli <= 0.4 * size, (cli, size)
-
     def test_cli_never_holds_the_text(self, tmp_path):
         # a regular file is read a window at a time, each record folded as
         # it is scanned, so branch-divisor peaks below the text of the
-        # document read whole, with the bytes that decode to it
-        _, path = union_document(tmp_path, connected=True)
+        # document read whole, with the bytes that decode to it, and so
+        # below the dict tree and the graph, each larger than the text
+        union, path = union_document(tmp_path, connected=True)
+        assert reference_violations(union) == []
+        assert stablemap.evaluate(path) == evaluation(union)
         argv = ["branch-divisor", "--input", str(path)]
 
         def read():
@@ -669,10 +607,11 @@ class TestLoadGraph:
 
     def test_window_edges_change_nothing(self, tmp_path, monkeypatch):
         # evaluate reads a regular file a few characters at a time here,
-        # so a window's edge cuts every key, number and record somewhere.
-        # Every document in the documented order, in each rendering, is
-        # folded as it is read, never decoded whole, and evaluates as the
-        # reference's graph does
+        # so a window's edge cuts every key, number and record somewhere,
+        # and then in its own windows. Every document in the documented
+        # order, in each rendering, is folded as it is read, never decoded
+        # whole nor built as a graph, and evaluates as the reference's
+        # graph does
         rng = random.Random(4343)
         sources = [fixture(path.stem)
                    for path in sorted(FIXTURES.glob("*.json"))]
@@ -700,7 +639,8 @@ class TestLoadGraph:
             raise AssertionError("a streamed document was read whole")
 
         monkeypatch.setattr(stablemap, "_plain", whole_text)
-        for window in (1, 3, 7):
+        monkeypatch.setattr(stablemap, "graph_from_dict", whole_text)
+        for window in (1, 3, 7, 1 << 16):
             monkeypatch.setattr(stablemap, "_WINDOW", window)
             for path, expected in paths.items():
                 got = load_outcome(stablemap.evaluate, path)
@@ -861,15 +801,6 @@ def union_document(tmp_path, connected=False):
     path = tmp_path / "union.json"
     path.write_text(json.dumps(graph_to_dict(union)), encoding="utf-8")
     return union, path
-
-
-def traced_size(call):
-    """What call() returns, and the memory its allocations still hold."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
 
 
 def traced_peak(call):
